@@ -13,7 +13,6 @@ their witness data).
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -29,7 +28,7 @@ from .metric import (
     line_metric,
     random_rational_metric,
 )
-from .realizability import is_metric_hypergraph, minimal_nonmetric_audit
+from .realizability import DEFAULT_CEILING, is_metric_hypergraph, minimal_nonmetric_audit
 from .saturation import (
     exhaustive_size_check,
     is_weakly_saturated,
@@ -43,29 +42,6 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs; defaults reproduce the acceptance runs."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    output: str | None = None
-    seed: int = 0
-    budget: int = 10**6
-    k: int = 6
-    r: int = 3
-    ceiling: int = 6
-    jobs: int = 1
-    fmt: str = "json"
-    no_validate: bool = False
-    n: int = 6
-    n_min: int = 5
-    n_max: int | None = None  # per-sweep default: 10 for star runs, 8 for menger
-    count: int = 1000
-    closure_out: str | None = None
-    params: tuple[str, ...] = ()
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -73,183 +49,167 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.output is None or cfg.output == "-":
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _load_matrix(cfg: RunConfig, path: str):
+def _answer(args: argparse.Namespace, key: str, ok: bool) -> int:
+    """Write a one-key yes/no object; a no is a negative verdict."""
+    _write(args, '{"%s":%s}' % (key, "true" if ok else "false"))
+    return EXIT_OK if ok else EXIT_NEGATIVE
+
+
+def _load_matrix(args: argparse.Namespace, path: str):
     text = _read(path)
-    validate = not cfg.no_validate
-    if text.lstrip().startswith("{"):
-        return formats.loads_matrix(text, validate=validate)
-    return formats.loads_matrix_csv(text, validate=validate)
+    json_text = text.lstrip().startswith("{")
+    loads = formats.loads_matrix if json_text else formats.loads_matrix_csv
+    return loads(text, validate=not args.no_validate)
 
 
-def _dump_matrix(cfg: RunConfig, d) -> str:
-    if cfg.fmt == "csv":
-        return formats.dumps_matrix_csv(d)
-    return formats.dumps_matrix(d)
-
-
-def _cmd_degenerate(cfg: RunConfig) -> int:
-    d = _load_matrix(cfg, cfg.inputs[0])
-    _write(cfg, formats.dumps_hypergraph(degenerate_hypergraph(d)))
+def _cmd_degenerate(args: argparse.Namespace) -> int:
+    d = _load_matrix(args, args.input)
+    _write(args, formats.dumps_hypergraph(degenerate_hypergraph(d)))
     return EXIT_OK
 
 
-def _cmd_close(cfg: RunConfig) -> int:
-    h = formats.loads_hypergraph(_read(cfg.inputs[0]))
-    result = weak_saturation_closure(h, cfg.k)
-    _write(cfg, formats.dumps_certificate(result.certificate))
-    if cfg.closure_out:
-        with open(cfg.closure_out, "w", encoding="utf-8") as fh:
+def _cmd_close(args: argparse.Namespace) -> int:
+    h = formats.loads_hypergraph(_read(args.input))
+    result = weak_saturation_closure(h, args.k)
+    _write(args, formats.dumps_certificate(result.certificate))
+    if args.closure_out:
+        with open(args.closure_out, "w", encoding="utf-8") as fh:
             fh.write(formats.dumps_hypergraph(result.closure) + "\n")
     return EXIT_OK
 
 
-def _cmd_verify_cert(cfg: RunConfig) -> int:
-    cert = formats.loads_certificate(_read(cfg.inputs[0]))
-    ok = verify_certificate(cert)
-    _write(cfg, '{"valid":%s}' % ("true" if ok else "false"))
-    return EXIT_OK if ok else EXIT_NEGATIVE
+def _cmd_verify_cert(args: argparse.Namespace) -> int:
+    cert = formats.loads_certificate(_read(args.input))
+    return _answer(args, "valid", verify_certificate(cert))
 
 
-def _cmd_saturated(cfg: RunConfig) -> int:
-    h = formats.loads_hypergraph(_read(cfg.inputs[0]))
-    ok = is_weakly_saturated(h, cfg.k)
-    _write(cfg, '{"weakly_saturated":%s}' % ("true" if ok else "false"))
-    return EXIT_OK if ok else EXIT_NEGATIVE
+def _cmd_saturated(args: argparse.Namespace) -> int:
+    h = formats.loads_hypergraph(_read(args.input))
+    return _answer(args, "weakly_saturated", is_weakly_saturated(h, args.k))
 
 
-def _cmd_anchor(cfg: RunConfig) -> int:
-    h = formats.loads_hypergraph(_read(cfg.inputs[0]))
-    ok = anchor_via_closure(h)
-    _write(cfg, '{"anchor_certified":%s}' % ("true" if ok else "false"))
-    return EXIT_OK if ok else EXIT_NEGATIVE
+def _cmd_anchor(args: argparse.Namespace) -> int:
+    h = formats.loads_hypergraph(_read(args.input))
+    return _answer(args, "anchor_certified", anchor_via_closure(h))
 
 
-def _cmd_reconstruct(cfg: RunConfig) -> int:
-    d = _load_matrix(cfg, cfg.inputs[0])
+def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    d = _load_matrix(args, args.input)
     order = reconstruct_line(d)
     if order is None:
-        _write(cfg, '{"order":null}')
+        _write(args, '{"order":null}')
         return EXIT_NEGATIVE
-    _write(cfg, formats.dumps_order(order))
+    _write(args, formats.dumps_order(order))
     print("reversal is an equally valid order", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_witness_check(cfg: RunConfig) -> int:
-    h = formats.loads_hypergraph(_read(cfg.inputs[0]))
-    d = _load_matrix(cfg, cfg.inputs[1])
-    ok = verify_non_anchor_witness(h, d)
-    _write(cfg, '{"non_anchor_witness":%s}' % ("true" if ok else "false"))
-    return EXIT_OK if ok else EXIT_NEGATIVE
+def _cmd_witness_check(args: argparse.Namespace) -> int:
+    h = formats.loads_hypergraph(_read(args.hypergraph))
+    d = _load_matrix(args, args.metric)
+    return _answer(args, "non_anchor_witness", verify_non_anchor_witness(h, d))
 
 
-def _cmd_realize(cfg: RunConfig) -> int:
-    h = formats.loads_hypergraph(_read(cfg.inputs[0]))
-    if cfg.ceiling > 6:
+def _cmd_realize(args: argparse.Namespace) -> int:
+    h = formats.loads_hypergraph(_read(args.input))
+    if args.ceiling > DEFAULT_CEILING:
         print(
-            f"warning: ceiling {cfg.ceiling} accepts worst-case branching of "
+            f"warning: ceiling {args.ceiling} accepts worst-case branching of "
             "3^edges middle assignments",
             file=sys.stderr,
         )
-    verdict = is_metric_hypergraph(h, cfg.ceiling)
-    _write(cfg, formats.dumps_verdict(verdict))
+    verdict = is_metric_hypergraph(h, args.ceiling)
+    _write(args, formats.dumps_verdict(verdict))
     return EXIT_OK if verdict.status == "metric" else EXIT_NEGATIVE
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    kind = cfg.params[0]
-    args = cfg.params[1:]
+def _cmd_gen(args: argparse.Namespace) -> int:
+    kind, *params = args.params
     if kind == "star":
-        _write(cfg, formats.dumps_hypergraph(star_construction(int(args[0]))))
+        _write(args, formats.dumps_hypergraph(star_construction(int(params[0]))))
         return EXIT_OK
     if kind == "theta":
-        d = graph_metric(theta_graph(int(args[0])))
+        d = graph_metric(theta_graph(int(params[0])))
     elif kind == "cycle4":
         d = four_cycle_metric()
     elif kind == "line":
-        d = line_metric([Fraction(a) for a in args])
+        d = line_metric([Fraction(a) for a in params])
     elif kind == "random":
-        d = random_rational_metric(int(args[0]), int(args[1]))
+        d = random_rational_metric(int(params[0]), int(params[1]))
     else:
         raise FormatError(f"unknown generator {kind!r}")
-    _write(cfg, _dump_matrix(cfg, d))
+    dumps = formats.dumps_matrix_csv if args.fmt == "csv" else formats.dumps_matrix
+    _write(args, dumps(d))
     return EXIT_OK
 
 
-def _sweep_theorem2(cfg: RunConfig) -> int:
+def _sweep_theorem2(args: argparse.Namespace) -> int:
     """At the size bound C(n,r)-n+k-1 every hypergraph saturates; one edge
     below, some hypergraph must fail."""
-    n, r, k = cfg.n, cfg.r, cfg.k
+    n, r, k = args.n, args.r, args.k
     bound = comb(n, r) - n + k - 1
-    at_bound = exhaustive_size_check(n, r, k, bound, cfg.budget, cfg.jobs)
-    below = exhaustive_size_check(n, r, k, bound - 1, cfg.budget, cfg.jobs)
-    lines = [
-        f"n={n} r={r} k={k} bound={bound}",
-        f"size {bound}: "
-        + ("all saturated" if at_bound is None else "counterexample found"),
-        f"size {bound - 1}: "
-        + ("all saturated" if below is None else "counterexample found"),
-    ]
+    at_bound = exhaustive_size_check(n, r, k, bound, args.budget, args.jobs)
+    below = exhaustive_size_check(n, r, k, bound - 1, args.budget, args.jobs)
+    lines = [f"n={n} r={r} k={k} bound={bound}"]
+    for size, hit in ((bound, at_bound), (bound - 1, below)):
+        found = "all saturated" if hit is None else "counterexample found"
+        lines.append(f"size {size}: {found}")
     if below is not None:
-        lines.append(
-            "counterexample edges: "
-            + str([list(e) for e in below.edge_list()])
-        )
-    _write(cfg, "\n".join(lines))
+        lines.append(f"counterexample edges: {[list(e) for e in below.edge_list()]}")
+    _write(args, "\n".join(lines))
     return EXIT_OK if at_bound is None and below is not None else EXIT_NEGATIVE
 
 
-def _sweep_theorem3(cfg: RunConfig) -> int:
+def _sweep_theorem3(args: argparse.Namespace) -> int:
     """The star family hits the size 3*C(n-2,2)+1 and saturates for each n."""
     ok = True
     lines = []
-    n_max = 10 if cfg.n_max is None else cfg.n_max
-    for n in range(cfg.n_min, n_max + 1):
+    n_max = 10 if args.n_max is None else args.n_max
+    for n in range(args.n_min, n_max + 1):
         star = star_construction(n)
         expected = 3 * comb(n - 2, 2) + 1
-        saturated = is_weakly_saturated(star, cfg.k)
-        good = star.edge_count == expected and saturated
-        ok = ok and good
+        saturated = is_weakly_saturated(star, args.k)
+        ok = ok and star.edge_count == expected and saturated
         lines.append(
             f"n={n}: edges={star.edge_count} expected={expected} "
             f"saturated={saturated}"
         )
-    _write(cfg, "\n".join(lines))
+    _write(args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _sweep_min_sat(cfg: RunConfig) -> int:
-    m = min_saturation_search(cfg.n, cfg.r, cfg.k, cfg.budget, cfg.jobs)
-    _write(cfg, f"minimum weakly saturated size at n={cfg.n} r={cfg.r} k={cfg.k}: {m}")
+def _sweep_min_sat(args: argparse.Namespace) -> int:
+    m = min_saturation_search(args.n, args.r, args.k, args.budget, args.jobs)
+    _write(args, f"minimum weakly saturated size at n={args.n} r={args.r} k={args.k}: {m}")
     return EXIT_OK
 
 
-def _sweep_menger(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.seed)
+def _sweep_menger(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     bad = 0
-    n_max = 8 if cfg.n_max is None else cfg.n_max
-    for _ in range(cfg.count):
+    n_max = 8 if args.n_max is None else args.n_max
+    for _ in range(args.count):
         n = rng.randint(3, n_max)
         d = random_rational_metric(n, rng.randrange(2**32))
         if check_menger(d):
             bad += 1
-    _write(cfg, f"checked {cfg.count} random metrics: {bad} propagation violations")
+    _write(args, f"checked {args.count} random metrics: {bad} propagation violations")
     return EXIT_OK if bad == 0 else EXIT_NEGATIVE
 
 
-def _sweep_audit(cfg: RunConfig) -> int:
-    report = minimal_nonmetric_audit(cfg.ceiling)
-    _write(cfg, formats.dumps_audit(report))
+def _sweep_audit(args: argparse.Namespace) -> int:
+    report = minimal_nonmetric_audit(args.ceiling)
+    _write(args, formats.dumps_audit(report))
     return EXIT_OK if report.is_minimal_non_metric() else EXIT_NEGATIVE
 
 
@@ -274,16 +234,13 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments; returns the process exit code."""
     try:
-        if cfg.command == "sweep":
-            return _SWEEPS[cfg.params[0]](cfg)
-        return _COMMANDS[cfg.command](cfg)
-    except LinesatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, IndexError) as exc:
+        if args.command == "sweep":
+            return _SWEEPS[args.name](args)
+        return _COMMANDS[args.command](args)
+    except (LinesatError, OSError, ValueError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -302,13 +259,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", default="-", help="input file (default: stdin)")
         p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
 
+    def clique(p):
+        p.add_argument("--k", type=int, default=6, help="clique size (default 6)")
+
+    def ceiling(p):
+        p.add_argument(
+            "--ceiling",
+            type=int,
+            default=DEFAULT_CEILING,
+            help="max vertex count; raising it accepts exponential branching",
+        )
+
     p = sub.add_parser("degenerate", help="degenerate-triangle hypergraph of a metric")
     common(p)
     p.add_argument("--no-validate", action="store_true", help="skip metric axiom checks")
 
     p = sub.add_parser("close", help="weak saturation closure with certificate")
     common(p)
-    p.add_argument("--k", type=int, default=6, help="clique size (default 6)")
+    clique(p)
     p.add_argument("--closure-out", default=None, help="also write the closure hypergraph")
 
     p = sub.add_parser("verify-cert", help="replay and check a closure certificate")
@@ -316,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("saturated", help="test weak saturation")
     common(p)
-    p.add_argument("--k", type=int, default=6)
+    clique(p)
 
     p = sub.add_parser("anchor", help="certify an anchor via closure (sufficient only)")
     common(p)
@@ -335,12 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="decide metric realizability of a hypergraph")
     common(p)
-    p.add_argument(
-        "--ceiling",
-        type=int,
-        default=6,
-        help="max vertex count; raising it accepts exponential branching",
-    )
+    ceiling(p)
 
     p = sub.add_parser("gen", help="generate example inputs")
     p.add_argument(
@@ -353,56 +316,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("sweep", help="bulk verification runs")
-    p.add_argument(
-        "params",
-        nargs="+",
-        metavar="NAME [ARG...]",
-        help="theorem2 | theorem3 | min-sat | menger | audit",
-    )
+    p.add_argument("name", choices=sorted(_SWEEPS))
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--k", type=int, default=6)
+    clique(p)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--ceiling", type=int, default=6)
+    ceiling(p)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = []
-    for key in ("input", "hypergraph", "metric", "input1"):
-        value = getattr(args, key, None)
-        if value is not None:
-            inputs.append(value)
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(inputs),
-        output=getattr(args, "output", None),
-        seed=getattr(args, "seed", 0),
-        budget=getattr(args, "budget", 10**6),
-        k=getattr(args, "k", 6),
-        r=getattr(args, "r", 3),
-        ceiling=getattr(args, "ceiling", 6),
-        jobs=getattr(args, "jobs", 1),
-        fmt=getattr(args, "fmt", "json"),
-        no_validate=getattr(args, "no_validate", False),
-        n=getattr(args, "n", 6),
-        n_min=getattr(args, "n_min", 5),
-        n_max=getattr(args, "n_max", None),
-        count=getattr(args, "count", 1000),
-        closure_out=getattr(args, "closure_out", None),
-        params=tuple(getattr(args, "params", ())),
-    )
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    code = run(_config_from_args(args))
+    code = run(_build_parser().parse_args(argv))
     if argv is None:
         sys.exit(code)
     return code

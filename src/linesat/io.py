@@ -19,6 +19,26 @@ from .realizability import AuditReport, RealizabilityVerdict
 from .saturation import ClosureCertificate
 
 
+def _load_object(text: str, keys, what: str) -> dict:
+    """Decode a JSON object that has exactly the given keys."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or set(obj) != set(keys):
+        names = ", ".join(f'"{key}"' for key in keys)
+        raise FormatError(f"{what} object must have exactly the keys {names}")
+    return obj
+
+
+def _ints(value, message: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers (booleans are not integers here)."""
+    ok = isinstance(value, list) and all(type(x) is int for x in value)
+    if not ok or (length is not None and len(value) != length):
+        raise FormatError(message)
+    return tuple(value)
+
+
 def _parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise FormatError(f"boolean {value!r} is not a rational entry")
@@ -38,21 +58,21 @@ def _emit_rational(value: Fraction):
     return value.numerator if value.denominator == 1 else str(value)
 
 
+def _matrix_object(d: DistanceMatrix | None) -> dict | None:
+    if d is None:
+        return None
+    return {"n": d.n, "dist": [[_emit_rational(x) for x in row] for row in d.d]}
+
+
 def dumps_matrix(d: DistanceMatrix) -> str:
-    obj = {"n": d.n, "dist": [[_emit_rational(x) for x in row] for row in d.d]}
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(_matrix_object(d), separators=(",", ":"))
 
 
 def loads_matrix(text: str, validate: bool = True) -> DistanceMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != {"n", "dist"}:
-        raise FormatError('matrix object must have exactly the keys "n" and "dist"')
-    n = obj["n"]
+    obj = _load_object(text, ("n", "dist"), "matrix")
+    (n,) = _ints([obj["n"]], '"n" must be an int')
     rows = obj["dist"]
-    if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
+    if not isinstance(rows, list) or len(rows) != n:
         raise FormatError('"dist" must be an n-row matrix')
     if any(not isinstance(row, list) or len(row) != n for row in rows):
         raise FormatError('"dist" must be square')
@@ -98,22 +118,17 @@ def dumps_graph(g: Graph) -> str:
 
 
 def loads_graph(text: str) -> Graph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
-        raise FormatError('graph object must have exactly the keys "n" and "edges"')
-    if not isinstance(obj["n"], int) or not isinstance(obj["edges"], list):
-        raise FormatError('"n" must be an int and "edges" a list of pairs')
-    pairs = []
-    for e in obj["edges"]:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, int) for x in e):
-            raise FormatError(f"edge {e!r} must be a pair of vertex indices")
-        pairs.append(tuple(e))
+    obj = _load_object(text, ("n", "edges"), "graph")
+    (n,) = _ints([obj["n"]], '"n" must be an int')
+    if not isinstance(obj["edges"], list):
+        raise FormatError('"edges" must be a list of pairs')
+    pairs = [
+        _ints(e, f"edge {e!r} must be a pair of vertex indices", 2)
+        for e in obj["edges"]
+    ]
     if len(set(tuple(sorted(p)) for p in pairs)) != len(pairs):
         raise FormatError("duplicate edges")
-    return Graph.from_edges(obj["n"], pairs)
+    return Graph.from_edges(n, pairs)
 
 
 def dumps_hypergraph(h: UniformHypergraph) -> str:
@@ -121,29 +136,22 @@ def dumps_hypergraph(h: UniformHypergraph) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _hypergraph(n, r, edges) -> UniformHypergraph:
+    n, r = _ints([n, r], '"n" and "r" must be ints')
+    if not isinstance(edges, list):
+        raise FormatError("edges must be a list")
+    keys = [
+        tuple(sorted(_ints(e, f"edge {e!r} must be a list of {r} vertex indices", r)))
+        for e in edges
+    ]
+    if len(set(keys)) != len(keys):
+        raise FormatError("duplicate edges")
+    return UniformHypergraph.from_edges(n, r, keys)
+
+
 def loads_hypergraph(text: str) -> UniformHypergraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != {"n", "r", "edges"}:
-        raise FormatError('hypergraph object must have exactly the keys "n", "r", "edges"')
-    n, r, edges = obj["n"], obj["r"], obj["edges"]
-    if not isinstance(n, int) or not isinstance(r, int) or not isinstance(edges, list):
-        raise FormatError('"n" and "r" must be ints and "edges" a list')
-    seen = set()
-    for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != r
-            or not all(isinstance(x, int) for x in e)
-        ):
-            raise FormatError(f"edge {e!r} must be a list of {r} vertex indices")
-        key = tuple(sorted(e))
-        if key in seen:
-            raise FormatError(f"duplicate edge {e!r}")
-        seen.add(key)
-    return UniformHypergraph.from_edges(n, r, (tuple(e) for e in edges))
+    obj = _load_object(text, ("n", "r", "edges"), "hypergraph")
+    return _hypergraph(obj["n"], obj["r"], obj["edges"])
 
 
 def dumps_certificate(cert: ClosureCertificate) -> str:
@@ -159,29 +167,18 @@ def dumps_certificate(cert: ClosureCertificate) -> str:
 
 
 def loads_certificate(text: str) -> ClosureCertificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    keys = {"n", "r", "k", "base", "steps"}
-    if not isinstance(obj, dict) or set(obj) != keys:
-        raise FormatError(f"certificate object must have exactly the keys {sorted(keys)}")
-    if not isinstance(obj["k"], int):
-        raise FormatError('"k" must be an int')
-    base = loads_hypergraph(
-        json.dumps({"n": obj["n"], "r": obj["r"], "edges": obj["base"]})
-    )
+    obj = _load_object(text, ("n", "r", "k", "base", "steps"), "certificate")
+    (k,) = _ints([obj["k"]], '"k" must be an int')
+    base = _hypergraph(obj["n"], obj["r"], obj["base"])
+    if not isinstance(obj["steps"], list):
+        raise FormatError('"steps" must be a list')
     steps = []
     for step in obj["steps"]:
         if not isinstance(step, dict) or set(step) != {"T", "S"}:
             raise FormatError('each step must have exactly the keys "T" and "S"')
-        t, s = step["T"], step["S"]
-        if not all(isinstance(x, int) for x in t) or not all(
-            isinstance(x, int) for x in s
-        ):
-            raise FormatError(f"step {step!r} must contain vertex indices")
-        steps.append((tuple(t), tuple(s)))
-    return ClosureCertificate(base, obj["k"], tuple(steps))
+        message = f"step {step!r} must hold lists of vertex indices"
+        steps.append((_ints(step["T"], message), _ints(step["S"], message)))
+    return ClosureCertificate(base, k, tuple(steps))
 
 
 def dumps_order(o: LinearOrder) -> str:
@@ -189,34 +186,24 @@ def dumps_order(o: LinearOrder) -> str:
 
 
 def loads_order(text: str) -> LinearOrder:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != {"order"}:
-        raise FormatError('order object must have exactly the key "order"')
-    if not isinstance(obj["order"], list) or not all(
-        isinstance(x, int) for x in obj["order"]
-    ):
-        raise FormatError('"order" must be a list of point indices')
-    return LinearOrder(tuple(obj["order"]))
+    obj = _load_object(text, ("order",), "order")
+    return LinearOrder(_ints(obj["order"], '"order" must be a list of point indices'))
 
 
 def dumps_verdict(v: RealizabilityVerdict) -> str:
-    witness = None if v.witness is None else json.loads(dumps_matrix(v.witness))
+    witness = _matrix_object(v.witness)
     obj = {"status": v.status, "witness": witness, "explored": v.explored}
     return json.dumps(obj, separators=(",", ":"))
 
 
 def dumps_audit(report: AuditReport) -> str:
     def entry(e):
-        witness = e.verdict.witness
         return {
             "deleted_vertex": e.deleted_vertex,
             "edges": e.edge_count,
             "status": e.verdict.status,
             "explored": e.verdict.explored,
-            "witness": None if witness is None else json.loads(dumps_matrix(witness)),
+            "witness": _matrix_object(e.verdict.witness),
         }
 
     obj = {

@@ -2,16 +2,16 @@
 
 The closure process: while some k-subset of the vertices contains all but
 one of its r-subsets, add the missing one.  The resulting set is unique
-regardless of processing order; the certificate records one legal order of
-additions so a verifier can replay it step by step.
+regardless of processing order.  The certificate records the order of
+additions one run took; it is deterministic (the same input gives the same
+steps) and a verifier can replay it step by step.
 
-The engine keeps a per-k-subset count of present r-subsets and updates the
-C(n-r, k-r) affected counts on every insertion, so closures on desk-scale
-inputs (n around 12) run in milliseconds instead of rescanning all
-k-subsets after each step.
+One loop computes every closure.  It keeps a per-k-subset count of present
+r-subsets and updates the C(n-r, k-r) affected counts on every insertion,
+so closures on desk-scale inputs (n around 12) run in milliseconds instead
+of rescanning all k-subsets after each step.
 """
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -48,7 +48,8 @@ class ClosureResult:
     certificate: ClosureCertificate
 
 
-@lru_cache(maxsize=None)
+# Bounded: tables reach megabytes by n = 16, and a run uses few (n, r, k).
+@lru_cache(maxsize=8)
 def _tables(n: int, r: int, k: int):
     """Per-k-subset member masks and the reverse index, in colex rank order."""
     ksubsets = [None] * comb(n, k)
@@ -69,16 +70,32 @@ def _tables(n: int, r: int, k: int):
     return tuple(ksubsets), tuple(kmasks), tuple(tuple(c) for c in containing)
 
 
-def weak_saturation_closure(
-    h: UniformHypergraph, k: int, priority=None
-) -> ClosureResult:
-    """Run the closure process to its fixed point and record a certificate.
-
-    `priority`, when given, is a permutation of the k-subset colex ranks;
-    eligible k-subsets are processed in that order instead of ascending
-    colex rank.  The closure set is the same either way; only the
-    certificate depends on it.
+def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None) -> int:
+    """Closure of a bitset.  When `steps` is a list, each addition is
+    appended to it as (rank of the added r-subset, witness k-subset index).
     """
+    counts = [(mask & km).bit_count() for km in kmasks]
+    # Counts only grow, so each k-subset reaches the threshold at most once
+    # and is pushed at most once; an entry that has since filled is skipped.
+    stack = [j for j, c in enumerate(counts) if c == threshold]
+    while stack:
+        j = stack.pop()
+        if counts[j] != threshold:
+            continue
+        t_bit = kmasks[j] & ~mask
+        mask |= t_bit
+        t_rank = t_bit.bit_length() - 1
+        if steps is not None:
+            steps.append((t_rank, j))
+        for j2 in containing[t_rank]:
+            counts[j2] += 1
+            if counts[j2] == threshold:
+                stack.append(j2)
+    return mask
+
+
+def weak_saturation_closure(h: UniformHypergraph, k: int) -> ClosureResult:
+    """Run the closure process to its fixed point and record a certificate."""
     n, r = h.n, h.r
     if k < r:
         raise InvalidK(k, r)
@@ -86,37 +103,10 @@ def weak_saturation_closure(
         # No k-subset exists, so no step is ever possible.
         return ClosureResult(h, ClosureCertificate(h, k, ()))
     ksubsets, kmasks, containing = _tables(n, r, k)
-    if priority is None:
-        key = list(range(len(kmasks)))
-    else:
-        priority = list(priority)
-        if sorted(priority) != list(range(len(kmasks))):
-            raise OutOfRange("priority must be a permutation of the k-subset ranks")
-        key = [0] * len(kmasks)
-        for pos, j in enumerate(priority):
-            key[j] = pos
-    threshold = comb(k, r) - 1
-    mask = h.edges
-    counts = [(mask & km).bit_count() for km in kmasks]
-    # Counts only grow, so each k-subset crosses the threshold at most once
-    # and is pushed at most once; a stale heap entry is simply skipped.
-    heap = [(key[j], j) for j, c in enumerate(counts) if c == threshold]
-    heapq.heapify(heap)
     steps = []
-    while heap:
-        _, j = heapq.heappop(heap)
-        if counts[j] != threshold:
-            continue
-        missing = kmasks[j] & ~mask
-        t_rank = missing.bit_length() - 1
-        steps.append((unrank(t_rank, n, r), ksubsets[j]))
-        mask |= 1 << t_rank
-        for j2 in containing[t_rank]:
-            counts[j2] += 1
-            if counts[j2] == threshold:
-                heapq.heappush(heap, (key[j2], j2))
-    closure = UniformHypergraph(n, r, mask)
-    return ClosureResult(closure, ClosureCertificate(h, k, tuple(steps)))
+    mask = _close_mask(h.edges, kmasks, containing, comb(k, r) - 1, steps)
+    decoded = tuple((unrank(t, n, r), ksubsets[j]) for t, j in steps)
+    return ClosureResult(UniformHypergraph(n, r, mask), ClosureCertificate(h, k, decoded))
 
 
 def verify_certificate(cert: ClosureCertificate) -> bool:
@@ -138,24 +128,6 @@ def verify_certificate(cert: ClosureCertificate) -> bool:
             return False
         current.add(t)
     return True
-
-
-def _close_mask(mask: int, kmasks, containing, threshold: int) -> int:
-    """Order-free closure of a bitset; used by the enumeration paths."""
-    counts = [(mask & km).bit_count() for km in kmasks]
-    stack = [j for j, c in enumerate(counts) if c == threshold]
-    while stack:
-        j = stack.pop()
-        if counts[j] != threshold:
-            continue
-        t_bit = kmasks[j] & ~mask
-        mask |= t_bit
-        t_rank = t_bit.bit_length() - 1
-        for j2 in containing[t_rank]:
-            counts[j2] += 1
-            if counts[j2] == threshold:
-                stack.append(j2)
-    return mask
 
 
 def is_weakly_saturated(h: UniformHypergraph, k: int) -> bool:

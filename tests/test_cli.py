@@ -2,6 +2,8 @@ import io as stdio
 import json
 import sys
 
+import pytest
+
 from linesat.cli import main
 
 
@@ -185,3 +187,29 @@ def test_unknown_generator_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["gen", "pentagon"])
     assert code == 2
     assert "pentagon" in err
+
+
+def test_malformed_certificate_steps_exit_2(capsys, monkeypatch):
+    bad = '{"n":7,"r":3,"k":6,"base":[],"steps":5}'
+    code, out, err = run_cli(capsys, monkeypatch, ["verify-cert"], stdin_text=bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["sweep", "foo"], ["sweep", "theorem2", "extra"]])
+def test_sweep_rejects_bad_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def exhausted(h, k):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr("linesat.cli.is_weakly_saturated", exhausted)
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["saturated"], stdin_text='{"n":7,"r":3,"edges":[]}'
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")

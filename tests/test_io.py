@@ -94,3 +94,33 @@ def test_verdict_serialization():
     text = formats.dumps_verdict(verdict)
     assert '"status":"non-metric"' in text
     assert '"witness":null' in text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":7,"r":3,"k":6,"base":[],"steps":5}',
+        '{"n":7,"r":3,"k":6,"base":[],"steps":[{"T":3,"S":[0,1,2,3,4,5]}]}',
+        '{"n":7,"r":3,"k":6,"base":[],"steps":[{"T":[0,1,2],"S":6}]}',
+    ],
+)
+def test_certificate_rejects_non_list_steps(text):
+    with pytest.raises(FormatError):
+        formats.loads_certificate(text)
+
+
+@pytest.mark.parametrize(
+    "loads, text",
+    [
+        (formats.loads_hypergraph, '{"n":5,"r":3,"edges":[[0,1,true]]}'),
+        (formats.loads_graph, '{"n":3,"edges":[[0,false]]}'),
+        (formats.loads_order, '{"order":[0,true]}'),
+        (
+            formats.loads_certificate,
+            '{"n":7,"r":3,"k":6,"base":[],"steps":[{"T":[0,1,true],"S":[0,1,2,3,4,5]}]}',
+        ),
+    ],
+)
+def test_booleans_are_not_vertex_indices(loads, text):
+    with pytest.raises(FormatError):
+        loads(text)

@@ -39,6 +39,26 @@ def random_hypergraph(n, r, count, rng):
     return UniformHypergraph(n, r, mask)
 
 
+def relabel(h, perm):
+    return UniformHypergraph.from_edges(
+        h.n, h.r, (tuple(perm[v] for v in e) for e in h.edge_list())
+    )
+
+
+def rescan_closure(h, k):
+    """Edge set of the closure by rescanning every k-subset to a fixpoint."""
+    edges = set(h.edge_list())
+    changed = True
+    while changed:
+        changed = False
+        for s in combinations(range(h.n), k):
+            missing = [t for t in combinations(s, h.r) if t not in edges]
+            if len(missing) == 1:
+                edges.add(missing[0])
+                changed = True
+    return edges
+
+
 # --- closure ------------------------------------------------------------------
 
 
@@ -94,19 +114,17 @@ def test_empty_certificate_is_valid():
     assert verify_certificate(cert)
 
 
-def test_dependent_steps_in_canonical_order():
-    # Complete on 7 minus three triples whose closure is forced into a
-    # chain: {4,5,6} only becomes addable after the other two are in.
+def test_dependent_steps_replay_deterministically():
+    # Complete on 7 minus three triples.  Every 6-subset holding {4,5,6}
+    # misses another of them, so it cannot be added first; {0,1,3,4,5,6}
+    # makes it addable after (3,4,6) alone, {0,1,2,4,5,6} after (2,4,5).
     h = complement(
         UniformHypergraph.from_edges(7, 3, [(2, 4, 5), (3, 4, 6), (4, 5, 6)])
     )
     cert = weak_saturation_closure(h, 6).certificate
-    assert [step[0] for step in cert.steps] == [(2, 4, 5), (3, 4, 6), (4, 5, 6)]
-    assert [step[1] for step in cert.steps] == [
-        (0, 1, 2, 3, 4, 5),
-        (0, 1, 2, 3, 4, 6),
-        (0, 1, 2, 4, 5, 6),
-    ]
+    assert {step[0] for step in cert.steps} == {(2, 4, 5), (3, 4, 6), (4, 5, 6)}
+    assert cert.steps[0][0] != (4, 5, 6)
+    assert weak_saturation_closure(h, 6).certificate.steps == cert.steps
     assert verify_certificate(cert)
 
 
@@ -157,25 +175,41 @@ def test_complete_is_saturated():
 
 
 def test_closure_independent_of_processing_order():
+    # Relabeling the vertices changes the order in which the loop meets
+    # the k-subsets, so closure(pi h) == pi closure(h) tests order-freedom.
     rng = random.Random(7)
-    n_k_subsets = comb(8, 6)
+    perm = list(range(8))
     for trial in range(100):
         h = random_hypergraph(8, 3, rng.randint(30, 50), rng)
-        canonical = weak_saturation_closure(h, 6).closure
-        priority = list(range(n_k_subsets))
-        rng.shuffle(priority)
-        shuffled = weak_saturation_closure(h, 6, priority=priority).closure
-        assert shuffled.edges == canonical.edges
+        rng.shuffle(perm)
+        closure = weak_saturation_closure(h, 6).closure
+        relabeled = weak_saturation_closure(relabel(h, perm), 6).closure
+        assert relabeled.edges == relabel(closure, perm).edges
 
 
-def test_shuffled_priority_certificates_still_replay():
+def test_relabeled_certificates_still_replay():
     rng = random.Random(11)
-    priority = list(range(comb(7, 6)))
+    perm = list(range(7))
     for _ in range(20):
         h = random_hypergraph(7, 3, rng.randint(25, 33), rng)
-        rng.shuffle(priority)
-        result = weak_saturation_closure(h, 6, priority=list(priority))
+        rng.shuffle(perm)
+        result = weak_saturation_closure(relabel(h, perm), 6)
         assert verify_certificate(result.certificate)
+        closure = weak_saturation_closure(h, 6).closure
+        assert result.closure.edges == relabel(closure, perm).edges
+
+
+def test_closure_matches_rescan_oracle():
+    rng = random.Random(5)
+    for n, r, k in ((7, 3, 6), (8, 3, 6), (7, 3, 5), (7, 2, 4)):
+        for _ in range(10):
+            size = comb(n, r)
+            h = random_hypergraph(n, r, rng.randint(size // 2, size - 1), rng)
+            result = weak_saturation_closure(h, k)
+            assert set(result.closure.edge_list()) == rescan_closure(h, k)
+            added = result.closure.edge_count - h.edge_count
+            assert len(result.certificate.steps) == added
+            assert verify_certificate(result.certificate)
 
 
 @given(st.integers(0, 2**35 - 1), st.integers(0, 2**35 - 1))
