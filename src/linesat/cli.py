@@ -18,7 +18,7 @@ from math import comb
 
 from . import io as formats
 from .errors import FormatError, LinesatError
-from .hypergraph import star_construction, theta_graph
+from .hypergraph import DEFAULT_BUDGET, star_construction, theta_graph
 from .lines import anchor_via_closure, reconstruct_line, verify_non_anchor_witness
 from .metric import (
     check_menger,
@@ -325,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     clique(p)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     ceiling(p)
     return parser

@@ -85,9 +85,9 @@ class InvalidK(LinesatError):
 
 
 class BudgetExceeded(LinesatError):
-    def __init__(self, required, budget):
+    def __init__(self, required, budget, what="candidates"):
         super().__init__(
-            f"enumeration needs {required} candidates, over the budget of {budget}"
+            f"enumeration needs {required} {what}, over the budget of {budget}"
         )
         self.required = required
         self.budget = budget

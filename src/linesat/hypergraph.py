@@ -10,8 +10,27 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import OutOfRange, TooFewVertices
+from .errors import BudgetExceeded, OutOfRange, TooFewVertices
 from .metric import Graph
+
+DEFAULT_BUDGET = 10**6
+
+
+def check_budget(n: int, *sizes: int) -> None:
+    """Refuse a ground set whose s-subsets outnumber the default budget.
+
+    Runs before any bitset or table over those subsets is built, so an
+    oversized input fails at once instead of exhausting time or memory.
+    """
+    for s in sizes:
+        j = min(s, n - s)
+        if j < 0:
+            continue  # no such subsets, or a shape error reported elsewhere
+        # C(n, s) >= 2**j, so a large j is over budget without computing it
+        small = j < DEFAULT_BUDGET.bit_length()
+        count = comb(n, j) if small else f"at least 2**{j}"
+        if not small or count > DEFAULT_BUDGET:
+            raise BudgetExceeded(count, DEFAULT_BUDGET, f"{s}-subsets of {n} vertices")
 
 
 def rank(subset, n: int) -> int:
@@ -125,6 +144,7 @@ def star_construction(n: int) -> UniformHypergraph:
     """
     if n < 5:
         raise TooFewVertices(n, 5)
+    check_budget(n, 3)
     core = {0, 1, 2}
     return UniformHypergraph.from_edges(
         n, 3, (t for t in combinations(range(n), 3) if core.intersection(t))

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .errors import FormatError
-from .hypergraph import UniformHypergraph
+from .hypergraph import UniformHypergraph, check_budget
 from .lines import LinearOrder
 from .metric import DistanceMatrix, Graph, validate_metric
 from .realizability import AuditReport, RealizabilityVerdict
@@ -140,6 +140,7 @@ def _hypergraph(n, r, edges) -> UniformHypergraph:
     n, r = _ints([n, r], '"n" and "r" must be ints')
     if not isinstance(edges, list):
         raise FormatError("edges must be a list")
+    check_budget(n, r)
     keys = [
         tuple(sorted(_ints(e, f"edge {e!r} must be a list of {r} vertex indices", r)))
         for e in edges

@@ -15,7 +15,7 @@ scale-invariant.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import CeilingExceeded, InconsistentAssignment, InternalConsistencyError
 from .hypergraph import (
@@ -222,56 +222,46 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     def pair(i, j):
         return pidx[(i, j) if i < j else (j, i)]
 
+    def placement(triple, m):
+        """(pair, sign) terms of d(lo, m) + d(m, hi) - d(lo, hi)."""
+        lo, hi = (x for x in triple if x != m)
+        return ((pair(lo, m), 1), (pair(m, hi), 1), (pair(lo, hi), -1))
+
     eq_rows = []
-    eq_rhs = []
     for edge in sorted(middles):
-        m = middles[edge]
-        lo, hi = (x for x in edge if x != m)
         row = [0] * nvars
-        row[pair(lo, m)] += 1
-        row[pair(m, hi)] += 1
-        row[pair(lo, hi)] -= 1
+        for p, s in placement(edge, middles[edge]):
+            row[p] = s
         eq_rows.append(row)
-        eq_rhs.append(0)
     eq_rows.append([1] * nvars)
-    eq_rhs.append(1)
-    solved = solve_linear_system(eq_rows, eq_rhs)
+    solved = solve_linear_system(eq_rows, [0] * len(middles) + [1])
     if solved is None:
         raise InconsistentAssignment(
             "the middle equalities admit no normalized distance solution"
         )
     x0, nullspace = solved
-    strict_rows = []
-    for t_rank in range(comb(n, 3)):
-        if h.edges >> t_rank & 1:
-            continue
-        triple = unrank(t_rank, n, 3)
-        for m in triple:
-            lo, hi = (x for x in triple if x != m)
-            row = [Fraction(0)] * nvars
-            row[pair(lo, m)] += 1
-            row[pair(m, hi)] += 1
-            row[pair(lo, hi)] -= 1
-            strict_rows.append(row)
-    for p in range(nvars):
-        row = [Fraction(0)] * nvars
-        row[p] = Fraction(1)
-        strict_rows.append(row)
-    # Substitute d = x0 + N y and solve over (y split into +/- parts, slack
-    # split likewise): maximize eps subject to a.(x0 + N y) >= eps.
+    # Substitute d = x0 + N y, N's columns being integer vectors, and solve
+    # over (y split into +/- parts, slack split likewise): maximize eps
+    # subject to a.(x0 + N y) >= eps.  Every row is multiplied by the common
+    # denominator of x0, which makes it integral; one factor for all rows
+    # leaves the pivot path as it is on the rational rows.
+    scale = lcm(*(v.denominator for v in x0))
+    x0_int = [v.numerator * (scale // v.denominator) for v in x0]
+    non_edges = (unrank(t, n, 3) for t in range(comb(n, 3)) if not h.edges >> t & 1)
+    strict = [placement(triple, m) for triple in non_edges for m in triple]
+    strict += [((p, 1),) for p in range(nvars)]
     dim = len(nullspace)
     ge_rows = []
     ge_rhs = []
-    for row in strict_rows:
-        reduced = [sum(r * v for r, v in zip(row, vec)) for vec in nullspace]
-        offset = sum(r * v for r, v in zip(row, x0))
+    for terms in strict:
         ge = []
-        for val in reduced:
+        for vec in nullspace:
+            val = scale * sum(s * vec[p] for p, s in terms)
             ge.extend((val, -val))
-        ge.extend((Fraction(-1), Fraction(1)))
+        ge.extend((-scale, scale))
         ge_rows.append(ge)
-        ge_rhs.append(-offset)
-    objective = [Fraction(0)] * (2 * dim) + [Fraction(1), Fraction(-1)]
+        ge_rhs.append(-sum(s * x0_int[p] for p, s in terms))
+    objective = [0] * (2 * dim) + [1, -1]
     result = linprog_max(objective, ge_rows, ge_rhs)
     if result.status != "optimal":
         raise InternalConsistencyError(

@@ -20,7 +20,9 @@ from multiprocessing import Pool
 
 from .errors import BudgetExceeded, InvalidK, OutOfRange
 from .hypergraph import (
+    DEFAULT_BUDGET,
     UniformHypergraph,
+    check_budget,
     colex_combinations,
     full_edge_mask,
     rank,
@@ -52,6 +54,7 @@ class ClosureResult:
 @lru_cache(maxsize=8)
 def _tables(n: int, r: int, k: int):
     """Per-k-subset member masks and the reverse index, in colex rank order."""
+    check_budget(n, r, k)
     ksubsets = [None] * comb(n, k)
     for s in combinations(range(n), k):
         ksubsets[rank(s, n)] = s
@@ -199,7 +202,7 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
 
 
 def exhaustive_size_check(
-    n: int, r: int, k: int, size: int, budget: int = 10**6, jobs: int = 1
+    n: int, r: int, k: int, size: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> UniformHypergraph | None:
     """First hypergraph of the given size that is not weakly saturated, or None.
 
@@ -214,7 +217,7 @@ def exhaustive_size_check(
 
 
 def min_saturation_search(
-    n: int, r: int, k: int, budget: int = 10**6, jobs: int = 1
+    n: int, r: int, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> int:
     """Smallest edge count for which some hypergraph is weakly saturated.
 

@@ -1,20 +1,23 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming by integer pivoting.
 
 A dense two-phase tableau simplex with Bland's rule: the pivot choice is
 the lowest-index improving column and, on ratio ties, the row whose basic
-variable has the lowest index, which rules out cycling.  Every entry is a
-`fractions.Fraction`, so feasibility and sign decisions are exact; the
-intended problems are small (tens of rows and columns).
+variable has the lowest index, which rules out cycling.  The tableau holds
+Python ints over one common positive denominator D, the absolute
+determinant of the current basis.  A pivot on entry p updates every other
+row by x <- (x*p - f*y) // D and then sets D <- p; the division is exact
+(Edmonds 1967; Bareiss 1968), so every sign and ratio decision is exact and
+no gcd is ever taken.  Inputs may be ints or Fractions; results are
+Fractions.  The intended problems are small (tens to a hundred rows).
 
-Also provides exact Gauss-Jordan elimination for presolving equality
-systems down to a particular solution plus a nullspace basis.
+Also provides fraction-free Gauss-Jordan elimination for presolving
+equality systems down to a particular solution plus an integer nullspace
+basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -24,152 +27,157 @@ class LPResult:
     solution: tuple[Fraction, ...] | None
 
 
+def _as_ints(rows):
+    """Scale rows of ints or Fractions by one positive integer to ints."""
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
+def _pivot(rows, d, r, c, z=None):
+    """Pivot rows (and the cost row z) on entry (r, c) over denominator d.
+
+    Keeps the denominator positive by negating the pivot row when the
+    pivot is negative; returns the new denominator.
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-y for y in prow]
+
+    def combine(row):
+        f = row[c]
+        if f == 0:
+            return row if p == d else [x * p // d for x in row]
+        if d == 1:
+            return [x * p - f * y for x, y in zip(row, prow)]
+        return [(x * p - f * y) // d for x, y in zip(row, prow)]
+
+    for i, row in enumerate(rows):
+        if i != r:
+            rows[i] = combine(row)
+    if z is not None:
+        z[:] = combine(z)
+    return p
+
+
 def solve_linear_system(rows, rhs):
-    """Solve A x = b exactly.
+    """Solve A x = b exactly by fraction-free Gauss-Jordan elimination.
 
     Returns (particular_solution, nullspace_basis) or None when the system
-    is inconsistent.  The nullspace basis has one vector per free column.
+    is inconsistent.  The particular solution is a list of Fractions; the
+    nullspace basis has one primitive integer vector per free column,
+    positive in that column.
     """
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    a = _as_ints([list(row) + [b] for row, b in zip(rows, rhs)])
     m = len(a)
     ncols = len(rows[0]) if m else 0
+    d = 1
     pivot_of_col: dict[int, int] = {}
     prow = 0
     for col in range(ncols):
-        pr = next((i for i in range(prow, m) if a[i][col] != 0), None)
+        pr = next((i for i in range(prow, m) if a[i][col]), None)
         if pr is None:
             continue
         a[prow], a[pr] = a[pr], a[prow]
-        inv = ONE / a[prow][col]
-        a[prow] = [x * inv for x in a[prow]]
-        for i in range(m):
-            if i != prow and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[prow])]
+        d = _pivot(a, d, prow, col)
         pivot_of_col[col] = prow
         prow += 1
         if prow == m:
             break
-    for i in range(prow, m):
-        if a[i][ncols] != 0:
-            return None
-    particular = [ZERO] * ncols
+    if any(a[i][ncols] for i in range(prow, m)):
+        return None
+    particular = [Fraction(0)] * ncols
     for col, row in pivot_of_col.items():
-        particular[col] = a[row][ncols]
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
+        particular[col] = Fraction(a[row][ncols], d)
     basis = []
-    for fc in free_cols:
-        v = [ZERO] * ncols
-        v[fc] = ONE
+    for fc in (c for c in range(ncols) if c not in pivot_of_col):
+        v = [0] * ncols
+        v[fc] = d
         for col, row in pivot_of_col.items():
             v[col] = -a[row][fc]
-        basis.append(v)
+        g = gcd(*v)
+        basis.append([x // g for x in v])
     return particular, basis
 
 
-def _pivot(rows, rhs, zrow, basis, r, c):
-    inv = ONE / rows[r][c]
-    rows[r] = [x * inv for x in rows[r]]
-    rhs[r] *= inv
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            rhs[i] -= f * rhs[r]
-    f = zrow[c]
-    if f != 0:
-        for j in range(len(zrow)):
-            zrow[j] -= f * rows[r][j]
-    basis[r] = c
+def _bland(tab, d, basis, z, labels):
+    """Minimize over the current basic feasible tableau in place.
 
-
-def _bland(rows, rhs, basis, cost):
-    """Minimize cost.x over the current basic feasible tableau in place."""
-    ncols = len(cost)
-    zrow = list(cost)
-    for i, b in enumerate(basis):
-        if zrow[b] != 0:
-            f = zrow[b]
-            for j in range(ncols):
-                zrow[j] -= f * rows[i][j]
+    Each row ends in its right-hand side; z holds the reduced costs scaled
+    by d; labels[j] is the variable index of column j, ascending, and basis
+    holds variable indices.  Returns (status, final denominator).
+    """
     while True:
-        enter = next((j for j in range(ncols) if zrow[j] < 0), None)
+        enter = next((j for j in range(len(labels)) if z[j] < 0), None)
         if enter is None:
-            return "optimal"
+            return "optimal", d
         leave = None
-        best = None
-        for i in range(len(rows)):
-            coeff = rows[i][enter]
+        for i, row in enumerate(tab):
+            coeff = row[enter]
             if coeff > 0:
-                ratio = rhs[i] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, num, den = i, row[-1], coeff
+                    continue
+                lhs, rhs = row[-1] * den, num * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], coeff
         if leave is None:
-            return "unbounded"
-        _pivot(rows, rhs, zrow, basis, leave, enter)
+            return "unbounded", d
+        d = _pivot(tab, d, leave, enter, z)
+        basis[leave] = labels[enter]
 
 
-def linprog_max(c, ge_rows=(), ge_rhs=(), eq_rows=(), eq_rhs=()) -> LPResult:
-    """Maximize c.x subject to ge_rows.x >= ge_rhs, eq_rows.x == eq_rhs, x >= 0."""
-    c = [Fraction(v) for v in c]
-    ge_rows, ge_rhs = list(ge_rows), list(ge_rhs)
-    eq_rows, eq_rhs = list(eq_rows), list(eq_rhs)
+def linprog_max(c, ge_rows=(), ge_rhs=()) -> LPResult:
+    """Maximize c.x subject to ge_rows.x >= ge_rhs and x >= 0.
+
+    Every row is scaled by one common positive integer, which leaves the
+    pivot path unchanged; the objective is scaled by its own.
+    """
     nvars = len(c)
-    rows = []
-    rhs = []
-    for row, b in zip(ge_rows, ge_rhs):
-        rows.append([-Fraction(v) for v in row])
-        rhs.append(-Fraction(b))
-    for row, b in zip(eq_rows, eq_rhs):
-        rows.append([Fraction(v) for v in row])
-        rhs.append(Fraction(b))
-    n_ge = len(ge_rows)
+    (cost,) = _as_ints([c])
+    rows = _as_ints([list(row) + [b] for row, b in zip(ge_rows, ge_rhs)])
     m = len(rows)
-    # Slack column for each >= constraint (written as <=), then one
-    # artificial per row; flip rows to make every right side nonnegative.
-    total = nvars + n_ge + m
+    nreal = nvars + m
+    # Each row a.x >= b becomes -a.x + slack = -b, then gets artificial
+    # variable nreal + i, which starts basic; a row is negated, artificial
+    # aside, to make its right side nonnegative.  Only a negated row needs
+    # its artificial column: elsewhere that column equals the slack's and
+    # costs more, so Bland's rule never brings it back.
+    flipped = [i for i, row in enumerate(rows) if row[-1] > 0]
+    labels = list(range(nreal)) + [nreal + i for i in flipped]
     tab = []
     for i, row in enumerate(rows):
-        full = row + [ZERO] * (n_ge + m)
-        if i < n_ge:
-            full[nvars + i] = ONE
-        full[nvars + n_ge + i] = ONE
-        if rhs[i] < 0:
-            full = [-x for x in full[: nvars + n_ge]] + full[nvars + n_ge :]
-            full[nvars + n_ge + i] = ONE
-            rhs[i] = -rhs[i]
-        tab.append(full)
-    basis = [nvars + n_ge + i for i in range(m)]
-    phase1 = [ZERO] * (nvars + n_ge) + [ONE] * m
-    if _bland(tab, rhs, basis, phase1) != "optimal":
-        raise AssertionError("phase 1 cannot be unbounded")
-    if sum(rhs[i] for i in range(m) if basis[i] >= nvars + n_ge) > 0:
+        sign = -1 if row[-1] > 0 else 1
+        full = [-sign * v for v in row[:-1]] + [0] * (len(labels) - nvars)
+        full[nvars + i] = sign
+        tab.append(full + [-sign * row[-1]])
+    for k, i in enumerate(flipped):
+        tab[i][nreal + k] = 1
+    basis = [nreal + i for i in range(m)]
+    z = [-sum(col) for col in zip(*tab)] if tab else [0] * (nvars + 1)
+    z[nreal:-1] = [0] * len(flipped)
+    _, d = _bland(tab, 1, basis, z, labels)
+    if any(tab[i][-1] for i in range(m) if basis[i] >= nreal):
         return LPResult("infeasible", None, None)
-    # Drive surviving zero-level artificials out of the basis; a row with no
-    # real coefficient left is redundant and can be dropped.
-    drop = []
+    # Drive zero-level artificials out of the basis.  Every row has its own
+    # slack column, so no row can run out of real coefficients.
     for i in range(m):
-        if basis[i] >= nvars + n_ge:
-            col = next(
-                (j for j in range(nvars + n_ge) if tab[i][j] != 0), None
-            )
-            if col is None:
-                drop.append(i)
-            else:
-                _pivot(tab, rhs, [ZERO] * total, basis, i, col)
-    for i in sorted(drop, reverse=True):
-        del tab[i], rhs[i], basis[i]
-    tab = [row[: nvars + n_ge] for row in tab]
-    cost = [-v for v in c] + [ZERO] * n_ge
-    status = _bland(tab, rhs, basis, cost)
+        if basis[i] >= nreal:
+            col = next(j for j in range(nreal) if tab[i][j])
+            d = _pivot(tab, d, i, col)
+            basis[i] = col
+    tab = [row[:nreal] + row[-1:] for row in tab]
+    z = [-d * v for v in cost] + [0] * (m + 1)
+    for i, b in enumerate(basis):
+        if b < nvars and cost[b]:
+            z = [x + cost[b] * y for x, y in zip(z, tab[i])]
+    status, d = _bland(tab, d, basis, z, range(nreal))
     if status == "unbounded":
         return LPResult("unbounded", None, None)
-    x = [ZERO] * nvars
+    x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = rhs[i]
-    value = sum(ci * xi for ci, xi in zip(c, x))
+            x[b] = Fraction(tab[i][-1], d)
+    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult("optimal", value, tuple(x))

@@ -1,9 +1,13 @@
 import io as stdio
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import linesat
 from linesat.cli import main
 
 
@@ -213,3 +217,30 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, subsets",
+    [
+        (["gen", "star", "3000"], None, "3-subsets of 3000 vertices"),
+        (["close"], '{"n":40,"r":3,"edges":[[0,1,2]]}', "6-subsets of 40 vertices"),
+        (["saturated"], '{"n":1000000,"r":3,"edges":[]}', "3-subsets of 1000000 vertices"),
+        (["saturated"], '{"n":10000000000,"r":5000000000,"edges":[]}', "at least 2**5000000000"),
+    ],
+)
+def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
+    # A fresh interpreter, so a runaway build would hit the timeout instead
+    # of stalling the suite.
+    src = str(Path(linesat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "linesat.cli", *argv],
+        input=stdin_text or "",
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: enumeration needs")
+    assert subsets in done.stderr and "budget of 1000000" in done.stderr

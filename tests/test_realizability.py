@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -243,6 +244,98 @@ def test_search_matches_brute_force_on_small_instances():
         assert (fast.status == "metric") == (slow is not None)
         if slow is not None:
             assert degenerate_hypergraph(slow).edges == h.edges
+
+
+def _degenerate_triples(dist):
+    """Triples with one point between the other two, from a plain matrix."""
+    out = []
+    for t in combinations(range(len(dist)), 3):
+        for m in t:
+            a, b = (x for x in t if x != m)
+            if dist[a][m] + dist[m][b] == dist[a][b]:
+                out.append(t)
+                break
+    return out
+
+
+def _random_graph_distances(rng, n):
+    """Shortest-path distances of a seeded random connected graph."""
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):  # a random spanning tree keeps it connected
+        u = rng.randrange(v)
+        adj[u].add(v)
+        adj[v].add(u)
+    for u, v in combinations(range(n), 2):
+        if rng.random() < 0.3:
+            adj[u].add(v)
+            adj[v].add(u)
+    dist = []
+    for src in range(n):
+        row = [None] * n
+        row[src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if row[w] is None:
+                        row[w] = row[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        dist.append(row)
+    return dist
+
+
+def _random_l1_distances(rng, n):
+    """L1 distances of n distinct seeded integer points in the plane."""
+    pts = []
+    while len(pts) < n:
+        p = (rng.randint(0, 5), rng.randint(0, 5))
+        if p not in pts:
+            pts.append(p)
+    return [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts] for p in pts]
+
+
+def test_degenerate_sets_of_known_metrics_are_metric():
+    # Each input is the degenerate set of a metric built here, so "metric"
+    # is known without the slack program; the witness must match exactly.
+    rng = random.Random(5)
+    for trial in range(64):
+        n = 3 + trial // 2 % 4
+        build = _random_graph_distances if trial % 2 else _random_l1_distances
+        h = UniformHypergraph.from_edges(n, 3, _degenerate_triples(build(rng, n)))
+        verdict = is_metric_hypergraph(h)
+        assert verdict.status == "metric"
+        validate_metric(verdict.witness)
+        assert degenerate_hypergraph(verdict.witness).edges == h.edges
+
+
+# random_rational_metric(7, 3) as first generated, frozen with its nine
+# degenerate triangles: a sparse 7-point case whose one slack program is the
+# largest the search meets (99 rows).
+N7_MATRIX = (
+    ("0", "26/3", "61/6", "80/3", "209/4", "199/12", "10/3"),
+    ("26/3", "0", "31/6", "62/3", "185/4", "101/4", "20/3"),
+    ("61/6", "31/6", "0", "33/2", "505/12", "241/12", "65/6"),
+    ("80/3", "62/3", "33/2", "0", "119/4", "353/12", "82/3"),
+    ("209/4", "185/4", "505/12", "119/4", "0", "55", "635/12"),
+    ("199/12", "101/4", "241/12", "353/12", "55", "0", "239/12"),
+    ("10/3", "20/3", "65/6", "82/3", "635/12", "239/12", "0"),
+)
+N7_EDGES = (
+    (0, 2, 3), (0, 2, 4), (0, 1, 5), (1, 2, 5), (1, 3, 6),
+    (2, 3, 6), (1, 4, 6), (2, 4, 6), (0, 5, 6),
+)
+
+
+def test_frozen_sparse_seven_point_case():
+    dist = [[Fraction(x) for x in row] for row in N7_MATRIX]
+    assert _degenerate_triples(dist) == sorted(N7_EDGES)
+    h = UniformHypergraph.from_edges(7, 3, N7_EDGES)
+    verdict = is_metric_hypergraph(h, ceiling=7)
+    assert verdict.status == "metric"
+    validate_metric(verdict.witness)
+    assert degenerate_hypergraph(verdict.witness).edges == h.edges
 
 
 # --- the minimality audit -------------------------------------------------------------
