@@ -18,7 +18,7 @@ from math import comb
 
 from . import io as formats
 from .errors import FormatError, LinesatError
-from .hypergraph import DEFAULT_BUDGET, star_construction, theta_graph
+from .hypergraph import DEFAULT_BUDGET, check_budget, star_construction, theta_graph
 from .lines import anchor_via_closure, reconstruct_line, verify_non_anchor_witness
 from .metric import (
     check_menger,
@@ -138,6 +138,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if kind == "star":
         _write(args, formats.dumps_hypergraph(star_construction(int(params[0]))))
         return EXIT_OK
+    if kind in ("theta", "random"):
+        check_budget(int(params[0]), 2)  # the matrix holds C(N, 2) distances
     if kind == "theta":
         d = graph_metric(theta_graph(int(params[0])))
     elif kind == "cycle4":

@@ -84,9 +84,14 @@ def validate_metric(d: DistanceMatrix) -> None:
     """Check all metric axioms, raising on the first violation found.
 
     Scan order is deterministic: diagonal, then symmetry, positivity and the
-    triangle inequality over pairs i < j in ascending order.
+    triangle inequality over pairs i < j in ascending order.  The scan is
+    cubic, so a matrix with more triangles than the default budget is
+    refused before it starts.
     """
+    from .hypergraph import check_budget
+
     n = d.n
+    check_budget(n, 3)
     m = d.d
     for i in range(n):
         if m[i][i] != 0:
@@ -141,10 +146,11 @@ def middle_of(d: DistanceMatrix, triple) -> int | None:
 
 def degenerate_hypergraph(d: DistanceMatrix):
     """The 3-uniform hypergraph of all degenerate triangles of the metric."""
-    from .hypergraph import UniformHypergraph, colex_combinations
+    from .hypergraph import UniformHypergraph, check_budget, colex_combinations
 
     if d.n < 3:
         raise TooFewPoints(d.n, 3)
+    check_budget(d.n, 3)
     mask = 0
     for t_rank, triple in enumerate(colex_combinations(d.n, 3)):
         if middle_of(d, triple) is not None:

@@ -26,7 +26,7 @@ from .hypergraph import (
     unrank,
 )
 from .metric import DistanceMatrix, degenerate_hypergraph, validate_metric
-from .simplex import linprog_max, solve_linear_system
+from .simplex import max_slack, solve_linear_system
 
 OPEN, TRUE, FALSE = 0, 1, 2
 
@@ -49,7 +49,8 @@ class MiddleAssignment:
         self.n = h.n
         self.state = bytearray(3 * comb(h.n, 3))
         self.contradiction = False
-        self._true_facts: list[tuple[int, tuple[int, int]]] = []  # (middle, ends)
+        # Every true fact (middle, ends), in the order the facts were set;
+        # the first _processed of them have been propagated.
         self._queue: list[tuple[int, tuple[int, int]]] = []
         self._processed = 0
         for t_rank in range(comb(h.n, 3)):
@@ -68,18 +69,9 @@ class MiddleAssignment:
         twin.n = self.n
         twin.state = bytearray(self.state)
         twin.contradiction = self.contradiction
-        twin._true_facts = list(self._true_facts)
         twin._queue = list(self._queue)
         twin._processed = self._processed
         return twin
-
-    def _slot(self, triple, m):
-        t = tuple(sorted(triple))
-        return 3 * rank(t, self.n) + t.index(m), t
-
-    def state_of(self, triple, m) -> str:
-        slot, _ = self._slot(triple, m)
-        return ("open", "true", "false")[self.state[slot]]
 
     def choose(self, triple, m) -> None:
         """Record that m is the middle of the given edge (queued for propagation)."""
@@ -103,7 +95,6 @@ class MiddleAssignment:
             return
         self.state[base + pos] = TRUE
         ends = tuple(x for x in t if x != m)
-        self._true_facts.append((m, ends))
         self._queue.append((m, ends))
         for other in t:
             if other != m:
@@ -139,13 +130,6 @@ class MiddleAssignment:
                     out[edge] = edge[pos]
         return out
 
-    def is_total(self) -> bool:
-        for edge in self.hypergraph.edge_list():
-            base = 3 * rank(edge, self.n)
-            if not any(self.state[base + pos] == TRUE for pos in range(3)):
-                return False
-        return True
-
 
 def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     """Close the assignment under the 4-point rule; True iff still consistent.
@@ -159,7 +143,7 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     while a._processed < len(a._queue) and not a.contradiction:
         fact = a._queue[a._processed]
         a._processed += 1
-        for other in list(a._true_facts):
+        for other in list(a._queue):
             if other == fact:
                 continue
             _apply_rule(a, fact, other)
@@ -207,7 +191,8 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     Equalities pin each edge's middle; every placement of every non-edge,
     and every distance, must clear the slack; distances are normalized to
     sum to one, which is harmless because the degeneracy pattern is
-    scale-invariant.  Returns an exact witness when the optimum slack is
+    scale-invariant, and which bounds the slack, since every distance must
+    clear it.  Returns an exact witness when the optimum slack is
     positive, None otherwise.  Raises InconsistentAssignment when the
     equality system itself admits no normalized solution.
     """
@@ -243,8 +228,8 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     # Substitute d = x0 + N y, N's columns being integer vectors, and solve
     # over (y split into +/- parts, slack split likewise): maximize eps
     # subject to a.(x0 + N y) >= eps.  Every row is multiplied by the common
-    # denominator of x0, which makes it integral; one factor for all rows
-    # leaves the pivot path as it is on the rational rows.
+    # denominator of x0, which makes it integral and gives eps the same
+    # coefficient in every row, as max_slack requires.
     scale = lcm(*(v.denominator for v in x0))
     x0_int = [v.numerator * (scale // v.denominator) for v in x0]
     non_edges = (unrank(t, n, 3) for t in range(comb(n, 3)) if not h.edges >> t & 1)
@@ -261,15 +246,10 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
         ge.extend((-scale, scale))
         ge_rows.append(ge)
         ge_rhs.append(-sum(s * x0_int[p] for p, s in terms))
-    objective = [0] * (2 * dim) + [1, -1]
-    result = linprog_max(objective, ge_rows, ge_rhs)
-    if result.status != "optimal":
-        raise InternalConsistencyError(
-            f"slack program must be bounded and feasible, got {result.status}"
-        )
-    if result.objective <= 0:
+    eps, x = max_slack(ge_rows, ge_rhs)
+    if eps <= 0:
         return None
-    y = [result.solution[2 * i] - result.solution[2 * i + 1] for i in range(dim)]
+    y = [x[2 * i] - x[2 * i + 1] for i in range(dim)]
     dvals = [
         x0[p] + sum(vec[p] * yi for vec, yi in zip(nullspace, y))
         for p in range(nvars)

@@ -1,30 +1,27 @@
-"""Exact linear programming by integer pivoting.
+"""Exact slack maximization by integer pivoting.
 
-A dense two-phase tableau simplex with Bland's rule: the pivot choice is
-the lowest-index improving column and, on ratio ties, the row whose basic
+`max_slack` solves the one linear program the realizability search asks:
+maximize a free slack t subject to rows a.y - c*t >= b over y >= 0.  Since
+t is free, one pivot on t reaches a feasible basis, and a dense tableau
+simplex with Bland's rule takes it from there: the pivot choice is the
+lowest-index improving column and, on ratio ties, the row whose basic
 variable has the lowest index, which rules out cycling.  The tableau holds
 Python ints over one common positive denominator D, the absolute
 determinant of the current basis.  A pivot on entry p updates every other
 row by x <- (x*p - f*y) // D and then sets D <- p; the division is exact
 (Edmonds 1967; Bareiss 1968), so every sign and ratio decision is exact and
-no gcd is ever taken.  Inputs may be ints or Fractions; results are
-Fractions.  The intended problems are small (tens to a hundred rows).
+no gcd is ever taken.  The intended problems are small (tens to a hundred
+rows).
 
 Also provides fraction-free Gauss-Jordan elimination for presolving
 equality systems down to a particular solution plus an integer nullspace
 basis.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    objective: Fraction | None
-    solution: tuple[Fraction, ...] | None
+from .errors import InternalConsistencyError
 
 
 def _as_ints(rows):
@@ -101,17 +98,17 @@ def solve_linear_system(rows, rhs):
     return particular, basis
 
 
-def _bland(tab, d, basis, z, labels):
+def _bland(tab, d, basis, z):
     """Minimize over the current basic feasible tableau in place.
 
     Each row ends in its right-hand side; z holds the reduced costs scaled
-    by d; labels[j] is the variable index of column j, ascending, and basis
-    holds variable indices.  Returns (status, final denominator).
+    by d, and basis holds the column index of each row's basic variable.
+    Returns the final denominator.
     """
     while True:
-        enter = next((j for j in range(len(labels)) if z[j] < 0), None)
+        enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if enter is None:
-            return "optimal", d
+            return d
         leave = None
         for i, row in enumerate(tab):
             coeff = row[enter]
@@ -123,61 +120,42 @@ def _bland(tab, d, basis, z, labels):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, num, den = i, row[-1], coeff
         if leave is None:
-            return "unbounded", d
+            raise InternalConsistencyError("the slack program is unbounded")
         d = _pivot(tab, d, leave, enter, z)
-        basis[leave] = labels[enter]
+        basis[leave] = enter
 
 
-def linprog_max(c, ge_rows=(), ge_rhs=()) -> LPResult:
-    """Maximize c.x subject to ge_rows.x >= ge_rhs and x >= 0.
+def max_slack(rows, rhs):
+    """Maximize t = x[-2] - x[-1] subject to rows.x >= rhs and x >= 0.
 
-    Every row is scaled by one common positive integer, which leaves the
-    pivot path unchanged; the objective is scaled by its own.
+    The rows are ints, and each one ends in -c, c for one common c > 0, so
+    it reads a.y - c*t >= b with the slack t free.  Returns (t, x) as
+    Fractions.  Every slack column starts basic; if some b is positive, one
+    pivot brings t's negative part into the row with the largest b (the
+    lowest such row on ties), which makes every right side nonnegative, and
+    Bland's rule runs from that feasible start.  An unbounded t raises
+    InternalConsistencyError: the realizability program bounds it.
     """
-    nvars = len(c)
-    (cost,) = _as_ints([c])
-    rows = _as_ints([list(row) + [b] for row, b in zip(ge_rows, ge_rhs)])
+    nvars = len(rows[0])
+    c = rows[0][-1]
+    if c <= 0 or any(row[-2] != -c or row[-1] != c for row in rows):
+        raise ValueError("every row must end in -c, c for one common c > 0")
     m = len(rows)
-    nreal = nvars + m
-    # Each row a.x >= b becomes -a.x + slack = -b, then gets artificial
-    # variable nreal + i, which starts basic; a row is negated, artificial
-    # aside, to make its right side nonnegative.  Only a negated row needs
-    # its artificial column: elsewhere that column equals the slack's and
-    # costs more, so Bland's rule never brings it back.
-    flipped = [i for i, row in enumerate(rows) if row[-1] > 0]
-    labels = list(range(nreal)) + [nreal + i for i in flipped]
-    tab = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] > 0 else 1
-        full = [-sign * v for v in row[:-1]] + [0] * (len(labels) - nvars)
-        full[nvars + i] = sign
-        tab.append(full + [-sign * row[-1]])
-    for k, i in enumerate(flipped):
-        tab[i][nreal + k] = 1
-    basis = [nreal + i for i in range(m)]
-    z = [-sum(col) for col in zip(*tab)] if tab else [0] * (nvars + 1)
-    z[nreal:-1] = [0] * len(flipped)
-    _, d = _bland(tab, 1, basis, z, labels)
-    if any(tab[i][-1] for i in range(m) if basis[i] >= nreal):
-        return LPResult("infeasible", None, None)
-    # Drive zero-level artificials out of the basis.  Every row has its own
-    # slack column, so no row can run out of real coefficients.
-    for i in range(m):
-        if basis[i] >= nreal:
-            col = next(j for j in range(nreal) if tab[i][j])
-            d = _pivot(tab, d, i, col)
-            basis[i] = col
-    tab = [row[:nreal] + row[-1:] for row in tab]
-    z = [-d * v for v in cost] + [0] * (m + 1)
-    for i, b in enumerate(basis):
-        if b < nvars and cost[b]:
-            z = [x + cost[b] * y for x, y in zip(z, tab[i])]
-    status, d = _bland(tab, d, basis, z, range(nreal))
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
+    # a.x >= b becomes -a.x + slack = -b, slack nvars + i basic in row i.
+    tab = [[-v for v in row] + [0] * m + [-b] for row, b in zip(rows, rhs)]
+    for i, row in enumerate(tab):
+        row[nvars + i] = 1
+    basis = [nvars + i for i in range(m)]
+    z = [0] * (nvars + m + 1)
+    z[nvars - 2], z[nvars - 1] = -1, 1  # minimize -t
+    d = 1
+    top = max(range(m), key=lambda i: (rhs[i], -i))
+    if rhs[top] > 0:
+        d = _pivot(tab, d, top, nvars - 1, z)
+        basis[top] = nvars - 1
+    d = _bland(tab, d, basis, z)
     x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
             x[b] = Fraction(tab[i][-1], d)
-    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult("optimal", value, tuple(x))
+    return x[-2] - x[-1], tuple(x)

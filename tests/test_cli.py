@@ -219,16 +219,7 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize(
-    "argv, stdin_text, subsets",
-    [
-        (["gen", "star", "3000"], None, "3-subsets of 3000 vertices"),
-        (["close"], '{"n":40,"r":3,"edges":[[0,1,2]]}', "6-subsets of 40 vertices"),
-        (["saturated"], '{"n":1000000,"r":3,"edges":[]}', "3-subsets of 1000000 vertices"),
-        (["saturated"], '{"n":10000000000,"r":5000000000,"edges":[]}', "at least 2**5000000000"),
-    ],
-)
-def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
+def _assert_refused_promptly(argv, stdin_text, subsets):
     # A fresh interpreter, so a runaway build would hit the timeout instead
     # of stalling the suite.
     src = str(Path(linesat.__file__).resolve().parent.parent)
@@ -244,3 +235,32 @@ def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: enumeration needs")
     assert subsets in done.stderr and "budget of 1000000" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, subsets",
+    [
+        (["gen", "star", "3000"], None, "3-subsets of 3000 vertices"),
+        (["close"], '{"n":40,"r":3,"edges":[[0,1,2]]}', "6-subsets of 40 vertices"),
+        (["saturated"], '{"n":1000000,"r":3,"edges":[]}', "3-subsets of 1000000 vertices"),
+        (["saturated"], '{"n":10000000000,"r":5000000000,"edges":[]}', "at least 2**5000000000"),
+    ],
+)
+def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
+    _assert_refused_promptly(argv, stdin_text, subsets)
+
+
+@pytest.mark.parametrize(
+    "argv, subsets",
+    [
+        (["degenerate"], "3-subsets of 200 vertices"),
+        (["degenerate", "--no-validate"], "3-subsets of 200 vertices"),
+        (["reconstruct"], "3-subsets of 200 vertices"),
+        (["gen", "theta", "2000"], "2-subsets of 2000 vertices"),
+        (["gen", "random", "2000", "1"], "2-subsets of 2000 vertices"),
+    ],
+)
+def test_oversized_matrices_exit_2_promptly(argv, subsets):
+    # a valid 200-point line metric, about 100 KB of JSON; gen ignores it
+    line = json.dumps({"n": 200, "dist": [[abs(i - j) for j in range(200)] for i in range(200)]})
+    _assert_refused_promptly(argv, line, subsets)

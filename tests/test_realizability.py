@@ -358,3 +358,32 @@ def test_audit_shape_and_witnesses():
     # the missing triple {3,4,5}: deleting inside it leaves the complete
     # 10-edge hypergraph, deleting outside leaves 9 edges
     assert sizes == [9, 9, 9, 10, 10, 10]
+
+
+def _cleared_slack(witness, h):
+    """The least distance or non-edge placement excess of a witness whose
+    distances sum to one: the slack that witness clears."""
+    n, d = witness.n, witness.d
+    pairs = list(combinations(range(n), 2))
+    assert sum(d[i][j] for i, j in pairs) == 1
+    gaps = [d[i][j] for i, j in pairs]
+    for t in combinations(range(n), 3):
+        if not h.has_edge(t):
+            for m in t:
+                a, b = (x for x in t if x != m)
+                gaps.append(d[a][m] + d[m][b] - d[a][b])
+    return min(gaps)
+
+
+def test_witnesses_reach_the_optimal_slack():
+    # The slack program's exact optima on the frozen n=7 case and on the
+    # audit deletions, as the earlier two-phase simplex found them.
+    h7 = UniformHypergraph.from_edges(7, 3, N7_EDGES)
+    verdict = is_metric_hypergraph(h7, ceiling=7)
+    assert _cleared_slack(verdict.witness, h7) == Fraction(1, 46)
+    root = nineteen_edge_hypergraph()
+    slacks = [
+        _cleared_slack(e.verdict.witness, delete_vertex(root, e.deleted_vertex))
+        for e in minimal_nonmetric_audit().deletions
+    ]
+    assert slacks == [Fraction(1, k) for k in (18, 18, 18, 20, 20, 20)]

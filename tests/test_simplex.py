@@ -5,169 +5,160 @@ from math import gcd
 import pytest
 
 from linesat import simplex
-from linesat.simplex import LPResult, linprog_max, solve_linear_system
+from linesat.errors import InternalConsistencyError
+from linesat.simplex import max_slack, solve_linear_system
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
 
-def scipy_max(c, ge_rows, ge_rhs):
-    """Floating-point oracle for max c.x, A x >= b, x >= 0."""
-    kwargs = {}
-    if ge_rows:
-        kwargs["A_ub"] = [[-float(v) for v in row] for row in ge_rows]
-        kwargs["b_ub"] = [-float(b) for b in ge_rhs]
+def scipy_max_slack(rows, rhs):
+    """Floating-point oracle for max x[-2] - x[-1], rows.x >= rhs, x >= 0."""
+    cost = [0.0] * (len(rows[0]) - 2) + [-1.0, 1.0]
     res = scipy_linprog(
-        [-float(v) for v in c], bounds=(0, None), method="highs", **kwargs
+        cost,
+        A_ub=[[-float(v) for v in row] for row in rows],
+        b_ub=[-float(b) for b in rhs],
+        bounds=(0, None),
+        method="highs",
     )
-    if res.status == 2:
-        return "infeasible", None
-    if res.status == 3:
-        return "unbounded", None
     assert res.status == 0
-    return "optimal", -res.fun
+    return -res.fun
 
 
-# --- frozen micro cases --------------------------------------------------------
+def recorded_pivots(monkeypatch):
+    """Patch the pivot to log each (row, column) it is called with."""
+    real_pivot = simplex._pivot
+    calls = []
+
+    def recording(rows, d, r, c, z=None):
+        calls.append((r, c))
+        return real_pivot(rows, d, r, c, z)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return calls
+
+
+# --- hand-solved slack programs ---------------------------------------------
+# Each row reads a.y - c*t >= b, stored as [a..., -c, c] with t = x[-2] - x[-1].
 
 
 def test_box_maximum():
-    # max x subject to x <= 3
-    res = linprog_max([1], ge_rows=[[-1]], ge_rhs=[-3])
-    assert res == LPResult("optimal", Fraction(3), (Fraction(3),))
+    # t <= 3
+    assert max_slack([[-1, 1]], [-3]) == (3, (3, 0))
+    # t <= -2: the optimum slack may be negative
+    assert max_slack([[-1, 1]], [2]) == (-2, (0, 2))
 
 
 def test_two_variable_vertex():
-    # max x + y with x + 2y <= 4, 3x + y <= 6: optimum at (8/5, 6/5)
-    res = linprog_max([1, 1], ge_rows=[[-1, -2], [-3, -1]], ge_rhs=[-4, -6])
-    assert res.status == "optimal"
-    assert res.objective == Fraction(14, 5)
-    assert res.solution == (Fraction(8, 5), Fraction(6, 5))
+    # t <= y1, t <= y2 / 2 and t <= 1 - y1 - y2, the shape of the
+    # realizability program: all three bind at t = 2/5, y = (2/5, 1/5)
+    rows = [[1, 0, -1, 1], [0, 2, -1, 1], [-1, -1, -1, 1]]
+    q = Fraction
+    assert max_slack(rows, [0, 0, -1]) == (q(2, 5), (q(2, 5), q(1, 5), q(2, 5), 0))
 
 
 def test_equality_constraint():
-    # max x with x + y = 1, written as x + y >= 1 and -x - y >= -1
-    res = linprog_max([1, 0], ge_rows=[[1, 1], [-1, -1]], ge_rhs=[1, -1])
-    assert res.objective == 1
-    assert res.solution == (1, 0)
-
-
-def test_infeasible_system():
-    # x = 1 and x = 2, each equality as a pair of >= rows
-    res = linprog_max([1], ge_rows=[[1], [-1], [1], [-1]], ge_rhs=[1, -1, 2, -2])
-    assert res.status == "infeasible"
-
-
-def test_infeasible_by_signs():
-    # x >= 1 and x <= 0 cannot hold together
-    res = linprog_max([0], ge_rows=[[1], [-1]], ge_rhs=[1, 0])
-    assert res.status == "infeasible"
+    # y1 + y2 = 1 written as two rows, each clearing the slack: the two
+    # sides cannot both exceed t unless t <= 0
+    t, x = max_slack([[1, 1, -1, 1], [-1, -1, -1, 1]], [1, -1])
+    assert t == 0
+    assert x[0] + x[1] == 1
 
 
 def test_unbounded_direction():
-    res = linprog_max([1])
-    assert res.status == "unbounded"
+    # t <= y with y free to grow: the ratio test finds no row
+    with pytest.raises(InternalConsistencyError):
+        max_slack([[1, -1, 1]], [0])
+
+
+def test_rows_must_share_the_slack_coefficient():
+    with pytest.raises(ValueError):
+        max_slack([[1, -1, 1], [1, -2, 2]], [0, 0])
+    with pytest.raises(ValueError):
+        max_slack([[1, 1, -1]], [0])
+
+
+def test_no_positive_rhs_starts_without_a_pivot(monkeypatch):
+    # y = 0, t = 0 is feasible, so the first pivot is Bland's: t's positive
+    # part (column 2) enters
+    calls = recorded_pivots(monkeypatch)
+    rows = [[1, 0, -1, 1], [0, 2, -1, 1], [-1, -1, -1, 1]]
+    assert max_slack(rows, [0, 0, -1])[0] == Fraction(2, 5)
+    assert calls[0][1] == 2
+
+
+def test_initial_pivot_tie_goes_to_lowest_row(monkeypatch):
+    # t <= 4 - y, t <= y - 2, t <= 2y - 2, t <= 3y - 1: rows 1 and 2 tie
+    # for the largest right side, so t's negative part (column 2) enters
+    # row 1; the optimum is t = 1 at y = 3
+    calls = recorded_pivots(monkeypatch)
+    rows = [[-1, -1, 1], [1, -1, 1], [2, -1, 1], [3, -1, 1]]
+    assert max_slack(rows, [-4, 2, 2, 1]) == (1, (3, 1, 0))
+    assert calls[0] == (1, 2)
 
 
 def test_degenerate_ties_terminate():
-    # many redundant constraints through the optimum; Bland must not cycle
-    rows = [[-1, -1], [-1, -1], [-2, -2], [-1, 0], [0, -1]]
-    rhs = [-1, -1, -2, -1, -1]
-    res = linprog_max([1, 1], ge_rows=rows, ge_rhs=rhs)
-    assert res.objective == 1
-
-
-def test_fractional_data_stays_exact():
-    res = linprog_max(
-        [Fraction(1, 3)],
-        ge_rows=[[Fraction(-2, 7)]],
-        ge_rhs=[Fraction(-1, 5)],
-    )
-    assert res.objective == Fraction(1, 3) * Fraction(7, 10)
-
-
-def test_beale_cycling_example():
-    # Beale (1955): the textbook rule cycles here; Bland's rule must not.
-    # max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4 subject to
-    # 1/4 x1 - 8 x2 - x3 + 9 x4 <= 0, 1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0,
-    # x3 <= 1.
-    q = Fraction
-    res = linprog_max(
-        [q(3, 4), -20, q(1, 2), -6],
-        ge_rows=[
-            [q(-1, 4), 8, 1, -9],
-            [q(-1, 2), 12, q(1, 2), -3],
-            [0, 0, -1, 0],
-        ],
-        ge_rhs=[0, 0, -1],
-    )
-    assert res == LPResult("optimal", q(5, 4), (1, 0, 1, 0))
+    # five distinct rows, some repeated, all through the optimum
+    # (y, t) = (1/2, 1/2); Bland's rule must not cycle
+    rows = [
+        [-2, -2, 2],  # 2t <= 2 - 2y
+        [2, -2, 2],  # 2t <= 2y
+        [0, -2, 2],  # 2t <= 1
+        [4, -2, 2],  # 2t <= 4y - 1
+        [-4, -2, 2],  # 2t <= 3 - 4y
+    ]
+    rhs = [-2, 0, -1, 1, -3]
+    half = Fraction(1, 2)
+    assert max_slack(rows * 3, rhs * 3) == (half, (half, half, 0))
 
 
 def test_tableau_holds_only_ints(monkeypatch):
     real_pivot = simplex._pivot
     calls = []
 
-    def checked(rows, d, *args, **kwargs):
+    def checked(rows, d, r, c, z=None):
         assert type(d) is int and d > 0
-        assert all(type(v) is int for row in rows for v in row)
+        assert all(type(v) is int for row in rows + [z or []] for v in row)
         calls.append(d)
-        return real_pivot(rows, d, *args, **kwargs)
+        return real_pivot(rows, d, r, c, z)
 
     monkeypatch.setattr(simplex, "_pivot", checked)
-    res = linprog_max(
-        [Fraction(1, 3), 1],
-        ge_rows=[[Fraction(-2, 7), -1], [-1, Fraction(-5, 11)]],
-        ge_rhs=[Fraction(-1, 5), -2],
-    )
-    assert res.status == "optimal" and calls
+    rows = [[3, -7, -2, 2], [-5, 11, -2, 2], [-1, -1, -2, 2]]
+    t, x = max_slack(rows, [1, 2, -10**6])
+    assert t == Fraction(-25, 36) and len(calls) > 1
 
 
 # --- randomized cross-check against scipy ------------------------------------------
 
 
-def _random_entry(rng, big):
-    if big:
-        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-    return rng.randint(-3, 3)
-
-
 def test_random_problems_match_floating_oracle():
     rng = random.Random(2024)
-    agree = 0
+    starts = {True: 0, False: 0}
     for trial in range(90):
-        big = trial % 3 == 1  # Fraction data with large denominators
-        free = trial % 3 == 2  # free variables split into +/- pairs
-        nvars = rng.randint(1, 4)
-        c = [_random_entry(rng, big) for _ in range(nvars)]
-        ge_rows = [
-            [_random_entry(rng, big) for _ in range(nvars)]
-            for _ in range(rng.randint(0, 5))
+        free = trial % 2  # y split into +/- pairs, as lp_max_slack does
+        big = trial % 3 == 1  # entries up to 10**6
+        top = 10**6 if big else 3
+        k = rng.randint(1, 4)
+        c = rng.randint(1, top)
+        a_rows = [
+            [rng.randint(-top, top) for _ in range(k)] for _ in range(rng.randint(0, 5))
         ]
-        ge_rhs = [_random_entry(rng, big) for _ in ge_rows]
-        if trial % 2:
-            # box half the instances so a good share comes out bounded
-            for i in range(nvars):
-                for sign in (-1, 1) if free else (-1,):
-                    row = [0] * nvars
-                    row[i] = sign
-                    ge_rows.append(row)
-                    ge_rhs.append(-rng.randint(1, 5))
+        rhs = [rng.randint(-top, top) for _ in a_rows]
+        # bound t: directly by t <= B / c, or by sum(y) + c*t <= B when y >= 0
+        a_rows.append([0 if free or trial % 4 == 0 else -1] * k)
+        rhs.append(-rng.randint(1, top))
         if free:
-            c = [v for ci in c for v in (ci, -ci)]
-            ge_rows = [[v for a in row for v in (a, -a)] for row in ge_rows]
-        exact = linprog_max(c, ge_rows, ge_rhs)
-        oracle_status, oracle_value = scipy_max(c, ge_rows, ge_rhs)
-        assert exact.status == oracle_status
-        if exact.status == "optimal":
-            assert abs(float(exact.objective) - oracle_value) < 1e-7
-            # the exact solution must satisfy every constraint exactly
-            x = exact.solution
-            assert exact.objective == sum(Fraction(a) * v for a, v in zip(c, x))
-            for row, b in zip(ge_rows, ge_rhs):
-                assert sum(Fraction(a) * v for a, v in zip(row, x)) >= b
-            assert all(v >= 0 for v in x)
-            agree += 1
-    assert agree >= 30  # enough optimal instances to be meaningful
+            a_rows = [[v for a in row for v in (a, -a)] for row in a_rows]
+        rows = [row + [-c, c] for row in a_rows]
+        starts[max(rhs) > 0] += 1
+        t, x = max_slack(rows, rhs)
+        assert abs(float(t) - scipy_max_slack(rows, rhs)) < 1e-7
+        # the exact solution must satisfy every constraint exactly
+        assert t == x[-2] - x[-1]
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) >= b
+        assert all(v >= 0 for v in x)
+    assert min(starts.values()) >= 20  # both starts well covered
 
 
 # --- exact linear solving ---------------------------------------------------------
