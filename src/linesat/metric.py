@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import (
     AsymmetryError,
@@ -145,17 +146,43 @@ def middle_of(d: DistanceMatrix, triple) -> int | None:
 
 
 def degenerate_hypergraph(d: DistanceMatrix):
-    """The 3-uniform hypergraph of all degenerate triangles of the metric."""
-    from .hypergraph import UniformHypergraph, check_budget, colex_combinations
+    """The 3-uniform hypergraph of all degenerate triangles of the metric.
 
-    if d.n < 3:
-        raise TooFewPoints(d.n, 3)
-    check_budget(d.n, 3)
-    mask = 0
-    for t_rank, triple in enumerate(colex_combinations(d.n, 3)):
-        if middle_of(d, triple) is not None:
-            mask |= 1 << t_rank
-    return UniformHypergraph(d.n, 3, mask)
+    Tests the same three placements as :func:`middle_of`, on integer
+    numerators and denominators instead of `Fraction` sums, and sets the
+    edge bits in a byte buffer: OR-ing each bit into a growing int would
+    copy the whole mask once per edge.
+    """
+    from .hypergraph import UniformHypergraph, check_budget
+
+    n = d.n
+    if n < 3:
+        raise TooFewPoints(n, 3)
+    check_budget(n, 3)
+    num = [[x.numerator for x in row] for row in d.d]
+    den = [[x.denominator for x in row] for row in d.d]
+
+    def between(r, s, t):
+        # d(r,s) + d(s,t) == d(r,t), cross-multiplied by the positive denominators
+        return (num[r][s] * den[s][t] + num[s][t] * den[r][s]) * den[r][t] == (
+            num[r][t] * den[r][s] * den[s][t]
+        )
+
+    bits = bytearray((comb(n, 3) + 7) // 8)
+    t_rank = 0
+    for c in range(2, n):  # colex order: by largest point, then the next
+        for b in range(1, c):
+            for a in range(b):
+                mids = between(b, a, c) + between(a, b, c) + between(a, c, b)
+                if mids > 1:
+                    raise InternalConsistencyError(
+                        f"triple {[a, b, c]} has {mids} middles; "
+                        "the metric axioms were violated"
+                    )
+                if mids:
+                    bits[t_rank >> 3] |= 1 << (t_rank & 7)
+                t_rank += 1
+    return UniformHypergraph(n, 3, int.from_bytes(bits, "little"))
 
 
 def graph_metric(g: Graph) -> DistanceMatrix:

@@ -5,15 +5,15 @@ A realizing metric assigns every hyperedge a unique middle point, so the
 search branches over middle assignments.  After each choice the betweenness
 state is closed under the propagation rule ([abc] and [acd] force [abd] and
 [bcd]) and under exclusivity; a branch dies when a non-edge is forced
-degenerate, an edge loses all three candidate middles, or a triple gets two
-middles.  Surviving total assignments go to an exact LP that maximizes a
-uniform slack: distances are feasible with positive slack exactly when a
-metric with the required degeneracy pattern exists, because the pattern is
-scale-invariant.
+degenerate or a triple gets two middles.  Surviving total assignments go
+to an exact LP that maximizes a uniform slack: distances are feasible with
+positive slack exactly when a metric with the required degeneracy pattern
+exists, because the pattern is scale-invariant.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 
@@ -33,13 +33,33 @@ OPEN, TRUE, FALSE = 0, 1, 2
 DEFAULT_CEILING = 6
 
 
+@lru_cache(maxsize=8)
+def _slots(n: int) -> list[list[list[int]]]:
+    """State index of every placement on n points.
+
+    `_slots(n)[m][x][y]` is 3 * rank({m, x, y}) plus m's position in the
+    sorted triple: the slot of "m between x and y", for x and y in either
+    order.  Entries with a repeated point are -1 and never read.
+    """
+    table = [[[-1] * n for _ in range(n)] for _ in range(n)]
+    for t in combinations(range(n), 3):
+        base = 3 * rank(t, n)
+        for pos, m in enumerate(t):
+            x, y = (v for v in t if v != m)
+            table[m][x][y] = table[m][y][x] = base + pos
+    return table
+
+
 class MiddleAssignment:
     """Choice of middles for hyperedges plus the derived betweenness state.
 
-    For every triple T and candidate middle s the state records whether the
-    placement "s between the other two" is forced true, forced false, or
-    open.  Non-edges start with all three placements false; choosing a
-    middle for an edge forces its other two placements false.
+    For every triple T and candidate middle s, `state[_slots(n)[s][x][y]]`
+    records whether the placement "s between the other two points x, y of
+    T" is forced true, forced false, or open; the slots of T are
+    3 * rank(T) and the two after it.  Non-edges start with all three
+    placements false.  Choosing a middle for an edge forces its other two
+    placements false.  True facts (middle, end, end) wait in a queue until
+    `propagate` has applied the 4-point rule to them.
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -49,10 +69,9 @@ class MiddleAssignment:
         self.n = h.n
         self.state = bytearray(3 * comb(h.n, 3))
         self.contradiction = False
-        # Every true fact (middle, ends), in the order the facts were set;
-        # the first _processed of them have been propagated.
-        self._queue: list[tuple[int, tuple[int, int]]] = []
-        self._processed = 0
+        self._slot = _slots(h.n)
+        # true facts (middle, end, end) not yet propagated
+        self._queue: list[tuple[int, int, int]] = []
         for t_rank in range(comb(h.n, 3)):
             if not h.edges >> t_rank & 1:
                 base = 3 * t_rank
@@ -69,8 +88,8 @@ class MiddleAssignment:
         twin.n = self.n
         twin.state = bytearray(self.state)
         twin.contradiction = self.contradiction
+        twin._slot = self._slot
         twin._queue = list(self._queue)
-        twin._processed = self._processed
         return twin
 
     def choose(self, triple, m) -> None:
@@ -80,45 +99,28 @@ class MiddleAssignment:
             raise ValueError(f"{m} is not a member of {t}")
         if not self.hypergraph.has_edge(t):
             raise ValueError(f"{t} is not a hyperedge")
-        self._set_true(t, m)
+        x, y = (v for v in t if v != m)
+        self._set_true(m, x, y)
 
-    def _set_true(self, t, m):
+    def _set_true(self, m, x, y):
+        """Force "m between x and y"; the triple's other placements become false.
+
+        A placement is set false only here, beside a sibling set true, and
+        non-edges start all false, so an edge never loses all three middles
+        and forcing a false placement true is the only contradiction.
+        """
         if self.contradiction:
             return
-        base = 3 * rank(t, self.n)
-        pos = t.index(m)
-        cur = self.state[base + pos]
-        if cur == TRUE:
-            return
-        if cur == FALSE:
+        slot, state = self._slot, self.state
+        s = slot[m][x][y]
+        cur = state[s]
+        if cur == OPEN:
+            state[s] = TRUE
+            state[slot[x][m][y]] = FALSE
+            state[slot[y][m][x]] = FALSE
+            self._queue.append((m, x, y))
+        elif cur == FALSE:
             self.contradiction = True
-            return
-        self.state[base + pos] = TRUE
-        ends = tuple(x for x in t if x != m)
-        self._queue.append((m, ends))
-        for other in t:
-            if other != m:
-                self._set_false(t, other)
-
-    def _set_false(self, t, m):
-        if self.contradiction:
-            return
-        base = 3 * rank(t, self.n)
-        pos = t.index(m)
-        cur = self.state[base + pos]
-        if cur == FALSE:
-            return
-        if cur == TRUE:
-            self.contradiction = True
-            return
-        self.state[base + pos] = FALSE
-        if self.hypergraph.has_edge(t):
-            states = self.state[base : base + 3]
-            if all(s == FALSE for s in states):
-                self.contradiction = True  # an edge must stay degenerate
-            elif sum(1 for s in states if s == FALSE) == 2 and TRUE not in states:
-                open_pos = next(i for i in range(3) if states[i] == OPEN)
-                self._set_true(t, t[open_pos])
 
     def chosen_middles(self) -> dict[tuple[int, ...], int]:
         """Edges whose middle is currently forced true."""
@@ -134,48 +136,33 @@ class MiddleAssignment:
 def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     """Close the assignment under the 4-point rule; True iff still consistent.
 
-    The rule instantiates over every pair of true facts sharing an end pair:
-    [abc] with [acd] forces [abd] and [bcd].  Conclusions feed back into the
-    queue until a fixed point or a contradiction.
+    The rule: [p b q] and [p q d] force [p b d] and [b q d], where [x y z]
+    says y lies between x and z.  The two premises share the end p, and the
+    second one's middle q is the first one's other end.  A queued fact
+    (b; p, q) is tried in both roles, for both orders of its ends and every
+    fourth point d.  As the first premise its partner is [p q d]; as the
+    second premise, read [p b q], its partner is [p d b], and the
+    conclusions are [p d q] and [d b q].  Conclusions join the queue until
+    it empties or a contradiction appears.  The closure is a monotone
+    fixpoint, so the order facts are taken in does not matter.
     """
     if h is not None and h != a.hypergraph:
         raise ValueError("assignment belongs to a different hypergraph")
-    while a._processed < len(a._queue) and not a.contradiction:
-        fact = a._queue[a._processed]
-        a._processed += 1
-        for other in list(a._queue):
-            if other == fact:
-                continue
-            _apply_rule(a, fact, other)
-            if a.contradiction:
-                break
-            _apply_rule(a, other, fact)
-            if a.contradiction:
-                break
+    state, slot, queue, points = a.state, a._slot, a._queue, range(a.n)
+    while queue and not a.contradiction:
+        b, x, y = queue.pop()
+        for p, q in ((x, y), (y, x)):
+            q_between_p = slot[q][p]
+            for d in points:
+                if d == b or d == x or d == y:
+                    continue
+                if state[q_between_p[d]] == TRUE:
+                    a._set_true(b, p, d)
+                    a._set_true(q, b, d)
+                if state[slot[d][p][b]] == TRUE:
+                    a._set_true(d, p, q)
+                    a._set_true(b, d, q)
     return not a.contradiction
-
-
-def _apply_rule(a, first, second):
-    # first = [alpha beta gamma], second = [alpha gamma delta]
-    beta, ends1 = first
-    gamma2, ends2 = second
-    for alpha, gamma in (ends1, (ends1[1], ends1[0])):
-        if gamma != gamma2:
-            continue
-        if alpha == ends2[0]:
-            delta = ends2[1]
-        elif alpha == ends2[1]:
-            delta = ends2[0]
-        else:
-            continue
-        if beta == delta:
-            continue
-        a._set_true(tuple(sorted((alpha, beta, delta))), beta)
-        if a.contradiction:
-            return
-        a._set_true(tuple(sorted((beta, gamma, delta))), gamma)
-        if a.contradiction:
-            return
 
 
 @dataclass(frozen=True)
@@ -297,31 +284,31 @@ def is_metric_hypergraph(
         raise ValueError("realizability is defined for 3-uniform hypergraphs")
     if h.n > ceiling:
         raise CeilingExceeded(h.n, ceiling)
-    order = _edge_order(h)
+    order = [(edge, 3 * rank(edge, h.n)) for edge in _edge_order(h)]
     explored = 0
 
     def next_unassigned(a):
-        for edge in order:
-            base = 3 * rank(edge, a.n)
-            if not any(a.state[base + pos] == TRUE for pos in range(3)):
-                return edge
-        return None
+        state = a.state
+        for edge, base in order:
+            if TRUE not in (state[base], state[base + 1], state[base + 2]):
+                return edge, base
+        return None, None
 
     def dfs(a):
         nonlocal explored
-        edge = next_unassigned(a)
+        edge, base = next_unassigned(a)
         if edge is None:
             try:
                 return lp_max_slack(a, h)
             except InconsistentAssignment:
                 return None
-        base = 3 * rank(edge, a.n)
-        for pos in range(3):
+        u, v, w = edge
+        for pos, fact in enumerate(((u, v, w), (v, u, w), (w, u, v))):
             if a.state[base + pos] == FALSE:
                 continue
             branch = a.clone()
             explored += 1
-            branch.choose(edge, edge[pos])
+            branch._set_true(*fact)
             if propagate(branch):
                 witness = dfs(branch)
                 if witness is not None:

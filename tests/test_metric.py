@@ -177,6 +177,24 @@ def test_equilateral_three_points_no_degenerate():
     assert degenerate_hypergraph(d).edge_count == 0
 
 
+def test_degenerate_hypergraph_matches_middle_of():
+    # The extraction cross-multiplies integer numerators and denominators;
+    # middle_of, on Fraction sums, is the reference on every triple.
+    cases = [random_rational_metric(n, seed) for n in (3, 5, 7) for seed in range(6)]
+    cases.append(line_metric([Fraction(1, 3), Fraction(5, 7), Fraction(-2, 9), 4]))
+    # unvalidated: only d(1,0) + d(0,2) == d(1,2) holds, so 0 is the middle
+    cases.append(DistanceMatrix.from_rows([[0, 5, 1], [1, 0, 2], [1, 3, 0]]))
+    for d in cases:
+        h = degenerate_hypergraph(d)
+        for t in combinations(range(d.n), 3):
+            assert h.has_edge(t) == (middle_of(d, t) is not None), (d, t)
+    two_middles = DistanceMatrix.from_rows(
+        [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+    )
+    with pytest.raises(InternalConsistencyError):
+        degenerate_hypergraph(two_middles)
+
+
 def test_degenerate_needs_three_points():
     with pytest.raises(TooFewPoints):
         degenerate_hypergraph(DistanceMatrix.from_rows([[0, 1], [1, 0]]))

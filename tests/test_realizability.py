@@ -9,6 +9,7 @@ from linesat.hypergraph import (
     UniformHypergraph,
     complete_hypergraph,
     delete_vertex,
+    star_construction,
 )
 from linesat.metric import degenerate_hypergraph, graph_metric, middle_of, validate_metric
 from linesat.hypergraph import theta_graph
@@ -124,6 +125,75 @@ def test_contradiction_soundness_on_five_points():
                 pass
 
 
+def _naive_closure(n, edges, middles):
+    """Oracle for `propagate`: rescan every rule to a fixpoint.
+
+    Facts are (middle, frozenset of ends).  Returns (consistent, true facts,
+    false facts); the rule pairs every ordered pair of true facts.
+    """
+    triples = list(combinations(range(n), 3))
+    edges = set(edges)
+
+    def placements(t):
+        return [(m, frozenset(t) - {m}) for m in t]
+
+    true = {(m, frozenset(t) - {m}) for t, m in middles.items()}
+    false = {f for t in triples if t not in edges for f in placements(t)}
+    while True:
+        if true & false:
+            return False, true, false
+        new_true, new_false = set(), set()
+        for m, ends in true:  # exclusivity
+            new_false |= {(x, ends - {x} | {m}) for x in ends}
+        for t in edges:  # an edge keeps one middle
+            fs = placements(t)
+            open_ = [f for f in fs if f not in false]
+            if not open_:
+                return False, true, false
+            if len(open_) == 1:
+                new_true.add(open_[0])
+        for b, ends1 in true:  # [a b c] and [a c d] force [a b d], [b c d]
+            for c2, ends2 in true:
+                for a in ends1:
+                    (c,) = ends1 - {a}
+                    if c2 != c or a not in ends2:
+                        continue
+                    (d,) = ends2 - {a}
+                    if d != b:
+                        new_true |= {(b, frozenset((a, d))), (c, frozenset((b, d)))}
+        if new_true <= true and new_false <= false:
+            return True, true, false
+        true |= new_true
+        false |= new_false
+
+
+def test_propagate_matches_naive_fixpoint():
+    rng = random.Random(31)
+    outcomes = []
+    for trial in range(300):
+        n = 4 + trial % 4
+        triples = list(combinations(range(n), 3))
+        density = rng.choice((0.3, 0.6, 0.9))
+        edges = [t for t in triples if rng.random() < density]
+        h = UniformHypergraph.from_edges(n, 3, edges)
+        chosen = rng.sample(edges, min(len(edges), rng.randint(0, 6)))
+        middles = {t: rng.choice(t) for t in chosen}
+        a = MiddleAssignment(h, middles)
+        consistent = propagate(a, h)
+        expected, true, false = _naive_closure(n, edges, middles)
+        assert consistent == expected, (n, edges, middles)
+        outcomes.append(consistent)
+        if consistent:
+            # colex order of the triples, computed without the library
+            state = bytearray()
+            for t in sorted(triples, key=lambda t: t[::-1]):
+                for m in t:
+                    f = (m, frozenset(t) - {m})
+                    state.append(1 if f in true else 2 if f in false else 0)
+            assert a.state == state, (n, edges, middles)
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+
 # --- the slack program -------------------------------------------------------------
 
 
@@ -198,6 +268,15 @@ def test_verdicts_invariant_under_relabeling():
         perm = list(range(5))
         rng.shuffle(perm)
         assert is_metric_hypergraph(relabel(h9, perm)).status == "metric"
+
+
+def test_search_tree_sizes_are_pinned():
+    # Any change to what propagation prunes changes these branch counts.
+    report = minimal_nonmetric_audit()
+    assert report.root.verdict.explored == 2943
+    assert [e.verdict.explored for e in report.deletions] == [107, 107, 107, 15, 15, 15]
+    star = is_metric_hypergraph(star_construction(7), ceiling=7)
+    assert (star.status, star.explored) == ("non-metric", 12051)
 
 
 def test_verdict_deterministic():
