@@ -99,14 +99,9 @@ class UniformHypergraph:
         return bool(self.edges >> rank(subset, self.n) & 1)
 
     def edge_list(self) -> list[tuple[int, ...]]:
-        """Edges decoded in colex order."""
-        out = []
-        mask = self.edges
-        while mask:
-            low = mask & -mask
-            out.append(unrank(low.bit_length() - 1, self.n, self.r))
-            mask ^= low
-        return out
+        """Edges decoded in colex order, in one walk beside the mask's bits."""
+        bits = bin(self.edges)[:1:-1]  # bits[t] is the bit of rank t
+        return [e for e, b in zip(colex_combinations(self.n, self.r), bits) if b == "1"]
 
     def is_complete(self) -> bool:
         return self.edges == full_edge_mask(self.n, self.r)

@@ -11,7 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from .errors import (
     AsymmetryError,
@@ -87,27 +88,30 @@ def validate_metric(d: DistanceMatrix) -> None:
     Scan order is deterministic: diagonal, then symmetry, positivity and the
     triangle inequality over pairs i < j in ascending order.  The scan is
     cubic, so a matrix with more triangles than the default budget is
-    refused before it starts.
+    refused before it starts.  It runs on integers: the matrix scaled once
+    by the common denominator of its entries.
     """
     from .hypergraph import check_budget
 
     n = d.n
     check_budget(n, 3)
-    m = d.d
+    scale = lcm(*(x.denominator for row in d.d for x in row))
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in d.d]
+    cols = [list(c) for c in zip(*m)]  # cols[j][k] == m[k][j]
     for i in range(n):
         if m[i][i] != 0:
             raise NonzeroDiagonal(i)
     for i in range(n):
         for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+            dij = m[i][j]
+            if dij != m[j][i]:
                 raise AsymmetryError(i, j)
-            if m[i][j] <= 0:
+            if dij <= 0:
                 raise NonpositiveDistance(i, j)
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if m[i][j] > m[i][k] + m[k][j]:
-                    raise TriangleViolation(i, j, k)
+            # With a zero diagonal, k == i and k == j can never violate.
+            if dij > min(map(add, m[i], cols[j])):
+                k = next(k for k in range(n) if dij > m[i][k] + m[k][j])
+                raise TriangleViolation(i, j, k)
 
 
 def betweenness(d: DistanceMatrix, r: int, s: int, t: int) -> bool:

@@ -9,14 +9,17 @@ steps) and a verifier can replay it step by step.
 One loop computes every closure.  It keeps a per-k-subset count of present
 r-subsets and updates the C(n-r, k-r) affected counts on every insertion,
 so closures on desk-scale inputs (n around 12) run in milliseconds instead
-of rescanning all k-subsets after each step.
+of rescanning all k-subsets after each step.  Its tables (each k-subset's
+r-subset mask, and the k-subsets containing each r-subset) are built
+without ranking: putting a vertex x above every member of a subset s keeps
+the ranks of s's subsets and turns each (i-1)-subset u of s into the
+i-subset u + (x,), of rank rank(u) + C(x, i).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
-from multiprocessing import Pool
 
 from .errors import BudgetExceeded, InvalidK, OutOfRange
 from .hypergraph import (
@@ -25,7 +28,6 @@ from .hypergraph import (
     check_budget,
     colex_combinations,
     full_edge_mask,
-    rank,
     star_construction,
     unrank,
 )
@@ -53,24 +55,35 @@ class ClosureResult:
 # Bounded: tables reach megabytes by n = 16, and a run uses few (n, r, k).
 @lru_cache(maxsize=8)
 def _tables(n: int, r: int, k: int):
-    """Per-k-subset member masks and the reverse index, in colex rank order."""
+    """Per-k-subset member masks and the reverse index, in colex rank order.
+
+    A depth-first walk on an explicit stack grows subsets in increasing
+    vertex order, carrying the ranks of their i-subsets for each i <= r.
+    """
     check_budget(n, r, k)
-    ksubsets = [None] * comb(n, k)
-    for s in combinations(range(n), k):
-        ksubsets[rank(s, n)] = s
-    kmasks = []
-    for s in ksubsets:
-        m = 0
-        for t in combinations(s, r):
-            m |= 1 << rank(t, n)
-        kmasks.append(m)
+    if k == 0:  # one k-subset, the empty set, which is an r-subset iff r == 0
+        return ((),), (int(r == 0),), ((0,),) if r == 0 else ((),) * comb(n, r)
+    ksubsets, kmasks = [None] * comb(n, k), [0] * comb(n, k)
     containing = [[] for _ in range(comb(n, r))]
-    for j, m in enumerate(kmasks):
-        while m:
-            low = m & -m
-            containing[low.bit_length() - 1].append(j)
-            m ^= low
-    return tuple(ksubsets), tuple(kmasks), tuple(tuple(c) for c in containing)
+    # A frame: a subset, its colex rank, and its i-subsets' ranks at index
+    # i + 1 of a list whose index 0 is level -1, always empty.
+    stack = [((), 0, [[], [0]] + [[]] * r)]
+    while stack:
+        s, j, ranks = stack.pop()
+        d = len(s) + 1  # size of the children
+        for x in range(s[-1] + 1 if s else 0, n - k + d):
+            if d < k:
+                grown = [ranks[i + 1] + [u + comb(x, i) for u in ranks[i]] for i in range(r + 1)]
+                stack.append((s + (x,), j + comb(x, d), [[]] + grown))
+                continue
+            jx, c, m = j + comb(x, k), comb(x, r), 0
+            ksubsets[jx] = s + (x,)
+            for t in ranks[r + 1] + [u + c for u in ranks[r]]:
+                m |= 1 << t
+                containing[t].append(jx)
+            kmasks[jx] = m
+    # The walk meets k-subsets in lexicographic, not colex, order.
+    return tuple(ksubsets), tuple(kmasks), tuple(tuple(sorted(c)) for c in containing)
 
 
 def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None) -> int:
@@ -196,6 +209,8 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
+    from multiprocessing import Pool  # imported here so runs without a pool skip it
+
     with Pool(jobs) as pool:
         hits = [hit for hit in pool.map(_scan_chunk, chunks) if hit is not None]
     return min(hits) if hits else None

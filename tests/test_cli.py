@@ -219,17 +219,29 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def _fresh_env():
+    src = str(Path(linesat.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # only `--jobs` above 1 needs a process pool; every other run skips its import
+    code = "import sys, linesat.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), timeout=30
+    )
+    assert done.returncode == 0 and done.stdout == "False\n"
+
+
 def _assert_refused_promptly(argv, stdin_text, subsets):
     # A fresh interpreter, so a runaway build would hit the timeout instead
     # of stalling the suite.
-    src = str(Path(linesat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-m", "linesat.cli", *argv],
         input=stdin_text or "",
         capture_output=True,
         text=True,
-        env=env,
+        env=_fresh_env(),
         timeout=30,
     )
     assert done.returncode == 2 and done.stdout == ""

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -84,6 +85,29 @@ def test_from_edges_and_membership():
     assert h.has_edge((2, 3, 4))
     assert not h.has_edge((0, 1, 3))
     assert h.edge_list() == [(0, 1, 2), (2, 3, 4)]
+
+
+def unrank_edges(h):
+    return [unrank(t, h.n, h.r) for t in range(comb(h.n, h.r)) if h.edges >> t & 1]
+
+
+def test_edge_list_matches_unrank_on_random_masks():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        r = rng.randint(0, n)
+        h = UniformHypergraph(n, r, rng.getrandbits(comb(n, r)) & rng.getrandbits(comb(n, r)))
+        assert h.edge_list() == unrank_edges(h)
+
+
+def test_edge_list_matches_unrank_at_eighty_vertices():
+    rng = random.Random(6)
+    width = comb(80, 3)
+    sparse = sum(1 << t for t in rng.sample(range(width), 50)) | (1 << (width - 1))
+    dense = ((1 << width) - 1) ^ sum(1 << t for t in rng.sample(range(width), 50))
+    for mask in (0, 1, sparse, dense):
+        h = UniformHypergraph(80, 3, mask)
+        assert h.edge_list() == unrank_edges(h)
 
 
 def test_edges_decoded_in_colex_order():

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -85,6 +86,61 @@ def test_nonpositive_distance_witness():
     d = DistanceMatrix.from_rows([[0, 0], [0, 0]])
     with pytest.raises(NonpositiveDistance):
         validate_metric(d)
+
+
+def fraction_violation(d):
+    """The first axiom violation, by the documented scan on the `Fraction`s."""
+    m = d.d
+    for i in range(d.n):
+        if m[i][i] != 0:
+            return NonzeroDiagonal, (i,)
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            if m[i][j] != m[j][i]:
+                return AsymmetryError, (i, j)
+            if m[i][j] <= 0:
+                return NonpositiveDistance, (i, j)
+            for k in range(d.n):
+                if k not in (i, j) and m[i][j] > m[i][k] + m[k][j]:
+                    return TriangleViolation, (i, j, k)
+    return None
+
+
+def planted(n, seed, faults):
+    """A random rational metric with `faults` random entries overwritten,
+    each by a kind of value that breaks one axiom."""
+    rng = random.Random(seed)
+    rows = [list(row) for row in random_rational_metric(n, seed).d]
+    for _ in range(faults):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.choice(["diagonal", "asymmetry", "nonpositive", "triangle"])
+        x = Fraction(rng.randint(1, 50), rng.randint(1, 7))
+        if kind == "diagonal":
+            rows[i][i] = x
+        elif kind == "asymmetry":  # one side only, so a triangle may see it first
+            rows[i][j] = x
+        elif kind == "nonpositive":
+            rows[i][j] = rows[j][i] = -x if rng.random() < 0.5 else Fraction(0)
+        else:
+            rows[i][j] = rows[j][i] = sum(rows[i]) + x
+    return DistanceMatrix(n, tuple(tuple(row) for row in rows))
+
+
+def test_validate_metric_matches_fraction_oracle():
+    kinds = set()
+    for seed in range(400):
+        d = planted(seed % 7 + 2, seed, seed % 3)
+        want = fraction_violation(d)
+        if want is None:
+            validate_metric(d)
+            continue
+        cls, where = want
+        kinds.add(cls)
+        with pytest.raises(cls) as err:
+            validate_metric(d)
+        names = ("i", "j", "k")[: len(where)]
+        assert tuple(getattr(err.value, a) for a in names) == where
+    assert kinds == {NonzeroDiagonal, AsymmetryError, NonpositiveDistance, TriangleViolation}
 
 
 # --- betweenness and middles -------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -10,15 +11,19 @@ from hypothesis import strategies as st
 from linesat.errors import BudgetExceeded, InvalidK
 from linesat.hypergraph import (
     UniformHypergraph,
+    check_budget,
     complement,
     complete_hypergraph,
     full_edge_mask,
+    rank,
     star_construction,
     theta_graph,
 )
+from linesat.io import dumps_certificate
 from linesat.metric import degenerate_hypergraph, graph_metric
 from linesat.saturation import (
     ClosureCertificate,
+    _tables,
     exhaustive_size_check,
     is_weakly_saturated,
     min_saturation_search,
@@ -57,6 +62,79 @@ def rescan_closure(h, k):
                 edges.add(missing[0])
                 changed = True
     return edges
+
+
+# --- closure tables ---------------------------------------------------------
+
+
+def rank_tables(n, r, k):
+    """The closure tables built the direct way, by ranking every subset."""
+    check_budget(n, r, k)
+    ksubsets = [None] * comb(n, k)
+    for s in combinations(range(n), k):
+        ksubsets[rank(s, n)] = s
+    kmasks = []
+    for s in ksubsets:
+        m = 0
+        for t in combinations(s, r):
+            m |= 1 << rank(t, n)
+        kmasks.append(m)
+    containing = [[] for _ in range(comb(n, r))]
+    for j, m in enumerate(kmasks):
+        while m:
+            low = m & -m
+            containing[low.bit_length() - 1].append(j)
+            m ^= low
+    return tuple(ksubsets), tuple(kmasks), tuple(tuple(c) for c in containing)
+
+
+@pytest.mark.parametrize(
+    "n, r, k",
+    [
+        (7, 3, 6),
+        (8, 3, 6),
+        (6, 2, 4),
+        (9, 4, 6),
+        (16, 3, 6),
+        (10, 1, 4),  # r = 1
+        (8, 3, 3),  # r = k
+        (7, 3, 7),  # k = n
+        (5, 3, 6),  # k > n: no k-subsets
+        (6, 0, 0),
+        (6, 0, 2),
+    ],
+)
+def test_tables_match_rank_oracle(n, r, k):
+    assert _tables.__wrapped__(n, r, k) == rank_tables(n, r, k)
+
+
+def test_deep_tables_need_no_recursion():
+    # one 1500-subset: a walk one call deeper per vertex would overflow
+    result = weak_saturation_closure(UniformHypergraph(1500, 1, 0), 1500)
+    assert result.certificate.steps == ()
+
+
+@pytest.mark.parametrize(
+    "h, steps, digest",
+    [
+        (
+            degenerate_hypergraph(graph_metric(theta_graph(16))),
+            0,
+            "6c6780af2914af7a672be988676e1d2ebd1596bf88d61f5c15cd0a21937d72b7",
+        ),
+        (
+            star_construction(16),
+            286,
+            "22d2ab6779867649a8285763cb215e7d7b55fd2bc6883a538dcd9c1fd42d22a3",
+        ),
+    ],
+    ids=["theta16", "star16"],
+)
+def test_certificates_are_pinned(h, steps, digest):
+    # The step order follows the tables' order, so these bytes pin both.
+    cert = weak_saturation_closure(h, 6).certificate
+    assert len(cert.steps) == steps
+    assert hashlib.sha256(dumps_certificate(cert).encode()).hexdigest() == digest
 
 
 # --- closure ------------------------------------------------------------------
@@ -315,6 +393,17 @@ def test_min_saturation_at_five_is_complete():
 @pytest.mark.slow
 def test_min_saturation_at_seven_is_31():
     assert min_saturation_search(7, 3, 6) == 31
+
+
+@pytest.mark.parametrize(
+    "n, r, k",
+    [(5, 3, 6), (6, 3, 6), (6, 2, 4), (5, 2, 3), (6, 2, 3), (5, 3, 4), (6, 3, 5),
+     (5, 1, 2), (6, 4, 5), (6, 2, 5)],
+)
+def test_min_saturation_matches_closed_form(n, r, k):
+    # wsat(n, K_k^r) = C(n, r) - C(n - k + r, r) (Frankl 1982; Kalai 1985);
+    # (7, 3, 6) is the slow test above
+    assert min_saturation_search(n, r, k) == comb(n, r) - comb(n - k + r, r)
 
 
 # --- performance contract --------------------------------------------------------------
