@@ -247,20 +247,23 @@ def random_rational_metric(n: int, seed: int) -> DistanceMatrix:
     if n < 1:
         raise TooFewPoints(n, 1)
     rng = random.Random(seed * 1_000_003 + n)
-    pts: list[tuple[Fraction, Fraction]] = []
+    # Coordinates a/b with b in 1..4, times 12 (the lcm of 1..4): integers,
+    # so the sums are too and each distance is built once as a Fraction.
+    pts: list[tuple[int, int]] = []
     seen = set()
     while len(pts) < n:
         p = (
-            Fraction(rng.randint(0, 8 * n), rng.randint(1, 4)),
-            Fraction(rng.randint(0, 8 * n), rng.randint(1, 4)),
+            12 * rng.randint(0, 8 * n) // rng.randint(1, 4),
+            12 * rng.randint(0, 8 * n) // rng.randint(1, 4),
         )
         if p not in seen:
             seen.add(p)
             pts.append(p)
-    rows = tuple(
-        tuple(abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts) for p in pts
-    )
-    return DistanceMatrix(n, rows)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, (x, y) in enumerate(pts):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(abs(x - pts[j][0]) + abs(y - pts[j][1]), 12)
+    return DistanceMatrix(n, tuple(map(tuple, rows)))
 
 
 def check_menger(d: DistanceMatrix) -> list[tuple[int, int, int, int]]:

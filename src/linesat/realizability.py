@@ -20,10 +20,10 @@ from math import comb, lcm
 from .errors import CeilingExceeded, InconsistentAssignment, InternalConsistencyError
 from .hypergraph import (
     UniformHypergraph,
+    complement,
     delete_vertex,
     full_edge_mask,
     rank,
-    unrank,
 )
 from .metric import DistanceMatrix, degenerate_hypergraph, validate_metric
 from .simplex import max_slack, solve_linear_system
@@ -219,8 +219,7 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     # coefficient in every row, as max_slack requires.
     scale = lcm(*(v.denominator for v in x0))
     x0_int = [v.numerator * (scale // v.denominator) for v in x0]
-    non_edges = (unrank(t, n, 3) for t in range(comb(n, 3)) if not h.edges >> t & 1)
-    strict = [placement(triple, m) for triple in non_edges for m in triple]
+    strict = [placement(triple, m) for triple in complement(h).edge_list() for m in triple]
     strict += [((p, 1),) for p in range(nvars)]
     dim = len(nullspace)
     ge_rows = []

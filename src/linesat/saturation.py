@@ -14,11 +14,17 @@ r-subset mask, and the k-subsets containing each r-subset) are built
 without ranking: putting a vertex x above every member of a subset s keeps
 the ranks of s's subsets and turns each (i-1)-subset u of s into the
 i-subset u + (x,), of rank rank(u) + C(x, i).
+
+An exhaustive scan closes every family of a given size, enumerating the
+chosen ranks (the edges, or the non-edges when fewer) in colex order.  One
+walk fixes them from the largest down, carrying the family's mask; siblings
+at the last level differ in one rank, so their counts are the prefix
+family's, computed once, moved by one on the k-subsets containing that rank.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceeded, InvalidK, OutOfRange
@@ -26,8 +32,8 @@ from .hypergraph import (
     DEFAULT_BUDGET,
     UniformHypergraph,
     check_budget,
-    colex_combinations,
     full_edge_mask,
+    rank,
     star_construction,
     unrank,
 )
@@ -86,11 +92,16 @@ def _tables(n: int, r: int, k: int):
     return tuple(ksubsets), tuple(kmasks), tuple(tuple(sorted(c)) for c in containing)
 
 
-def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None) -> int:
+def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None, counts=None) -> int:
     """Closure of a bitset.  When `steps` is a list, each addition is
     appended to it as (rank of the added r-subset, witness k-subset index).
+    `counts`, when given, holds each k-subset's number of r-subsets in
+    `mask` and is updated in place.
     """
-    counts = [(mask & km).bit_count() for km in kmasks]
+    if counts is None:
+        counts = [(mask & km).bit_count() for km in kmasks]
+    if threshold not in counts:  # nothing can be added
+        return mask
     # Counts only grow, so each k-subset reaches the threshold at most once
     # and is pushed at most once; an entry that has since filled is skipped.
     stack = [j for j, c in enumerate(counts) if c == threshold]
@@ -160,29 +171,52 @@ def is_weakly_saturated(h: UniformHypergraph, k: int) -> bool:
     return _close_mask(h.edges, kmasks, containing, comb(k, r) - 1) == full
 
 
-def _candidate_masks(n_ranks: int, c: int, by_complement: bool, start=0, stop=None):
-    """Masks of all c-subset choices in colex order, complemented if asked."""
-    full = (1 << n_ranks) - 1
-    gen = islice(colex_combinations(n_ranks, c), start, stop)
-    for chosen in gen:
-        m = 0
-        for t in chosen:
-            m |= 1 << t
-        yield full ^ m if by_complement else m
+def _scan_tops(args):
+    """(index, mask) of the first candidate with the wanted verdict among
+    those whose largest chosen rank is in `tops`; None when there is none.
 
-
-def _scan_chunk(args):
-    n, r, k, c, by_complement, start, stop, want_saturated = args
+    The walk fixes the chosen ranks from the largest down, in colex order,
+    carrying the mask of the family chosen so far.  Under each fixed
+    (c-1)-prefix it counts the prefix family's r-subsets in every k-subset
+    once; each leaf copies those counts and moves the ones containing its
+    own rank.  Recursion depth is c, and c <= log2(count) because
+    C(N, c) >= 2**c for c <= N/2: at most 20 at the default budget.
+    """
+    n, r, k, c, by_complement, tops, want_saturated = args
     _, kmasks, containing = _tables(n, r, k)
     full = full_edge_mask(n, r)
+    base = full if by_complement else 0
     threshold = comb(k, r) - 1
-    for idx, mask in enumerate(
-        _candidate_masks(comb(n, r), c, by_complement, start, stop)
-    ):
-        saturated = _close_mask(mask, kmasks, containing, threshold) == full
-        if saturated == want_saturated:
-            return start + idx, mask
-    return None
+    step = -1 if by_complement else 1
+
+    def hit(mask, counts=None):
+        closed = _close_mask(mask, kmasks, containing, threshold, counts=counts)
+        return (closed == full) == want_saturated
+
+    def walk(level, members, mask):
+        # `level` ranks are left to choose, the largest of them from `members`
+        if level > 1:
+            for x in members:
+                found = walk(level - 1, range(level - 2, x), mask ^ 1 << x)
+                if found is not None:
+                    return found
+            return None
+        prefix = [(mask & km).bit_count() for km in kmasks]
+        for t in members:
+            counts = prefix.copy()
+            for j in containing[t]:
+                counts[j] += step
+            if hit(mask ^ 1 << t, counts):
+                return mask ^ 1 << t
+        return None
+
+    if c == 0:
+        return (0, base) if hit(base) else None
+    mask = walk(c, tops, base)
+    if mask is None:
+        return None
+    chosen = mask ^ base
+    return rank([t for t in range(comb(n, r)) if chosen >> t & 1], comb(n, r)), mask
 
 
 def _scan_all(n, r, k, size, budget, jobs, want_saturated):
@@ -191,7 +225,9 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
 
     Candidates are ordered by colex rank of the enumerated subsets (edge
     sets, or their complements when those are smaller), so the result is
-    deterministic and, with jobs > 1, independent of scheduling.
+    deterministic.  With jobs > 1 each chunk takes every (4 jobs)-th
+    largest rank and the answer is the least index over the chunks' hits,
+    so it does not depend on scheduling.
     """
     n_ranks = comb(n, r)
     if not 0 <= size <= n_ranks:
@@ -201,18 +237,17 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
     count = comb(n_ranks, c)
     if count > budget:
         raise BudgetExceeded(count, budget)
+    tops = range(c - 1, n_ranks)
     if jobs <= 1 or count < 4 * jobs:
-        return _scan_chunk((n, r, k, c, by_complement, 0, count, want_saturated))
-    bounds = [count * i // (4 * jobs) for i in range(4 * jobs + 1)]
+        return _scan_tops((n, r, k, c, by_complement, tops, want_saturated))
     chunks = [
-        (n, r, k, c, by_complement, lo, hi, want_saturated)
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
+        (n, r, k, c, by_complement, tops[i :: 4 * jobs], want_saturated)
+        for i in range(min(4 * jobs, len(tops)))
     ]
     from multiprocessing import Pool  # imported here so runs without a pool skip it
 
     with Pool(jobs) as pool:
-        hits = [hit for hit in pool.map(_scan_chunk, chunks) if hit is not None]
+        hits = [hit for hit in pool.map(_scan_tops, chunks) if hit is not None]
     return min(hits) if hits else None
 
 

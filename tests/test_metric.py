@@ -19,6 +19,7 @@ from linesat.errors import (
     TriangleViolation,
 )
 from linesat.hypergraph import theta_graph
+from linesat.io import dumps_matrix
 from linesat.metric import (
     DistanceMatrix,
     Graph,
@@ -332,6 +333,29 @@ def test_random_metric_deterministic():
 
 def test_random_metric_single_point():
     assert random_rational_metric(1, 99).d == ((Fraction(0),),)
+
+
+def fraction_random_metric(n, seed):
+    """The generator with Fraction coordinates and sums, for reference."""
+    rng = random.Random(seed * 1_000_003 + n)
+    pts = []
+    while len(pts) < n:
+        p = (
+            Fraction(rng.randint(0, 8 * n), rng.randint(1, 4)),
+            Fraction(rng.randint(0, 8 * n), rng.randint(1, 4)),
+        )
+        if p not in pts:
+            pts.append(p)
+    return tuple(tuple(abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts) for p in pts)
+
+
+# (4, 145) draws one point twice, the second time with other numerators
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (4, 145), (7, 3), (12, 1), (40, 2), (90, 77)])
+def test_random_metric_matches_fraction_oracle(n, seed):
+    d = random_rational_metric(n, seed)
+    expected = fraction_random_metric(n, seed)
+    assert d.d == expected
+    assert dumps_matrix(d) == dumps_matrix(DistanceMatrix(n, expected))
 
 
 def test_random_metrics_are_valid():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from linesat.errors import BudgetExceeded, InvalidK
 from linesat.hypergraph import (
+    DEFAULT_BUDGET,
     UniformHypergraph,
     check_budget,
     complement,
@@ -23,6 +24,8 @@ from linesat.io import dumps_certificate
 from linesat.metric import degenerate_hypergraph, graph_metric
 from linesat.saturation import (
     ClosureCertificate,
+    _close_mask,
+    _scan_all,
     _tables,
     exhaustive_size_check,
     is_weakly_saturated,
@@ -375,6 +378,77 @@ def test_parallel_scan_matches_sequential():
     seq = exhaustive_size_check(6, 3, 6, 18, jobs=1)
     par = exhaustive_size_check(6, 3, 6, 18, jobs=2)
     assert seq.edges == par.edges
+
+
+def test_parallel_scan_takes_the_least_hit_over_chunks():
+    # At 16 of the 20 triples every one of the 8 chunks that jobs=2 makes
+    # holds an unsaturated family; the first overall lies in the last chunk.
+    seq = _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, 1, False)
+    top = (full_edge_mask(6, 3) ^ seq[1]).bit_length() - 1
+    assert (top - 3) % 8 == 7
+    assert _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, 2, False) == seq
+
+
+def test_parallel_scan_without_a_hit():
+    assert exhaustive_size_check(6, 2, 4, 12, jobs=2) is None
+
+
+def enumeration_oracle(n, r, k, size):
+    """The first (index, mask) of each saturation verdict, keyed by it,
+    closing every size-edge family with fresh counts in colex order of the
+    chosen ranks (the complement's, when that is smaller)."""
+    _, kmasks, containing = _tables(n, r, k)
+    n_ranks, full = comb(n, r), full_edge_mask(n, r)
+    by_complement = n_ranks - size < size
+    chosen = combinations(range(n_ranks), n_ranks - size if by_complement else size)
+    first = {}
+    for index, ranks in enumerate(sorted(chosen, key=lambda s: s[::-1])):
+        mask = sum(1 << t for t in ranks) ^ (full if by_complement else 0)
+        saturated = _close_mask(mask, kmasks, containing, comb(k, r) - 1) == full
+        first.setdefault(saturated, (index, mask))
+        if len(first) == 2:
+            break
+    return first
+
+
+@pytest.mark.parametrize(
+    "limit", [pytest.param(20000, id="small"), pytest.param(None, id="all", marks=pytest.mark.slow)]
+)
+@pytest.mark.parametrize("n, r, k", [(5, 2, 3), (6, 2, 4), (6, 3, 5), (6, 3, 4), (7, 2, 5), (6, 3, 6)])
+def test_scan_matches_enumeration_oracle(n, r, k, limit):
+    # every size whose scan has at most `limit` candidates, both verdicts
+    n_ranks = comb(n, r)
+    for size in range(n_ranks + 1):
+        if limit is not None and comb(n_ranks, min(size, n_ranks - size)) > limit:
+            continue
+        first = enumeration_oracle(n, r, k, size)
+        for want in (False, True):
+            assert _scan_all(n, r, k, size, DEFAULT_BUDGET, 1, want) == first.get(want)
+
+
+@pytest.mark.parametrize("n, r, k", [(7, 3, 6), (8, 3, 6), (7, 2, 4), (6, 3, 4)])
+def test_close_mask_with_given_counts(n, r, k):
+    _, kmasks, containing = _tables(n, r, k)
+    threshold = comb(k, r) - 1
+    rng = random.Random(13)
+    for _ in range(30):
+        mask = random_hypergraph(n, r, rng.randint(0, comb(n, r)), rng).edges
+        counts = [(mask & km).bit_count() for km in kmasks]
+        fresh, given = [], []
+        closed = _close_mask(mask, kmasks, containing, threshold, fresh)
+        assert _close_mask(mask, kmasks, containing, threshold, given, counts) == closed
+        assert given == fresh
+        assert counts == [(closed & km).bit_count() for km in kmasks]
+
+
+def test_close_mask_returns_at_once_below_the_threshold():
+    _, kmasks, containing = _tables(7, 3, 6)
+    mask = star_construction(7).edges & ~1  # 30 triples, none of them (0,1,2)
+    counts = [(mask & km).bit_count() for km in kmasks]
+    assert 19 not in counts
+    steps, before = [], list(counts)
+    assert _close_mask(mask, kmasks, containing, 19, steps, counts) == mask
+    assert steps == [] and counts == before
 
 
 # --- minimum saturated size ----------------------------------------------------------
