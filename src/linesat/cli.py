@@ -8,38 +8,30 @@ object to a file or stdout, so runs compose through pipes:
 Exit codes: 0 for affirmative or clean results, 1 for negative verdicts,
 2 for errors (parse failures and domain errors, reported on stderr with
 their witness data).
+
+Each handler imports the modules it calls, so a run loads only what its
+subcommand needs: `close` never loads the realizability search or its LP.
 """
 
 import argparse
-import random
 import sys
-from fractions import Fraction
 from math import comb
 
-from . import io as formats
 from .errors import FormatError, LinesatError
-from .hypergraph import DEFAULT_BUDGET, check_budget, star_construction, theta_graph
-from .lines import anchor_via_closure, reconstruct_line, verify_non_anchor_witness
-from .metric import (
-    check_menger,
-    degenerate_hypergraph,
-    four_cycle_metric,
-    graph_metric,
-    line_metric,
-    random_rational_metric,
-)
-from .realizability import DEFAULT_CEILING, is_metric_hypergraph, minimal_nonmetric_audit
-from .saturation import (
-    exhaustive_size_check,
-    is_weakly_saturated,
-    min_saturation_search,
-    verify_certificate,
-    weak_saturation_closure,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+
+
+def __getattr__(name: str):
+    # `linesat.cli.formats` names the io module, as the handlers import it;
+    # perfbench's tracer wraps the io functions through it.
+    if name == "formats":
+        from . import io
+
+        return io
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read(path: str) -> str:
@@ -66,6 +58,8 @@ def _answer(args: argparse.Namespace, key: str, ok: bool) -> int:
 
 
 def _load_matrix(args: argparse.Namespace, path: str):
+    from . import io as formats
+
     text = _read(path)
     json_text = text.lstrip().startswith("{")
     loads = formats.loads_matrix if json_text else formats.loads_matrix_csv
@@ -73,12 +67,18 @@ def _load_matrix(args: argparse.Namespace, path: str):
 
 
 def _cmd_degenerate(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .metric import degenerate_hypergraph
+
     d = _load_matrix(args, args.input)
     _write(args, formats.dumps_hypergraph(degenerate_hypergraph(d)))
     return EXIT_OK
 
 
 def _cmd_close(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .saturation import weak_saturation_closure
+
     h = formats.loads_hypergraph(_read(args.input))
     result = weak_saturation_closure(h, args.k)
     _write(args, formats.dumps_certificate(result.certificate))
@@ -89,21 +89,33 @@ def _cmd_close(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_cert(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .saturation import verify_certificate
+
     cert = formats.loads_certificate(_read(args.input))
     return _answer(args, "valid", verify_certificate(cert))
 
 
 def _cmd_saturated(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .saturation import is_weakly_saturated
+
     h = formats.loads_hypergraph(_read(args.input))
     return _answer(args, "weakly_saturated", is_weakly_saturated(h, args.k))
 
 
 def _cmd_anchor(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .lines import anchor_via_closure
+
     h = formats.loads_hypergraph(_read(args.input))
     return _answer(args, "anchor_certified", anchor_via_closure(h))
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .lines import reconstruct_line
+
     d = _load_matrix(args, args.input)
     order = reconstruct_line(d)
     if order is None:
@@ -115,12 +127,19 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness_check(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .lines import verify_non_anchor_witness
+
     h = formats.loads_hypergraph(_read(args.hypergraph))
     d = _load_matrix(args, args.metric)
     return _answer(args, "non_anchor_witness", verify_non_anchor_witness(h, d))
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .hypergraph import DEFAULT_CEILING
+    from .realizability import is_metric_hypergraph
+
     h = formats.loads_hypergraph(_read(args.input))
     if args.ceiling > DEFAULT_CEILING:
         print(
@@ -134,6 +153,12 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import io as formats
+    from .hypergraph import check_budget, star_construction, theta_graph
+    from .metric import four_cycle_metric, graph_metric, line_metric, random_rational_metric
+
     kind, *params = args.params
     if kind == "star":
         _write(args, formats.dumps_hypergraph(star_construction(int(params[0]))))
@@ -158,6 +183,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _sweep_theorem2(args: argparse.Namespace) -> int:
     """At the size bound C(n,r)-n+k-1 every hypergraph saturates; one edge
     below, some hypergraph must fail."""
+    from .saturation import exhaustive_size_check
+
     n, r, k = args.n, args.r, args.k
     bound = comb(n, r) - n + k - 1
     at_bound = exhaustive_size_check(n, r, k, bound, args.budget, args.jobs)
@@ -174,6 +201,9 @@ def _sweep_theorem2(args: argparse.Namespace) -> int:
 
 def _sweep_theorem3(args: argparse.Namespace) -> int:
     """The star family hits the size 3*C(n-2,2)+1 and saturates for each n."""
+    from .hypergraph import star_construction
+    from .saturation import is_weakly_saturated
+
     ok = True
     lines = []
     n_max = 10 if args.n_max is None else args.n_max
@@ -191,12 +221,18 @@ def _sweep_theorem3(args: argparse.Namespace) -> int:
 
 
 def _sweep_min_sat(args: argparse.Namespace) -> int:
+    from .saturation import min_saturation_search
+
     m = min_saturation_search(args.n, args.r, args.k, args.budget, args.jobs)
     _write(args, f"minimum weakly saturated size at n={args.n} r={args.r} k={args.k}: {m}")
     return EXIT_OK
 
 
 def _sweep_menger(args: argparse.Namespace) -> int:
+    import random
+
+    from .metric import check_menger, random_rational_metric
+
     rng = random.Random(args.seed)
     bad = 0
     n_max = 8 if args.n_max is None else args.n_max
@@ -210,6 +246,9 @@ def _sweep_menger(args: argparse.Namespace) -> int:
 
 
 def _sweep_audit(args: argparse.Namespace) -> int:
+    from . import io as formats
+    from .realizability import minimal_nonmetric_audit
+
     report = minimal_nonmetric_audit(args.ceiling)
     _write(args, formats.dumps_audit(report))
     return EXIT_OK if report.is_minimal_non_metric() else EXIT_NEGATIVE
@@ -248,6 +287,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .hypergraph import DEFAULT_BUDGET, DEFAULT_CEILING
+
     parser = argparse.ArgumentParser(
         prog="linesat",
         description=(

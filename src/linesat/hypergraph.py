@@ -14,6 +14,7 @@ from .errors import BudgetExceeded, OutOfRange, TooFewVertices
 from .metric import Graph
 
 DEFAULT_BUDGET = 10**6
+DEFAULT_CEILING = 6  # vertex limit of a realizability search unless raised
 
 
 def check_budget(n: int, *sizes: int) -> None:

@@ -6,17 +6,25 @@ identical inputs produce byte-identical files.  Parsers are strict: rational
 entries must be integers or "p/q" strings, and matrices are rejected unless
 they satisfy the metric axioms, except when validation is explicitly turned
 off.
+
+Writers take their objects ready-made, so only the certificate and order
+parsers import the modules that define them, and only when called.
 """
+
+from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import FormatError
 from .hypergraph import UniformHypergraph, check_budget
-from .lines import LinearOrder
 from .metric import DistanceMatrix, Graph, validate_metric
-from .realizability import AuditReport, RealizabilityVerdict
-from .saturation import ClosureCertificate
+
+if TYPE_CHECKING:
+    from .lines import LinearOrder
+    from .realizability import AuditReport, RealizabilityVerdict
+    from .saturation import ClosureCertificate
 
 
 def _load_object(text: str, keys, what: str) -> dict:
@@ -168,6 +176,8 @@ def dumps_certificate(cert: ClosureCertificate) -> str:
 
 
 def loads_certificate(text: str) -> ClosureCertificate:
+    from .saturation import ClosureCertificate
+
     obj = _load_object(text, ("n", "r", "k", "base", "steps"), "certificate")
     (k,) = _ints([obj["k"]], '"k" must be an int')
     base = _hypergraph(obj["n"], obj["r"], obj["base"])
@@ -187,6 +197,8 @@ def dumps_order(o: LinearOrder) -> str:
 
 
 def loads_order(text: str) -> LinearOrder:
+    from .lines import LinearOrder
+
     obj = _load_object(text, ("order",), "order")
     return LinearOrder(_ints(obj["order"], '"order" must be a list of point indices'))
 

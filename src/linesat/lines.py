@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import NotAPermutation, SizeMismatch, TooFewVertices
 from .hypergraph import UniformHypergraph
 from .metric import DistanceMatrix, betweenness, middle_of
-from .saturation import is_weakly_saturated
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,8 @@ def anchor_via_closure(h: UniformHypergraph) -> bool:
     degenerate, a linear order exists.  False is inconclusive: this is a
     sufficient condition only.
     """
+    from .saturation import is_weakly_saturated
+
     if h.n < 5:
         raise TooFewVertices(h.n, 5)
     return is_weakly_saturated(h, 6)

@@ -19,6 +19,7 @@ from math import comb, lcm
 
 from .errors import CeilingExceeded, InconsistentAssignment, InternalConsistencyError
 from .hypergraph import (
+    DEFAULT_CEILING,
     UniformHypergraph,
     complement,
     delete_vertex,
@@ -29,8 +30,6 @@ from .metric import DistanceMatrix, degenerate_hypergraph, validate_metric
 from .simplex import max_slack, solve_linear_system
 
 OPEN, TRUE, FALSE = 0, 1, 2
-
-DEFAULT_CEILING = 6
 
 
 @lru_cache(maxsize=8)

@@ -9,11 +9,14 @@ steps) and a verifier can replay it step by step.
 One loop computes every closure.  It keeps a per-k-subset count of present
 r-subsets and updates the C(n-r, k-r) affected counts on every insertion,
 so closures on desk-scale inputs (n around 12) run in milliseconds instead
-of rescanning all k-subsets after each step.  Its tables (each k-subset's
-r-subset mask, and the k-subsets containing each r-subset) are built
-without ranking: putting a vertex x above every member of a subset s keeps
-the ranks of s's subsets and turns each (i-1)-subset u of s into the
-i-subset u + (x,), of rank rank(u) + C(x, i).
+of rescanning all k-subsets after each step.  Its tables are built without
+ranking.  Each k-subset's r-subset mask comes from one recurrence over
+sizes: putting a vertex x above every member of a subset s keeps the ranks
+of s's subsets and turns each (i-1)-subset u of s into the i-subset
+u + (x,), of rank rank(u) + C(x, i).  The reverse index (the k-subsets
+containing each r-subset) is read off those masks, and only when some
+k-subset lacks exactly one r-subset, so an input that is already closed
+costs one count per k-subset.
 
 An exhaustive scan closes every family of a given size, enumerating the
 chosen ranks (the edges, or the non-edges when fewer) in colex order.  One
@@ -60,36 +63,42 @@ class ClosureResult:
 
 # Bounded: tables reach megabytes by n = 16, and a run uses few (n, r, k).
 @lru_cache(maxsize=8)
-def _tables(n: int, r: int, k: int):
-    """Per-k-subset member masks and the reverse index, in colex rank order.
+def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
+    """Each k-subset's r-subset mask, in colex rank order.
 
-    A depth-first walk on an explicit stack grows subsets in increasing
-    vertex order, carrying the ranks of their i-subsets for each i <= r.
+    Built up by size: the size-subsets with largest vertex x are the
+    (size-1)-subsets below x, a colex prefix, with x added, which keeps the
+    ranks of their i-subsets and adds C(x, i) to those that gain x.  Only
+    subsets that leave room for the larger vertices are kept.
     """
     check_budget(n, r, k)
-    if k == 0:  # one k-subset, the empty set, which is an r-subset iff r == 0
-        return ((),), (int(r == 0),), ((0,),) if r == 0 else ((),) * comb(n, r)
-    ksubsets, kmasks = [None] * comb(n, k), [0] * comb(n, k)
+    # masks[i][j]: the i-subsets of the j-th subset of the current size
+    masks = [[1]] + [[0] for _ in range(r)]
+    for size in range(1, k + 1):
+        grown = [[] for _ in range(r + 1)]
+        for x in range(size - 1, n - k + size):
+            below = comb(x, size - 1)
+            grown[0] += masks[0][:below]
+            for i in range(1, r + 1):
+                shift = comb(x, i)
+                grown[i] += [a | b << shift for a, b in zip(masks[i][:below], masks[i - 1])]
+        masks = grown
+    return tuple(masks[r])
+
+
+@lru_cache(maxsize=8)
+def _containing(n: int, r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The reverse index: the k-subsets containing each r-subset, ascending.
+
+    Scans always read it; a single closure only once it can take a step.
+    """
     containing = [[] for _ in range(comb(n, r))]
-    # A frame: a subset, its colex rank, and its i-subsets' ranks at index
-    # i + 1 of a list whose index 0 is level -1, always empty.
-    stack = [((), 0, [[], [0]] + [[]] * r)]
-    while stack:
-        s, j, ranks = stack.pop()
-        d = len(s) + 1  # size of the children
-        for x in range(s[-1] + 1 if s else 0, n - k + d):
-            if d < k:
-                grown = [ranks[i + 1] + [u + comb(x, i) for u in ranks[i]] for i in range(r + 1)]
-                stack.append((s + (x,), j + comb(x, d), [[]] + grown))
-                continue
-            jx, c, m = j + comb(x, k), comb(x, r), 0
-            ksubsets[jx] = s + (x,)
-            for t in ranks[r + 1] + [u + c for u in ranks[r]]:
-                m |= 1 << t
-                containing[t].append(jx)
-            kmasks[jx] = m
-    # The walk meets k-subsets in lexicographic, not colex, order.
-    return tuple(ksubsets), tuple(kmasks), tuple(tuple(sorted(c)) for c in containing)
+    for j, m in enumerate(_kmasks(n, r, k)):
+        while m:
+            low = m & -m
+            containing[low.bit_length() - 1].append(j)
+            m ^= low
+    return tuple(map(tuple, containing))
 
 
 def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None, counts=None) -> int:
@@ -121,18 +130,27 @@ def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None, count
     return mask
 
 
+def _close(h: UniformHypergraph, k: int, steps=None) -> int:
+    """Closure mask of h.  An input where no k-subset lacks exactly one
+    r-subset is returned at once, without building the reverse index."""
+    n, r = h.n, h.r
+    if k > n:  # no k-subset exists, so no step is ever possible
+        return h.edges
+    kmasks, threshold = _kmasks(n, r, k), comb(k, r) - 1
+    counts = [(h.edges & km).bit_count() for km in kmasks]
+    if threshold not in counts:
+        return h.edges
+    return _close_mask(h.edges, kmasks, _containing(n, r, k), threshold, steps, counts)
+
+
 def weak_saturation_closure(h: UniformHypergraph, k: int) -> ClosureResult:
     """Run the closure process to its fixed point and record a certificate."""
     n, r = h.n, h.r
     if k < r:
         raise InvalidK(k, r)
-    if k > n:
-        # No k-subset exists, so no step is ever possible.
-        return ClosureResult(h, ClosureCertificate(h, k, ()))
-    ksubsets, kmasks, containing = _tables(n, r, k)
     steps = []
-    mask = _close_mask(h.edges, kmasks, containing, comb(k, r) - 1, steps)
-    decoded = tuple((unrank(t, n, r), ksubsets[j]) for t, j in steps)
+    mask = _close(h, k, steps)
+    decoded = tuple((unrank(t, n, r), unrank(j, n, k)) for t, j in steps)
     return ClosureResult(UniformHypergraph(n, r, mask), ClosureCertificate(h, k, decoded))
 
 
@@ -163,12 +181,7 @@ def is_weakly_saturated(h: UniformHypergraph, k: int) -> bool:
     if k < r:
         raise InvalidK(k, r)
     full = full_edge_mask(n, r)
-    if h.edges == full:
-        return True
-    if k > n:
-        return False
-    _, kmasks, containing = _tables(n, r, k)
-    return _close_mask(h.edges, kmasks, containing, comb(k, r) - 1) == full
+    return h.edges == full or _close(h, k) == full
 
 
 def _scan_tops(args):
@@ -183,7 +196,7 @@ def _scan_tops(args):
     C(N, c) >= 2**c for c <= N/2: at most 20 at the default budget.
     """
     n, r, k, c, by_complement, tops, want_saturated = args
-    _, kmasks, containing = _tables(n, r, k)
+    kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
     full = full_edge_mask(n, r)
     base = full if by_complement else 0
     threshold = comb(k, r) - 1

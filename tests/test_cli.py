@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -211,7 +212,7 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     def exhausted(h, k):
         raise MemoryError("out of memory")
 
-    monkeypatch.setattr("linesat.cli.is_weakly_saturated", exhausted)
+    monkeypatch.setattr("linesat.saturation.is_weakly_saturated", exhausted)
     code, out, err = run_cli(
         capsys, monkeypatch, ["saturated"], stdin_text='{"n":7,"r":3,"edges":[]}'
     )
@@ -224,13 +225,60 @@ def _fresh_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
+def _fresh_python(code, *argv, stdin_text=""):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env=_fresh_env(),
+        timeout=30,
+    )
+
+
 def test_cli_import_leaves_out_multiprocessing():
     # only `--jobs` above 1 needs a process pool; every other run skips its import
-    code = "import sys, linesat.cli; print('multiprocessing' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), timeout=30
-    )
+    done = _fresh_python("import sys, linesat.cli; print('multiprocessing' in sys.modules)")
     assert done.returncode == 0 and done.stdout == "False\n"
+
+
+def test_cli_import_loads_no_engine():
+    # each handler imports the modules it calls, and the package loads none
+    done = _fresh_python(
+        "import sys, linesat.cli; print(sorted(m for m in sys.modules if 'linesat' in m))"
+    )
+    assert done.returncode == 0
+    assert done.stdout == "['linesat', 'linesat.cli', 'linesat.errors']\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, unused",
+    [
+        (["close"], '{"n":7,"r":3,"edges":[[0,1,2]]}', {"lines", "realizability", "simplex"}),
+        (["saturated"], '{"n":7,"r":3,"edges":[]}', {"lines", "realizability", "simplex"}),
+        (["gen", "theta", "8"], "", {"lines", "realizability", "simplex", "saturation"}),
+    ],
+    ids=["close", "saturated", "gen"],
+)
+def test_subcommand_loads_only_its_modules(argv, stdin_text, unused):
+    code = (
+        "import sys\nfrom linesat.cli import main\nmain(sys.argv[1:])\n"
+        "print(*(m for m in sys.modules if m.startswith('linesat.')), file=sys.stderr)"
+    )
+    done = _fresh_python(code, *argv, stdin_text=stdin_text)
+    assert done.returncode in (0, 1) and done.stdout
+    loaded = {m.removeprefix("linesat.") for m in done.stderr.split()}
+    assert "cli" in loaded and not loaded & unused
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "import sys, linesat\nfrom linesat import *\nns = globals()\n"
+        "print(len(linesat.__all__), all(ns[name] is getattr(sys.modules[ns[name].__module__], name)"
+        " and ns[name].__module__.startswith('linesat.') for name in linesat.__all__))"
+    )
+    done = _fresh_python(code)
+    assert done.returncode == 0 and done.stdout == "39 True\n"
 
 
 def _assert_refused_promptly(argv, stdin_text, subsets):
@@ -276,3 +324,24 @@ def test_oversized_matrices_exit_2_promptly(argv, subsets):
     # a valid 200-point line metric, about 100 KB of JSON; gen ignores it
     line = json.dumps({"n": 200, "dist": [[abs(i - j) for j in range(200)] for i in range(200)]})
     _assert_refused_promptly(argv, line, subsets)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", ["degenerate", "reconstruct"])
+def test_largest_admitted_line_finishes_within_a_minute(tmp_path, command):
+    # C(182, 3) = 988,260 triangles, just inside the default budget
+    n = 182
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"n": n, "dist": [[abs(i * i - j * j) for j in range(n)] for i in range(n)]}))
+    done = subprocess.run(
+        [sys.executable, "-m", "linesat.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+        env=_fresh_env(),
+        timeout=60,
+    )
+    assert done.returncode == 0
+    if command == "degenerate":
+        assert len(json.loads(done.stdout)["edges"]) == comb(n, 3)
+    else:
+        assert json.loads(done.stdout) == {"order": list(range(n))}

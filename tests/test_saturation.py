@@ -19,14 +19,16 @@ from linesat.hypergraph import (
     rank,
     star_construction,
     theta_graph,
+    unrank,
 )
 from linesat.io import dumps_certificate
 from linesat.metric import degenerate_hypergraph, graph_metric
 from linesat.saturation import (
     ClosureCertificate,
     _close_mask,
+    _containing,
+    _kmasks,
     _scan_all,
-    _tables,
     exhaustive_size_check,
     is_weakly_saturated,
     min_saturation_search,
@@ -108,7 +110,21 @@ def rank_tables(n, r, k):
     ],
 )
 def test_tables_match_rank_oracle(n, r, k):
-    assert _tables.__wrapped__(n, r, k) == rank_tables(n, r, k)
+    ksubsets, kmasks, containing = rank_tables(n, r, k)
+    assert _kmasks.__wrapped__(n, r, k) == kmasks
+    assert _containing.__wrapped__(n, r, k) == containing
+    # certificates decode witnesses by unranking the k-subset index
+    assert tuple(unrank(j, n, k) for j in range(comb(n, k))) == ksubsets
+
+
+def test_closed_input_never_builds_the_reverse_index():
+    theta = degenerate_hypergraph(graph_metric(theta_graph(16)))
+    _containing.cache_clear()
+    assert weak_saturation_closure(theta, 6).certificate.steps == ()
+    assert not is_weakly_saturated(theta, 6)
+    assert _containing.cache_info().currsize == 0
+    assert weak_saturation_closure(star_construction(16), 6).certificate.steps
+    assert _containing.cache_info().currsize == 1
 
 
 def test_deep_tables_need_no_recursion():
@@ -397,7 +413,7 @@ def enumeration_oracle(n, r, k, size):
     """The first (index, mask) of each saturation verdict, keyed by it,
     closing every size-edge family with fresh counts in colex order of the
     chosen ranks (the complement's, when that is smaller)."""
-    _, kmasks, containing = _tables(n, r, k)
+    kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
     n_ranks, full = comb(n, r), full_edge_mask(n, r)
     by_complement = n_ranks - size < size
     chosen = combinations(range(n_ranks), n_ranks - size if by_complement else size)
@@ -428,7 +444,7 @@ def test_scan_matches_enumeration_oracle(n, r, k, limit):
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (8, 3, 6), (7, 2, 4), (6, 3, 4)])
 def test_close_mask_with_given_counts(n, r, k):
-    _, kmasks, containing = _tables(n, r, k)
+    kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
     threshold = comb(k, r) - 1
     rng = random.Random(13)
     for _ in range(30):
@@ -442,7 +458,7 @@ def test_close_mask_with_given_counts(n, r, k):
 
 
 def test_close_mask_returns_at_once_below_the_threshold():
-    _, kmasks, containing = _tables(7, 3, 6)
+    kmasks, containing = _kmasks(7, 3, 6), _containing(7, 3, 6)
     mask = star_construction(7).edges & ~1  # 30 triples, none of them (0,1,2)
     counts = [(mask & km).bit_count() for km in kmasks]
     assert 19 not in counts
