@@ -16,12 +16,12 @@ _HOME = {
     for module, names in {
         "errors": "LinesatError",
         "hypergraph": "UniformHypergraph complement complete_hypergraph delete_vertex rank "
-        "star_construction theta_graph unrank",
+        "star_construction unrank",
         "lines": "LinearOrder anchor_via_closure check_order reconstruct_line "
         "verify_non_anchor_witness",
         "metric": "DistanceMatrix Graph betweenness check_menger degenerate_hypergraph "
         "four_cycle_metric graph_metric line_metric middle_of random_rational_metric "
-        "validate_metric",
+        "theta_graph validate_metric",
         "realizability": "MiddleAssignment RealizabilityVerdict is_metric_hypergraph "
         "lp_max_slack minimal_nonmetric_audit nineteen_edge_hypergraph propagate",
         "saturation": "ClosureCertificate ClosureResult exhaustive_size_check "

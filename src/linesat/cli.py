@@ -156,8 +156,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     from fractions import Fraction
 
     from . import io as formats
-    from .hypergraph import check_budget, star_construction, theta_graph
-    from .metric import four_cycle_metric, graph_metric, line_metric, random_rational_metric
+    from .hypergraph import check_budget, star_construction
+    from .metric import (
+        four_cycle_metric,
+        graph_metric,
+        line_metric,
+        random_rational_metric,
+        theta_graph,
+    )
 
     kind, *params = args.params
     if kind == "star":

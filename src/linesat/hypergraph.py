@@ -11,7 +11,6 @@ from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceeded, OutOfRange, TooFewVertices
-from .metric import Graph
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_CEILING = 6  # vertex limit of a realizability search unless raised
@@ -146,18 +145,3 @@ def star_construction(n: int) -> UniformHypergraph:
         n, 3, (t for t in combinations(range(n), 3) if core.intersection(t))
     )
 
-
-def theta_graph(n: int) -> Graph:
-    """Two degree-3 branch vertices joined by three paths, with a tail.
-
-    Vertices 0 and 1 each join 2 and 3; vertices 3,4,...,n-1 form a path.
-    Its shortest-path metric has exactly n-4 nondegenerate triangles, all of
-    the form {0, 1, i} with i >= 4, which makes its degenerate-triangle set
-    the standard witness that large degenerate families need not force a
-    linear order.
-    """
-    if n < 5:
-        raise TooFewVertices(n, 5)
-    edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
-    edges.extend((i, i + 1) for i in range(3, n - 1))
-    return Graph.from_edges(n, edges)

@@ -1,5 +1,5 @@
-"""JSON and CSV schemas for matrices, graphs, hypergraphs, certificates,
-orders, and verdicts.
+"""JSON and CSV schemas for matrices, hypergraphs, certificates, orders,
+and verdicts.
 
 Writers are deterministic (fixed key order, edges in colex order), so
 identical inputs produce byte-identical files.  Parsers are strict: rational
@@ -7,8 +7,9 @@ entries must be integers or "p/q" strings, and matrices are rejected unless
 they satisfy the metric axioms, except when validation is explicitly turned
 off.
 
-Writers take their objects ready-made, so only the certificate and order
-parsers import the modules that define them, and only when called.
+Writers take their objects ready-made, so only the matrix loaders and the
+certificate parser import the modules that define their objects, and only
+when called: parsing a hypergraph or a certificate never loads `metric`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import TYPE_CHECKING
 
 from .errors import FormatError
 from .hypergraph import UniformHypergraph, check_budget
-from .metric import DistanceMatrix, Graph, validate_metric
 
 if TYPE_CHECKING:
     from .lines import LinearOrder
+    from .metric import DistanceMatrix
     from .realizability import AuditReport, RealizabilityVerdict
     from .saturation import ClosureCertificate
 
@@ -72,6 +73,15 @@ def _matrix_object(d: DistanceMatrix | None) -> dict | None:
     return {"n": d.n, "dist": [[_emit_rational(x) for x in row] for row in d.d]}
 
 
+def _matrix(n: int, rows, validate: bool) -> DistanceMatrix:
+    from .metric import DistanceMatrix, validate_metric
+
+    d = DistanceMatrix(n, tuple(rows))
+    if validate:
+        validate_metric(d)
+    return d
+
+
 def dumps_matrix(d: DistanceMatrix) -> str:
     return json.dumps(_matrix_object(d), separators=(",", ":"))
 
@@ -84,12 +94,7 @@ def loads_matrix(text: str, validate: bool = True) -> DistanceMatrix:
         raise FormatError('"dist" must be an n-row matrix')
     if any(not isinstance(row, list) or len(row) != n for row in rows):
         raise FormatError('"dist" must be square')
-    d = DistanceMatrix(
-        n, tuple(tuple(_parse_rational(x) for x in row) for row in rows)
-    )
-    if validate:
-        validate_metric(d)
-    return d
+    return _matrix(n, (tuple(_parse_rational(x) for x in row) for row in rows), validate)
 
 
 def dumps_matrix_csv(d: DistanceMatrix) -> str:
@@ -114,29 +119,7 @@ def loads_matrix_csv(text: str, validate: bool = True) -> DistanceMatrix:
         if len(cells) != n:
             raise FormatError(f"row {line!r} does not have {n} entries")
         rows.append(tuple(_parse_rational(cell) for cell in cells))
-    d = DistanceMatrix(n, tuple(rows))
-    if validate:
-        validate_metric(d)
-    return d
-
-
-def dumps_graph(g: Graph) -> str:
-    obj = {"n": g.n, "edges": sorted([list(e) for e in g.edges])}
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def loads_graph(text: str) -> Graph:
-    obj = _load_object(text, ("n", "edges"), "graph")
-    (n,) = _ints([obj["n"]], '"n" must be an int')
-    if not isinstance(obj["edges"], list):
-        raise FormatError('"edges" must be a list of pairs')
-    pairs = [
-        _ints(e, f"edge {e!r} must be a pair of vertex indices", 2)
-        for e in obj["edges"]
-    ]
-    if len(set(tuple(sorted(p)) for p in pairs)) != len(pairs):
-        raise FormatError("duplicate edges")
-    return Graph.from_edges(n, pairs)
+    return _matrix(n, rows, validate)
 
 
 def dumps_hypergraph(h: UniformHypergraph) -> str:
@@ -194,13 +177,6 @@ def loads_certificate(text: str) -> ClosureCertificate:
 
 def dumps_order(o: LinearOrder) -> str:
     return json.dumps({"order": list(o.order)}, separators=(",", ":"))
-
-
-def loads_order(text: str) -> LinearOrder:
-    from .lines import LinearOrder
-
-    obj = _load_object(text, ("order",), "order")
-    return LinearOrder(_ints(obj["order"], '"order" must be a list of point indices'))
 
 
 def dumps_verdict(v: RealizabilityVerdict) -> str:

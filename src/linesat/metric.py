@@ -23,8 +23,10 @@ from .errors import (
     NonpositiveDistance,
     NonzeroDiagonal,
     TooFewPoints,
+    TooFewVertices,
     TriangleViolation,
 )
+from .hypergraph import UniformHypergraph, check_budget
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,6 @@ def validate_metric(d: DistanceMatrix) -> None:
     refused before it starts.  It runs on integers: the matrix scaled once
     by the common denominator of its entries.
     """
-    from .hypergraph import check_budget
-
     n = d.n
     check_budget(n, 3)
     scale = lcm(*(x.denominator for row in d.d for x in row))
@@ -149,7 +149,7 @@ def middle_of(d: DistanceMatrix, triple) -> int | None:
     return mids[0] if mids else None
 
 
-def degenerate_hypergraph(d: DistanceMatrix):
+def degenerate_hypergraph(d: DistanceMatrix) -> UniformHypergraph:
     """The 3-uniform hypergraph of all degenerate triangles of the metric.
 
     Tests the same three placements as :func:`middle_of`, on integer
@@ -157,8 +157,6 @@ def degenerate_hypergraph(d: DistanceMatrix):
     edge bits in a byte buffer: OR-ing each bit into a growing int would
     copy the whole mask once per edge.
     """
-    from .hypergraph import UniformHypergraph, check_budget
-
     n = d.n
     if n < 3:
         raise TooFewPoints(n, 3)
@@ -209,6 +207,22 @@ def graph_metric(g: Graph) -> DistanceMatrix:
             raise DisconnectedGraph({v for v in range(g.n) if dist[v] >= 0})
         rows.append(tuple(Fraction(x) for x in dist))
     return DistanceMatrix(g.n, tuple(rows))
+
+
+def theta_graph(n: int) -> Graph:
+    """Two degree-3 branch vertices joined by three paths, with a tail.
+
+    Vertices 0 and 1 each join 2 and 3; vertices 3,4,...,n-1 form a path.
+    Its shortest-path metric has exactly n-4 nondegenerate triangles, all of
+    the form {0, 1, i} with i >= 4, which makes its degenerate-triangle set
+    the standard witness that large degenerate families need not force a
+    linear order.
+    """
+    if n < 5:
+        raise TooFewVertices(n, 5)
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    edges.extend((i, i + 1) for i in range(3, n - 1))
+    return Graph.from_edges(n, edges)
 
 
 def line_metric(coords) -> DistanceMatrix:

@@ -19,7 +19,6 @@ from linesat.hypergraph import (
     delete_vertex,
     full_edge_mask,
     star_construction,
-    theta_graph,
 )
 from linesat.lines import LinearOrder, check_order, reconstruct_line, verify_non_anchor_witness
 from linesat.metric import (
@@ -29,6 +28,7 @@ from linesat.metric import (
     graph_metric,
     line_metric,
     random_rational_metric,
+    theta_graph,
     validate_metric,
 )
 from linesat.realizability import minimal_nonmetric_audit, nineteen_edge_hypergraph

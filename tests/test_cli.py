@@ -10,6 +10,9 @@ import pytest
 
 import linesat
 from linesat.cli import main
+from linesat.hypergraph import star_construction
+from linesat.io import dumps_certificate
+from linesat.saturation import weak_saturation_closure
 
 
 def run_cli(capsys, monkeypatch, argv, stdin_text=None):
@@ -251,14 +254,20 @@ def test_cli_import_loads_no_engine():
     assert done.stdout == "['linesat', 'linesat.cli', 'linesat.errors']\n"
 
 
+# what `close` writes for star7, the input of the `verify-cert` row below
+_STAR7_CERT = dumps_certificate(weak_saturation_closure(star_construction(7), 6).certificate)
+_NO_METRIC = {"lines", "metric", "realizability", "simplex"}
+
+
 @pytest.mark.parametrize(
     "argv, stdin_text, unused",
     [
-        (["close"], '{"n":7,"r":3,"edges":[[0,1,2]]}', {"lines", "realizability", "simplex"}),
-        (["saturated"], '{"n":7,"r":3,"edges":[]}', {"lines", "realizability", "simplex"}),
+        (["close"], '{"n":7,"r":3,"edges":[[0,1,2]]}', _NO_METRIC),
+        (["saturated"], '{"n":7,"r":3,"edges":[]}', _NO_METRIC),
+        (["verify-cert"], _STAR7_CERT, _NO_METRIC),
         (["gen", "theta", "8"], "", {"lines", "realizability", "simplex", "saturation"}),
     ],
-    ids=["close", "saturated", "gen"],
+    ids=["close", "saturated", "verify-cert", "gen"],
 )
 def test_subcommand_loads_only_its_modules(argv, stdin_text, unused):
     code = (

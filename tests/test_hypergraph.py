@@ -15,10 +15,9 @@ from linesat.hypergraph import (
     delete_vertex,
     rank,
     star_construction,
-    theta_graph,
     unrank,
 )
-from linesat.metric import degenerate_hypergraph, graph_metric
+from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
 
 
 # --- colex ranking ------------------------------------------------------------

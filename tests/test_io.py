@@ -4,8 +4,7 @@ import pytest
 
 from linesat import io as formats
 from linesat.errors import FormatError, TriangleViolation
-from linesat.hypergraph import star_construction, theta_graph
-from linesat.lines import LinearOrder
+from linesat.hypergraph import star_construction
 from linesat.metric import four_cycle_metric, random_rational_metric
 from linesat.realizability import is_metric_hypergraph, nineteen_edge_hypergraph
 from linesat.saturation import weak_saturation_closure
@@ -32,11 +31,18 @@ def test_matrix_rejects_floats():
         formats.loads_matrix('{"n":2,"dist":[[0,0.5],[0.5,0]]}')
 
 
-def test_matrix_rejects_non_metric():
-    text = '{"n":3,"dist":[[0,1,3],[1,0,1],[3,1,0]]}'
+@pytest.mark.parametrize(
+    "loads, text",
+    [
+        (formats.loads_matrix, '{"n":3,"dist":[[0,1,3],[1,0,1],[3,1,0]]}'),
+        (formats.loads_matrix_csv, "3\n0,1,3\n1,0,1\n3,1,0"),
+    ],
+    ids=["json", "csv"],
+)
+def test_matrix_rejects_non_metric(loads, text):
     with pytest.raises(TriangleViolation):
-        formats.loads_matrix(text)
-    d = formats.loads_matrix(text, validate=False)
+        loads(text)
+    d = loads(text, validate=False)
     assert d.dist(0, 2) == 3
 
 
@@ -49,16 +55,6 @@ def test_matrix_csv_roundtrip():
     d = random_rational_metric(5, 9)
     text = formats.dumps_matrix_csv(d)
     assert formats.loads_matrix_csv(text).d == d.d
-
-
-def test_graph_roundtrip():
-    g = theta_graph(7)
-    assert formats.loads_graph(formats.dumps_graph(g)).edges == g.edges
-
-
-def test_graph_rejects_duplicate_edges():
-    with pytest.raises(FormatError):
-        formats.loads_graph('{"n":3,"edges":[[0,1],[1,0]]}')
 
 
 def test_hypergraph_roundtrip_in_colex_order():
@@ -82,11 +78,6 @@ def test_certificate_roundtrip():
     assert again.k == cert.k
     assert again.steps == cert.steps
     assert formats.dumps_certificate(again) == text
-
-
-def test_order_roundtrip():
-    o = LinearOrder((2, 0, 1))
-    assert formats.loads_order(formats.dumps_order(o)).order == o.order
 
 
 def test_verdict_serialization():
@@ -113,8 +104,6 @@ def test_certificate_rejects_non_list_steps(text):
     "loads, text",
     [
         (formats.loads_hypergraph, '{"n":5,"r":3,"edges":[[0,1,true]]}'),
-        (formats.loads_graph, '{"n":3,"edges":[[0,false]]}'),
-        (formats.loads_order, '{"order":[0,true]}'),
         (
             formats.loads_certificate,
             '{"n":7,"r":3,"k":6,"base":[],"steps":[{"T":[0,1,true],"S":[0,1,2,3,4,5]}]}',

@@ -11,7 +11,6 @@ from linesat.hypergraph import (
     UniformHypergraph,
     complete_hypergraph,
     star_construction,
-    theta_graph,
 )
 from linesat.lines import (
     LinearOrder,
@@ -26,6 +25,7 @@ from linesat.metric import (
     four_cycle_metric,
     graph_metric,
     line_metric,
+    theta_graph,
 )
 
 

@@ -18,7 +18,6 @@ from linesat.errors import (
     TooFewPoints,
     TriangleViolation,
 )
-from linesat.hypergraph import theta_graph
 from linesat.io import dumps_matrix
 from linesat.metric import (
     DistanceMatrix,
@@ -31,6 +30,7 @@ from linesat.metric import (
     line_metric,
     middle_of,
     random_rational_metric,
+    theta_graph,
     validate_metric,
 )
 

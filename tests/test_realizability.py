@@ -11,8 +11,13 @@ from linesat.hypergraph import (
     delete_vertex,
     star_construction,
 )
-from linesat.metric import degenerate_hypergraph, graph_metric, middle_of, validate_metric
-from linesat.hypergraph import theta_graph
+from linesat.metric import (
+    degenerate_hypergraph,
+    graph_metric,
+    middle_of,
+    theta_graph,
+    validate_metric,
+)
 from linesat.realizability import (
     MiddleAssignment,
     is_metric_hypergraph,

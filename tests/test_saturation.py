@@ -18,11 +18,10 @@ from linesat.hypergraph import (
     full_edge_mask,
     rank,
     star_construction,
-    theta_graph,
     unrank,
 )
 from linesat.io import dumps_certificate
-from linesat.metric import degenerate_hypergraph, graph_metric
+from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
 from linesat.saturation import (
     ClosureCertificate,
     _close_mask,
