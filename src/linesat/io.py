@@ -15,6 +15,7 @@ when called: parsing a hypergraph or a certificate never loads `metric`.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -48,12 +49,20 @@ def _ints(value, message: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(value)
 
 
+# What the writers emit: an integer, or an integer "/" a natural number.
+# `Fraction` alone would also take exponents, and "1e5000000" costs it
+# time without bound.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise FormatError(f"boolean {value!r} is not a rational entry")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise FormatError(f"cannot parse rational {value!r}: expected an integer or 'p/q'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -115,7 +124,7 @@ def loads_matrix_csv(text: str, validate: bool = True) -> DistanceMatrix:
         raise FormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        cells = [cell.strip() for cell in line.split(",")]
+        cells = line.split(",")
         if len(cells) != n:
             raise FormatError(f"row {line!r} does not have {n} entries")
         rows.append(tuple(_parse_rational(cell) for cell in cells))

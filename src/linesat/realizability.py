@@ -30,6 +30,7 @@ from .metric import DistanceMatrix, degenerate_hypergraph, validate_metric
 from .simplex import max_slack, solve_linear_system
 
 OPEN, TRUE, FALSE = 0, 1, 2
+_ALL_FALSE = bytes((FALSE,) * 3)
 
 
 @lru_cache(maxsize=8)
@@ -49,6 +50,33 @@ def _slots(n: int) -> list[list[list[int]]]:
     return table
 
 
+@lru_cache(maxsize=8)
+def _rules(n: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """Every 4-point rule instance on n points, indexed by a premise slot.
+
+    The rule: [p b q] and [p q d] force [p b d] and [b q d], where [x y z]
+    says y lies between x and z.  `_rules(n)[s]` lists, for the fact s =
+    (b; x, y), both orders (p, q) of its ends and every fourth point d,
+    (partner slot, conclusion slot, conclusion slot) for both roles of s:
+    as the first premise its partner is [p q d]; as the second premise,
+    read [p b q], its partner is [p d b] and the conclusions are [p d q]
+    and [d b q].  That is 4(n - 3) entries per slot.
+    """
+    slot = _slots(n)
+    rules = [()] * (3 * comb(n, 3))
+    for t in combinations(range(n), 3):
+        for b in t:
+            x, y = (v for v in t if v != b)
+            entries = []
+            for p, q in ((x, y), (y, x)):
+                for d in range(n):
+                    if d not in t:
+                        entries.append((slot[q][p][d], slot[b][p][d], slot[q][b][d]))
+                        entries.append((slot[d][p][b], slot[d][p][q], slot[b][d][q]))
+            rules[slot[b][x][y]] = tuple(entries)
+    return rules
+
+
 class MiddleAssignment:
     """Choice of middles for hyperedges plus the derived betweenness state.
 
@@ -56,9 +84,9 @@ class MiddleAssignment:
     records whether the placement "s between the other two points x, y of
     T" is forced true, forced false, or open; the slots of T are
     3 * rank(T) and the two after it.  Non-edges start with all three
-    placements false.  Choosing a middle for an edge forces its other two
-    placements false.  True facts (middle, end, end) wait in a queue until
-    `propagate` has applied the 4-point rule to them.
+    placements false.  Forcing a placement true forces its two siblings
+    false and queues its slot until `propagate` has scanned the slot's
+    rules in `_rules(n)`.
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -69,14 +97,13 @@ class MiddleAssignment:
         self.state = bytearray(3 * comb(h.n, 3))
         self.contradiction = False
         self._slot = _slots(h.n)
-        # true facts (middle, end, end) not yet propagated
-        self._queue: list[tuple[int, int, int]] = []
+        self._rules = _rules(h.n)
+        # slots forced true but not yet propagated
+        self._queue: list[int] = []
         for t_rank in range(comb(h.n, 3)):
             if not h.edges >> t_rank & 1:
                 base = 3 * t_rank
-                self.state[base] = FALSE
-                self.state[base + 1] = FALSE
-                self.state[base + 2] = FALSE
+                self.state[base : base + 3] = _ALL_FALSE
         if middles:
             for triple, m in sorted(middles.items()):
                 self.choose(triple, m)
@@ -88,6 +115,7 @@ class MiddleAssignment:
         twin.state = bytearray(self.state)
         twin.contradiction = self.contradiction
         twin._slot = self._slot
+        twin._rules = self._rules
         twin._queue = list(self._queue)
         return twin
 
@@ -99,25 +127,22 @@ class MiddleAssignment:
         if not self.hypergraph.has_edge(t):
             raise ValueError(f"{t} is not a hyperedge")
         x, y = (v for v in t if v != m)
-        self._set_true(m, x, y)
+        self._force(self._slot[m][x][y])
 
-    def _set_true(self, m, x, y):
-        """Force "m between x and y"; the triple's other placements become false.
+    def _force(self, s: int) -> None:
+        """Force slot s true; the triple's other placements become false.
 
-        A placement is set false only here, beside a sibling set true, and
-        non-edges start all false, so an edge never loses all three middles
-        and forcing a false placement true is the only contradiction.
+        A placement is set false only beside a sibling set true, here or in
+        `propagate`'s inline copy of this force, and non-edges start all
+        false, so an edge never loses all three middles and forcing a false
+        placement true is the only contradiction.
         """
-        if self.contradiction:
-            return
-        slot, state = self._slot, self.state
-        s = slot[m][x][y]
-        cur = state[s]
+        cur = self.state[s]
         if cur == OPEN:
-            state[s] = TRUE
-            state[slot[x][m][y]] = FALSE
-            state[slot[y][m][x]] = FALSE
-            self._queue.append((m, x, y))
+            base = s - s % 3
+            self.state[base : base + 3] = _ALL_FALSE
+            self.state[s] = TRUE
+            self._queue.append(s)
         elif cur == FALSE:
             self.contradiction = True
 
@@ -135,33 +160,34 @@ class MiddleAssignment:
 def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     """Close the assignment under the 4-point rule; True iff still consistent.
 
-    The rule: [p b q] and [p q d] force [p b d] and [b q d], where [x y z]
-    says y lies between x and z.  The two premises share the end p, and the
-    second one's middle q is the first one's other end.  A queued fact
-    (b; p, q) is tried in both roles, for both orders of its ends and every
-    fourth point d.  As the first premise its partner is [p q d]; as the
-    second premise, read [p b q], its partner is [p d b], and the
-    conclusions are [p d q] and [d b q].  Conclusions join the queue until
-    it empties or a contradiction appears.  The closure is a monotone
-    fixpoint, so the order facts are taken in does not matter.
+    Pops queued slots and scans each one's rule instances in `_rules(n)`.
+    When the partner premise is true, both conclusions are forced as
+    `MiddleAssignment._force` does: an open one becomes true, its siblings
+    false, and it joins the queue.  Forcing a false placement is a
+    contradiction, which stops the closure at once and is remembered, so a
+    contradicted assignment stays False.  The closure is a monotone
+    fixpoint, so the order slots are taken in does not matter.
     """
     if h is not None and h != a.hypergraph:
         raise ValueError("assignment belongs to a different hypergraph")
-    state, slot, queue, points = a.state, a._slot, a._queue, range(a.n)
-    while queue and not a.contradiction:
-        b, x, y = queue.pop()
-        for p, q in ((x, y), (y, x)):
-            q_between_p = slot[q][p]
-            for d in points:
-                if d == b or d == x or d == y:
-                    continue
-                if state[q_between_p[d]] == TRUE:
-                    a._set_true(b, p, d)
-                    a._set_true(q, b, d)
-                if state[slot[d][p][b]] == TRUE:
-                    a._set_true(d, p, q)
-                    a._set_true(b, d, q)
-    return not a.contradiction
+    if a.contradiction:
+        return False
+    state, rules, queue = a.state, a._rules, a._queue
+    while queue:
+        for partner, c1, c2 in rules[queue.pop()]:
+            if state[partner] != TRUE:
+                continue
+            for c in (c1, c2):
+                cur = state[c]
+                if cur == OPEN:
+                    base = c - c % 3
+                    state[base : base + 3] = _ALL_FALSE
+                    state[c] = TRUE
+                    queue.append(c)
+                elif cur == FALSE:
+                    a.contradiction = True
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -282,39 +308,35 @@ def is_metric_hypergraph(
         raise ValueError("realizability is defined for 3-uniform hypergraphs")
     if h.n > ceiling:
         raise CeilingExceeded(h.n, ceiling)
-    order = [(edge, 3 * rank(edge, h.n)) for edge in _edge_order(h)]
+    bases = [3 * rank(edge, h.n) for edge in _edge_order(h)]
     explored = 0
 
-    def next_unassigned(a):
-        state = a.state
-        for edge, base in order:
-            if TRUE not in (state[base], state[base + 1], state[base + 2]):
-                return edge, base
-        return None, None
-
-    def dfs(a):
+    def dfs(a, i):
+        """Search below a; every edge before bases[i] has a true middle."""
         nonlocal explored
-        edge, base = next_unassigned(a)
-        if edge is None:
+        state = a.state
+        while i < len(bases) and TRUE in state[bases[i] : bases[i] + 3]:
+            i += 1
+        if i == len(bases):
             try:
                 return lp_max_slack(a, h)
             except InconsistentAssignment:
                 return None
-        u, v, w = edge
-        for pos, fact in enumerate(((u, v, w), (v, u, w), (w, u, v))):
-            if a.state[base + pos] == FALSE:
+        base = bases[i]
+        for s in range(base, base + 3):
+            if state[s] == FALSE:
                 continue
             branch = a.clone()
             explored += 1
-            branch._set_true(*fact)
+            branch._force(s)
             if propagate(branch):
-                witness = dfs(branch)
+                witness = dfs(branch, i + 1)
                 if witness is not None:
                     return witness
         return None
 
     root = MiddleAssignment(h)
-    witness = dfs(root) if propagate(root) else None
+    witness = dfs(root, 0) if propagate(root) else None
     status = "metric" if witness is not None else "non-metric"
     return RealizabilityVerdict(status, witness, explored)
 

@@ -335,6 +335,29 @@ def test_oversized_matrices_exit_2_promptly(argv, subsets):
     _assert_refused_promptly(argv, line, subsets)
 
 
+@pytest.mark.parametrize(
+    "stdin_text",
+    [
+        '{"n":3,"dist":[[0,"1e5000000","1e5000000"],["1e5000000",0,"1e5000000"],'
+        '["1e5000000","1e5000000",0]]}',
+        "3\n0,1e5000000,1\n1e5000000,0,1\n1,1,0\n",
+    ],
+    ids=["json", "csv"],
+)
+def test_exponent_entries_exit_2_promptly(stdin_text):
+    # Fraction alone would build 10**5000000 for each entry: tens of seconds
+    done = subprocess.run(
+        [sys.executable, "-m", "linesat.cli", "degenerate"],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env=_fresh_env(),
+        timeout=10,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: cannot parse rational '1e5000000'")
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("command", ["degenerate", "reconstruct"])
 def test_largest_admitted_line_finishes_within_a_minute(tmp_path, command):

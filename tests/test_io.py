@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,23 @@ def test_matrix_writer_is_deterministic():
     assert formats.dumps_matrix(d) == formats.dumps_matrix(d)
 
 
-def test_matrix_rejects_floats():
+@pytest.mark.parametrize(
+    "entry",
+    [0.5, "1e400", "1.5", "1/2 "],
+    ids=["float", "exponent", "decimal", "trailing-space"],
+)
+@pytest.mark.parametrize(
+    "loads, text",
+    [
+        (formats.loads_matrix, lambda x: json.dumps({"n": 2, "dist": [[0, x], [x, 0]]})),
+        (formats.loads_matrix_csv, lambda x: f"2\n0,{x}\n{x},0\n"),
+    ],
+    ids=["json", "csv"],
+)
+def test_matrix_rejects_floats(loads, text, entry):
+    # only integers and "p/q", as the writers emit them, are rational entries
     with pytest.raises(FormatError):
-        formats.loads_matrix('{"n":2,"dist":[[0,0.5],[0.5,0]]}')
+        loads(text(entry), validate=False)
 
 
 @pytest.mark.parametrize(

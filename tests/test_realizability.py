@@ -92,6 +92,19 @@ def test_contradiction_when_forced_middle_is_contested():
     assert not propagate(a, h)
 
 
+def test_contradicted_assignment_stays_contradicted():
+    # two middles chosen for one edge, and a rule that forces a non-edge:
+    # propagate reports both at once, and again when called a second time
+    h = UniformHypergraph.from_edges(4, 3, [(0, 1, 2), (0, 2, 3)])
+    twice = MiddleAssignment(h, {(0, 1, 2): 1})
+    twice.choose((0, 1, 2), 0)
+    forced = MiddleAssignment(h, {(0, 1, 2): 1, (0, 2, 3): 2})
+    for a in (twice, forced):
+        assert not propagate(a, h)
+        assert not propagate(a, h)
+        assert a.contradiction
+
+
 def test_contradiction_dooms_every_completion():
     # once propagation reports contradiction, no completion is feasible
     h = UniformHypergraph.from_edges(4, 3, [(0, 1, 2), (0, 2, 3), (1, 2, 3)])

@@ -396,12 +396,27 @@ def test_parallel_scan_matches_sequential():
 
 
 def test_parallel_scan_takes_the_least_hit_over_chunks():
-    # At 16 of the 20 triples every one of the 8 chunks that jobs=2 makes
-    # holds an unsaturated family; the first overall lies in the last chunk.
+    # At 16 of the 20 triples jobs=2 first scans, in process, the 70
+    # candidates whose largest rank is at most 7; every one of the 8 chunks
+    # it makes from ranks 8..19 holds an unsaturated family, and the first
+    # overall lies in the third chunk, not the first.
     seq = _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, 1, False)
     top = (full_edge_mask(6, 3) ^ seq[1]).bit_length() - 1
-    assert (top - 3) % 8 == 7
+    assert top > 7 and (top - 8) % 8 == 2
     assert _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, 2, False) == seq
+
+
+@pytest.mark.parametrize("n, size", [(8, 52), (7, 32)])
+def test_parallel_scan_answers_early_without_a_pool(monkeypatch, n, size):
+    # Both first hits lie among the candidates scanned before a pool starts.
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    seq = exhaustive_size_check(n, 3, 6, size, jobs=1)
+    assert exhaustive_size_check(n, 3, 6, size, jobs=2).edges == seq.edges
 
 
 def test_parallel_scan_without_a_hit():
