@@ -53,6 +53,7 @@ def _ints(value, message: str, length: int | None = None) -> tuple[int, ...]:
 # `Fraction` alone would also take exponents, and "1e5000000" costs it
 # time without bound.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_COUNT = re.compile(r"[0-9]+")
 
 
 def _parse_rational(value) -> Fraction:
@@ -116,10 +117,9 @@ def loads_matrix_csv(text: str, validate: bool = True) -> DistanceMatrix:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise FormatError("empty CSV matrix")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise FormatError(f"CSV header must be the point count, got {lines[0]!r}") from exc
+    if not _COUNT.fullmatch(lines[0]):
+        raise FormatError(f"CSV header must be the point count, got {lines[0]!r}")
+    n = int(lines[0])
     if len(lines) != n + 1:
         raise FormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []

@@ -1,11 +1,13 @@
 """Deciding whether a 3-uniform hypergraph is the degenerate-triangle set
 of some metric space.
 
-A realizing metric assigns every hyperedge a unique middle point, so the
+A realizing metric assigns every hyperedge exactly one middle point, so the
 search branches over middle assignments.  After each choice the betweenness
-state is closed under the propagation rule ([abc] and [acd] force [abd] and
-[bcd]) and under exclusivity; a branch dies when a non-edge is forced
-degenerate or a triple gets two middles.  Surviving total assignments go
+state is closed by unit propagation over clauses that hold in every metric:
+the propagation rule ([abc] and [acd] force [abd] and [bcd]) read as
+"not both premises, or the conclusion", exclusivity, and "every edge has a
+middle".  A branch dies when a non-edge is forced degenerate, a triple gets
+two middles, or an edge loses all three.  Surviving total assignments go
 to an exact LP that maximizes a uniform slack: distances are feasible with
 positive slack exactly when a metric with the required degeneracy pattern
 exists, because the pattern is scale-invariant.
@@ -77,6 +79,43 @@ def _rules(n: int) -> list[tuple[tuple[int, int, int], ...]]:
     return rules
 
 
+@lru_cache(maxsize=8)
+def _concl(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every 4-point rule instance on n points, indexed by a conclusion slot.
+
+    `_concl(n)[c]` lists the premise slots (x, y) of each instance in
+    `_rules(n)` that concludes c, in both orders: 8(n - 3) pairs per slot.
+    Read as the clause "not x, or not y, or c", a false c and a true x
+    force y false.
+    """
+    concl = [[] for _ in range(3 * comb(n, 3))]
+    for s, entries in enumerate(_rules(n)):
+        # each instance appears under both of its premises, so this
+        # records both orders of the pair
+        for partner, c1, c2 in entries:
+            concl[c1].append((s, partner))
+            concl[c2].append((s, partner))
+    return [tuple(pairs) for pairs in concl]
+
+
+def _set_true(state: bytearray, queue: list[int], s: int) -> bool:
+    """Set slot s true and its open siblings false, queueing each change.
+
+    A true slot s is queued as s, a slot set false as ~s.  Returns False,
+    changing nothing, when s is already false; a true s is left alone.
+    """
+    cur = state[s]
+    if cur == OPEN:
+        state[s] = TRUE
+        queue.append(s)
+        base = s - s % 3
+        for x in (base, base + 1, base + 2):
+            if state[x] == OPEN:
+                state[x] = FALSE
+                queue.append(~x)
+    return cur != FALSE
+
+
 class MiddleAssignment:
     """Choice of middles for hyperedges plus the derived betweenness state.
 
@@ -84,9 +123,10 @@ class MiddleAssignment:
     records whether the placement "s between the other two points x, y of
     T" is forced true, forced false, or open; the slots of T are
     3 * rank(T) and the two after it.  Non-edges start with all three
-    placements false.  Forcing a placement true forces its two siblings
-    false and queues its slot until `propagate` has scanned the slot's
-    rules in `_rules(n)`.
+    placements false.  Every later change is queued as an event until
+    `propagate` has handled it: a slot s set true as s, whose premise rules
+    in `_rules(n)` are then scanned, and a slot set false as ~s, whose
+    conclusion rules in `_concl(n)` and whose edge are then checked.
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -98,7 +138,8 @@ class MiddleAssignment:
         self.contradiction = False
         self._slot = _slots(h.n)
         self._rules = _rules(h.n)
-        # slots forced true but not yet propagated
+        self._concl = _concl(h.n)
+        # events not yet propagated: s for a slot set true, ~s for one set false
         self._queue: list[int] = []
         for t_rank in range(comb(h.n, 3)):
             if not h.edges >> t_rank & 1:
@@ -116,6 +157,7 @@ class MiddleAssignment:
         twin.contradiction = self.contradiction
         twin._slot = self._slot
         twin._rules = self._rules
+        twin._concl = self._concl
         twin._queue = list(self._queue)
         return twin
 
@@ -130,20 +172,14 @@ class MiddleAssignment:
         self._force(self._slot[m][x][y])
 
     def _force(self, s: int) -> None:
-        """Force slot s true; the triple's other placements become false.
+        """Force slot s true; the triple's other open placements become false.
 
-        A placement is set false only beside a sibling set true, here or in
-        `propagate`'s inline copy of this force, and non-edges start all
-        false, so an edge never loses all three middles and forcing a false
-        placement true is the only contradiction.
+        Each change is queued for `propagate`.  Forcing a false placement
+        true is a contradiction here; `propagate` also finds the others (a
+        true placement forced false, an edge with all three placements
+        false).
         """
-        cur = self.state[s]
-        if cur == OPEN:
-            base = s - s % 3
-            self.state[base : base + 3] = _ALL_FALSE
-            self.state[s] = TRUE
-            self._queue.append(s)
-        elif cur == FALSE:
+        if not _set_true(self.state, self._queue, s):
             self.contradiction = True
 
     def chosen_middles(self) -> dict[tuple[int, ...], int]:
@@ -158,33 +194,62 @@ class MiddleAssignment:
 
 
 def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
-    """Close the assignment under the 4-point rule; True iff still consistent.
+    """Close the assignment by unit propagation; True iff still consistent.
 
-    Pops queued slots and scans each one's rule instances in `_rules(n)`.
-    When the partner premise is true, both conclusions are forced as
-    `MiddleAssignment._force` does: an open one becomes true, its siblings
-    false, and it joins the queue.  Forcing a false placement is a
-    contradiction, which stops the closure at once and is remembered, so a
-    contradicted assignment stays False.  The closure is a monotone
-    fixpoint, so the order slots are taken in does not matter.
+    The clauses hold in every metric, because a false placement is a strict
+    inequality there: each 4-point rule instance (x, y) concluding c reads
+    "not x, or not y, or c", a triple has at most one middle, and an edge
+    has at least one.  Pops queued events until none is left:
+    - s, set true: for each instance in `_rules(n)[s]`, a true partner
+      forces both conclusions true, and an open partner beside a false
+      conclusion is set false.
+    - ~s, set false: an edge with one open placement left and none true
+      gets it forced true, and one with none left is a contradiction; for
+      each premise pair (x, y) in `_concl(n)[s]`, a true x sets y false.
+    Forcing follows `_set_true`, so siblings set false are events too.
+    Setting a false slot true or a true slot false is a contradiction,
+    which stops the closure at once and is remembered, so a contradicted
+    assignment stays False.  Without a contradiction the closure is a
+    monotone fixpoint, so the order events are taken in does not matter.
     """
     if h is not None and h != a.hypergraph:
         raise ValueError("assignment belongs to a different hypergraph")
     if a.contradiction:
         return False
-    state, rules, queue = a.state, a._rules, a._queue
+    state, rules, concl, queue = a.state, a._rules, a._concl, a._queue
     while queue:
-        for partner, c1, c2 in rules[queue.pop()]:
-            if state[partner] != TRUE:
-                continue
-            for c in (c1, c2):
-                cur = state[c]
+        s = queue.pop()
+        if s >= 0:
+            for partner, c1, c2 in rules[s]:
+                p = state[partner]
+                if p == TRUE:
+                    for c in (c1, c2):
+                        cur = state[c]
+                        if cur == OPEN:
+                            _set_true(state, queue, c)
+                        elif cur == FALSE:
+                            a.contradiction = True
+                            return False
+                elif p == OPEN and (state[c1] == FALSE or state[c2] == FALSE):
+                    state[partner] = FALSE
+                    queue.append(~partner)
+            continue
+        s = ~s
+        base = s - s % 3
+        trio = state[base : base + 3]
+        if TRUE not in trio:
+            if OPEN not in trio:
+                a.contradiction = True
+                return False
+            if trio.count(OPEN) == 1:
+                _set_true(state, queue, base + trio.index(OPEN))
+        for x, y in concl[s]:
+            if state[x] == TRUE:
+                cur = state[y]
                 if cur == OPEN:
-                    base = c - c % 3
-                    state[base : base + 3] = _ALL_FALSE
-                    state[c] = TRUE
-                    queue.append(c)
-                elif cur == FALSE:
+                    state[y] = FALSE
+                    queue.append(~y)
+                elif cur == TRUE:
                     a.contradiction = True
                     return False
     return True

@@ -125,6 +125,12 @@ def test_csv_matrix_accepted_back(capsys, monkeypatch):
     assert json.loads(out)["n"] == 6
 
 
+def test_csv_header_outside_the_grammar_exits_2(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch, ["degenerate"], stdin_text="0_2\n0,1\n1,0\n")
+    assert code == 2 and out == ""
+    assert err.startswith("error: CSV header must be the point count")
+
+
 def test_invalid_metric_is_rejected_without_flag(capsys, monkeypatch):
     bad = '{"n":3,"dist":[[0,1,3],[1,0,1],[3,1,0]]}'
     code, _, err = run_cli(capsys, monkeypatch, ["degenerate"], stdin_text=bad)

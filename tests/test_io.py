@@ -66,6 +66,15 @@ def test_matrix_rejects_asymmetric_shape():
         formats.loads_matrix('{"n":2,"dist":[[0,1]]}')
 
 
+@pytest.mark.parametrize(
+    "header", ["\uff12", "0_2", "+2", " 2"], ids=["fullwidth", "underscore", "plus", "space"]
+)
+def test_matrix_csv_header_is_ascii_digits(header):
+    # int() takes all four as 2; the writer emits only [0-9]+
+    with pytest.raises(FormatError, match="CSV header"):
+        formats.loads_matrix_csv(f"{header}\n0,1\n1,0\n")
+
+
 def test_matrix_csv_roundtrip():
     d = random_rational_metric(5, 9)
     text = formats.dumps_matrix_csv(d)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,9 +12,11 @@ from linesat.hypergraph import (
     star_construction,
 )
 from linesat.metric import (
+    DistanceMatrix,
     degenerate_hypergraph,
     graph_metric,
     middle_of,
+    random_rational_metric,
     theta_graph,
     validate_metric,
 )
@@ -144,10 +146,13 @@ def test_contradiction_soundness_on_five_points():
 
 
 def _naive_closure(n, edges, middles):
-    """Oracle for `propagate`: rescan every rule to a fixpoint.
+    """Oracle for `propagate`: rescan every clause to a fixpoint.
 
     Facts are (middle, frozenset of ends).  Returns (consistent, true facts,
-    false facts); the rule pairs every ordered pair of true facts.
+    false facts).  Each rule instance, premises A and B and conclusions C,
+    is the clause "not A, or not B, or C": two true premises make both
+    conclusions true, and a true premise beside a false conclusion makes
+    its partner false.
     """
     triples = list(combinations(range(n), 3))
     edges = set(edges)
@@ -170,15 +175,17 @@ def _naive_closure(n, edges, middles):
                 return False, true, false
             if len(open_) == 1:
                 new_true.add(open_[0])
-        for b, ends1 in true:  # [a b c] and [a c d] force [a b d], [b c d]
-            for c2, ends2 in true:
-                for a in ends1:
-                    (c,) = ends1 - {a}
-                    if c2 != c or a not in ends2:
-                        continue
-                    (d,) = ends2 - {a}
-                    if d != b:
-                        new_true |= {(b, frozenset((a, d))), (c, frozenset((b, d)))}
+        for a, b, c, d in permutations(range(n), 4):
+            # [a b c] and [a c d] force [a b d] and [b c d]
+            prem_a, prem_b = (b, frozenset((a, c))), (c, frozenset((a, d)))
+            concl = {(b, frozenset((a, d))), (c, frozenset((b, d)))}
+            if prem_a in true and prem_b in true:
+                new_true |= concl
+            elif concl & false:
+                if prem_a in true:
+                    new_false.add(prem_b)
+                if prem_b in true:
+                    new_false.add(prem_a)
         if new_true <= true and new_false <= false:
             return True, true, false
         true |= new_true
@@ -210,6 +217,40 @@ def test_propagate_matches_naive_fixpoint():
                     state.append(1 if f in true else 2 if f in false else 0)
             assert a.state == state, (n, edges, middles)
     assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+
+def test_propagation_is_sound_on_real_metrics():
+    # Every clause holds in every metric, so starting from some of a
+    # metric's own middles, propagation stays consistent, sets only that
+    # metric's middles true and never sets one of them false.  Integer L1
+    # points on a 5x5 grid have many degenerate triangles.
+    rng = random.Random(41)
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    inferred = 0
+    for trial in range(400):
+        n = 5 + trial % 3
+        if trial % 2:
+            d = random_rational_metric(n, trial)
+        else:
+            pts = rng.sample(grid, n)
+            d = DistanceMatrix(n, tuple(
+                tuple(Fraction(abs(p[0] - q[0]) + abs(p[1] - q[1])) for q in pts)
+                for p in pts
+            ))
+        h = degenerate_hypergraph(d)
+        edges = h.edge_list()
+        chosen = rng.sample(edges, rng.randint(0, len(edges)))
+        a = MiddleAssignment(h, {t: middle_of(d, t) for t in chosen})
+        assert propagate(a, h), (trial, chosen)
+        inferred += len(a.chosen_middles()) - len(chosen)
+        slot = 0
+        for t in sorted(combinations(range(n), 3), key=lambda t: t[::-1]):
+            real = middle_of(d, t)
+            for m in t:
+                # 1 is true, 2 is false
+                assert a.state[slot] != (2 if m == real else 1), (trial, t, m)
+                slot += 1
+    assert inferred > 400
 
 
 # --- the slack program -------------------------------------------------------------
@@ -291,10 +332,12 @@ def test_verdicts_invariant_under_relabeling():
 def test_search_tree_sizes_are_pinned():
     # Any change to what propagation prunes changes these branch counts.
     report = minimal_nonmetric_audit()
-    assert report.root.verdict.explored == 2943
-    assert [e.verdict.explored for e in report.deletions] == [107, 107, 107, 15, 15, 15]
+    assert report.root.verdict.explored == 289
+    assert [e.verdict.explored for e in report.deletions] == [19, 19, 19, 8, 8, 8]
     star = is_metric_hypergraph(star_construction(7), ceiling=7)
-    assert (star.status, star.explored) == ("non-metric", 12051)
+    assert (star.status, star.explored) == ("non-metric", 379)
+    star = is_metric_hypergraph(star_construction(8), ceiling=8)
+    assert (star.status, star.explored) == ("non-metric", 469)
 
 
 def test_verdict_deterministic():
