@@ -153,8 +153,6 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from . import io as formats
     from .hypergraph import check_budget, star_construction
     from .metric import (
@@ -176,7 +174,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif kind == "cycle4":
         d = four_cycle_metric()
     elif kind == "line":
-        d = line_metric([Fraction(a) for a in params])
+        d = line_metric([formats._parse_rational(a) for a in params])
     elif kind == "random":
         d = random_rational_metric(int(params[0]), int(params[1]))
     else:

@@ -99,20 +99,22 @@ def _concl(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 def _set_true(state: bytearray, queue: list[int], s: int) -> bool:
-    """Set slot s true and its open siblings false, queueing each change.
+    """Set slot s true and its two siblings false, queueing s alone.
 
-    A true slot s is queued as s, a slot set false as ~s.  Returns False,
-    changing nothing, when s is already false; a true s is left alone.
+    Returns False, changing nothing, when s is already false; a true s is
+    left alone.  The siblings need no events of their own: for a rule
+    instance (A, B) concluding C and a sibling C' of C, `_rules(n)[C']`
+    holds an instance with partner B concluding a sibling of A, or one
+    with partner A concluding a sibling of B.  So whichever of A and C' is
+    handled last sets B false, as an event for C' would have.  Their edge
+    has a true placement, so the edge-unit check has nothing to do either.
     """
     cur = state[s]
     if cur == OPEN:
+        base = s - s % 3
+        state[base : base + 3] = _ALL_FALSE
         state[s] = TRUE
         queue.append(s)
-        base = s - s % 3
-        for x in (base, base + 1, base + 2):
-            if state[x] == OPEN:
-                state[x] = FALSE
-                queue.append(~x)
     return cur != FALSE
 
 
@@ -123,10 +125,12 @@ class MiddleAssignment:
     records whether the placement "s between the other two points x, y of
     T" is forced true, forced false, or open; the slots of T are
     3 * rank(T) and the two after it.  Non-edges start with all three
-    placements false.  Every later change is queued as an event until
-    `propagate` has handled it: a slot s set true as s, whose premise rules
-    in `_rules(n)` are then scanned, and a slot set false as ~s, whose
-    conclusion rules in `_concl(n)` and whose edge are then checked.
+    placements false.  Later changes are queued as events until
+    `propagate` has handled them: a slot s set true as s, whose premise
+    rules in `_rules(n)` are then scanned, and a slot set false by a rule
+    as ~s, whose conclusion rules in `_concl(n)` and whose edge are then
+    checked.  The siblings of a slot set true go false silently (see
+    `_set_true`).
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -136,9 +140,6 @@ class MiddleAssignment:
         self.n = h.n
         self.state = bytearray(3 * comb(h.n, 3))
         self.contradiction = False
-        self._slot = _slots(h.n)
-        self._rules = _rules(h.n)
-        self._concl = _concl(h.n)
         # events not yet propagated: s for a slot set true, ~s for one set false
         self._queue: list[int] = []
         for t_rank in range(comb(h.n, 3)):
@@ -155,9 +156,6 @@ class MiddleAssignment:
         twin.n = self.n
         twin.state = bytearray(self.state)
         twin.contradiction = self.contradiction
-        twin._slot = self._slot
-        twin._rules = self._rules
-        twin._concl = self._concl
         twin._queue = list(self._queue)
         return twin
 
@@ -169,17 +167,7 @@ class MiddleAssignment:
         if not self.hypergraph.has_edge(t):
             raise ValueError(f"{t} is not a hyperedge")
         x, y = (v for v in t if v != m)
-        self._force(self._slot[m][x][y])
-
-    def _force(self, s: int) -> None:
-        """Force slot s true; the triple's other open placements become false.
-
-        Each change is queued for `propagate`.  Forcing a false placement
-        true is a contradiction here; `propagate` also finds the others (a
-        true placement forced false, an edge with all three placements
-        false).
-        """
-        if not _set_true(self.state, self._queue, s):
+        if not _set_true(self.state, self._queue, _slots(self.n)[m][x][y]):
             self.contradiction = True
 
     def chosen_middles(self) -> dict[tuple[int, ...], int]:
@@ -206,7 +194,7 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     - ~s, set false: an edge with one open placement left and none true
       gets it forced true, and one with none left is a contradiction; for
       each premise pair (x, y) in `_concl(n)[s]`, a true x sets y false.
-    Forcing follows `_set_true`, so siblings set false are events too.
+    Forcing follows `_set_true`, whose siblings set false are no events.
     Setting a false slot true or a true slot false is a contradiction,
     which stops the closure at once and is remembered, so a contradicted
     assignment stays False.  Without a contradiction the closure is a
@@ -216,7 +204,7 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
         raise ValueError("assignment belongs to a different hypergraph")
     if a.contradiction:
         return False
-    state, rules, concl, queue = a.state, a._rules, a._concl, a._queue
+    state, rules, concl, queue = a.state, _rules(a.n), _concl(a.n), a._queue
     while queue:
         s = queue.pop()
         if s >= 0:
@@ -302,30 +290,30 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
             "the middle equalities admit no normalized distance solution"
         )
     x0, nullspace = solved
-    # Substitute d = x0 + N y, N's columns being integer vectors, and solve
-    # over (y split into +/- parts, slack split likewise): maximize eps
-    # subject to a.(x0 + N y) >= eps.  Every row is multiplied by the common
-    # denominator of x0, which makes it integral and gives eps the same
-    # coefficient in every row, as max_slack requires.
+    # Substitute d = x0 + N y, N's columns being integer vectors, and
+    # maximize eps subject to a.(x0 + N y) >= eps over y >= 0 (the slack is
+    # split into +/- parts).  Asking y >= 0 changes no optimal slack: x0 is
+    # 0 in each free column and exactly one vector of N is nonzero there,
+    # and positive, so each free distance is a positive multiple of one
+    # y_i, and its row d >= eps makes that y_i positive whenever eps is.
+    # Every row is multiplied by the common denominator of x0, which makes
+    # it integral and gives eps the same coefficient in every row, as
+    # max_slack requires.
     scale = lcm(*(v.denominator for v in x0))
     x0_int = [v.numerator * (scale // v.denominator) for v in x0]
     strict = [placement(triple, m) for triple in complement(h).edge_list() for m in triple]
     strict += [((p, 1),) for p in range(nvars)]
-    dim = len(nullspace)
     ge_rows = []
     ge_rhs = []
     for terms in strict:
-        ge = []
-        for vec in nullspace:
-            val = scale * sum(s * vec[p] for p, s in terms)
-            ge.extend((val, -val))
+        ge = [scale * sum(s * vec[p] for p, s in terms) for vec in nullspace]
         ge.extend((-scale, scale))
         ge_rows.append(ge)
         ge_rhs.append(-sum(s * x0_int[p] for p, s in terms))
     eps, x = max_slack(ge_rows, ge_rhs)
     if eps <= 0:
         return None
-    y = [x[2 * i] - x[2 * i + 1] for i in range(dim)]
+    y = x[: len(nullspace)]
     dvals = [
         x0[p] + sum(vec[p] * yi for vec, yi in zip(nullspace, y))
         for p in range(nvars)
@@ -393,7 +381,7 @@ def is_metric_hypergraph(
                 continue
             branch = a.clone()
             explored += 1
-            branch._force(s)
+            _set_true(branch.state, branch._queue, s)  # s is open
             if propagate(branch):
                 witness = dfs(branch, i + 1)
                 if witness is not None:

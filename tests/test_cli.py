@@ -197,6 +197,19 @@ def test_output_file_option(tmp_path, capsys, monkeypatch):
     assert len(json.loads(out.read_text())["edges"]) == 19
 
 
+def test_gen_line_takes_integers_and_fractions(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, monkeypatch, ["gen", "line", "0", "1/2", "3"])
+    assert code == 0
+    assert json.loads(out)["dist"][0] == [0, "1/2", 3]
+
+
+@pytest.mark.parametrize("coord", ["1e9", "1.5", "0x10", "\uff11"])
+def test_gen_line_coordinate_outside_the_grammar_exits_2(capsys, monkeypatch, coord):
+    code, out, err = run_cli(capsys, monkeypatch, ["gen", "line", "0", coord])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse rational")
+
+
 def test_unknown_generator_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["gen", "pentagon"])
     assert code == 2

@@ -1,9 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
+from linesat import io
 from linesat.errors import CeilingExceeded, InconsistentAssignment
 from linesat.hypergraph import (
     UniformHypergraph,
@@ -22,6 +25,7 @@ from linesat.metric import (
 )
 from linesat.realizability import (
     MiddleAssignment,
+    _rules,
     is_metric_hypergraph,
     lp_max_slack,
     minimal_nonmetric_audit,
@@ -219,6 +223,33 @@ def test_propagate_matches_naive_fixpoint():
     assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_sibling_events_are_redundant(n):
+    # `_set_true` queues no event for the siblings it sets false.  That is
+    # safe because for every instance (A, B) concluding C and every sibling
+    # C' of C, C' has an instance that reaches B from A's side: (i) partner
+    # B concluding a sibling of A, or (ii) partner A concluding a sibling of
+    # B.  Every instance spans 4 points, so n = 4 covers all shapes.
+    rules = _rules(n)
+
+    def siblings(s):
+        base = s - s % 3
+        return [x for x in (base, base + 1, base + 2) if x != s]
+
+    cases = 0
+    for a, entries in enumerate(rules):
+        for b, c1, c2 in entries:
+            for c in (c1, c2):
+                for c_sib in siblings(c):
+                    cases += 1
+                    assert any(
+                        (partner == b and {k1, k2} & set(siblings(a)))
+                        or (partner == a and {k1, k2} & set(siblings(b)))
+                        for partner, k1, k2 in rules[c_sib]
+                    ), (a, b, c, c_sib)
+    assert cases == 3 * comb(n, 3) * 4 * (n - 3) * 2 * 2
+
+
 def test_propagation_is_sound_on_real_metrics():
     # Every clause holds in every metric, so starting from some of a
     # metric's own middles, propagation stays consistent, sets only that
@@ -338,6 +369,23 @@ def test_search_tree_sizes_are_pinned():
     assert (star.status, star.explored) == ("non-metric", 379)
     star = is_metric_hypergraph(star_construction(8), ceiling=8)
     assert (star.status, star.explored) == ("non-metric", 469)
+
+
+def test_verdict_bytes_are_pinned():
+    # Statuses, branch counts and witness matrices of 60 seeded random
+    # hypergraphs (30 metric, 30 non-metric), as `linesat realize` prints
+    # them.  A change that should not alter any verdict must keep this.
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        n = rng.choice((6, 7))
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        edges = [t for t in combinations(range(n), 3) if rng.random() < p]
+        verdict = is_metric_hypergraph(UniformHypergraph.from_edges(n, 3, edges), 7)
+        digest.update(io.dumps_verdict(verdict).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "f477dcdd1053bfea4cd3e10b3cf91f407ef7fa2f9291f937de76d604e5631347"
+    )
 
 
 def test_verdict_deterministic():

@@ -135,7 +135,7 @@ def test_random_problems_match_floating_oracle():
     rng = random.Random(2024)
     starts = {True: 0, False: 0}
     for trial in range(90):
-        free = trial % 2  # y split into +/- pairs, as lp_max_slack does
+        free = trial % 2  # y free, split into +/- pairs
         big = trial % 3 == 1  # entries up to 10**6
         top = 10**6 if big else 3
         k = rng.randint(1, 4)
@@ -200,4 +200,9 @@ def test_solve_random_systems():
             # primitive integer vectors; the last nonzero entry is the free
             # column's, and it is positive
             assert all(type(v) is int for v in vec) and gcd(*vec) == 1
-            assert [v for v in vec if v][-1] > 0
+            fc = max(j for j, v in enumerate(vec) if v)
+            assert vec[fc] > 0
+            # lp_max_slack's y >= 0 rests on these two: x0 is 0 in each free
+            # column, and no other basis vector is nonzero there
+            assert x0[fc] == 0
+            assert all(other[fc] == 0 for other in basis if other is not vec)
