@@ -152,6 +152,15 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.status == "metric" else EXIT_NEGATIVE
 
 
+_GEN_USAGE = {
+    "star": "star N",
+    "theta": "theta N",
+    "cycle4": "cycle4",
+    "line": "line C1 C2 ...",
+    "random": "random N SEED",
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     from . import io as formats
     from .hypergraph import check_budget, star_construction
@@ -164,6 +173,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
 
     kind, *params = args.params
+    usage = _GEN_USAGE.get(kind)
+    if usage is None:
+        raise FormatError(f"unknown generator {kind!r}")
+    if kind == "line":
+        bad = not params
+    else:  # one count in ASCII digits per space in the usage
+        bad = len(params) != usage.count(" ") or not all(map(formats._COUNT.fullmatch, params))
+    if bad:
+        raise FormatError(f"usage: gen {usage}")
     if kind == "star":
         _write(args, formats.dumps_hypergraph(star_construction(int(params[0]))))
         return EXIT_OK
@@ -175,10 +193,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         d = four_cycle_metric()
     elif kind == "line":
         d = line_metric([formats._parse_rational(a) for a in params])
-    elif kind == "random":
-        d = random_rational_metric(int(params[0]), int(params[1]))
     else:
-        raise FormatError(f"unknown generator {kind!r}")
+        d = random_rational_metric(int(params[0]), int(params[1]))
     dumps = formats.dumps_matrix_csv if args.fmt == "csv" else formats.dumps_matrix
     _write(args, dumps(d))
     return EXIT_OK
@@ -357,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "params",
         nargs="+",
         metavar="KIND [ARG...]",
-        help="star N | theta N | cycle4 | line C1 C2 ... | random N SEED",
+        help=" | ".join(_GEN_USAGE.values()),
     )
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

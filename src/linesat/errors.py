@@ -109,10 +109,6 @@ class SizeMismatch(LinesatError):
         self.n_metric = n_metric
 
 
-class InconsistentAssignment(LinesatError):
-    """The equality system of a middle assignment has no admissible solution."""
-
-
 class CeilingExceeded(LinesatError):
     def __init__(self, n, ceiling):
         super().__init__(

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
-from .errors import CeilingExceeded, InconsistentAssignment, InternalConsistencyError
+from .errors import CeilingExceeded, InternalConsistencyError
 from .hypergraph import (
     DEFAULT_CEILING,
     UniformHypergraph,
@@ -254,12 +254,12 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     """Maximize the uniform slack over metrics realizing a total assignment.
 
     Equalities pin each edge's middle; every placement of every non-edge,
-    and every distance, must clear the slack; distances are normalized to
-    sum to one, which is harmless because the degeneracy pattern is
+    and every distance, must clear the slack; the distances sum to at most
+    one, which is harmless because the degeneracy pattern is
     scale-invariant, and which bounds the slack, since every distance must
-    clear it.  Returns an exact witness when the optimum slack is
-    positive, None otherwise.  Raises InconsistentAssignment when the
-    equality system itself admits no normalized solution.
+    clear it.  A positive optimum is reached with the sum at exactly one,
+    or scaling the distances up would raise it.  Returns an exact witness
+    when the optimum slack is positive, None otherwise.
     """
     n = h.n
     middles = a.chosen_middles()
@@ -283,41 +283,24 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
         for p, s in placement(edge, middles[edge]):
             row[p] = s
         eq_rows.append(row)
-    eq_rows.append([1] * nvars)
-    solved = solve_linear_system(eq_rows, [0] * len(middles) + [1])
-    if solved is None:
-        raise InconsistentAssignment(
-            "the middle equalities admit no normalized distance solution"
-        )
-    x0, nullspace = solved
-    # Substitute d = x0 + N y, N's columns being integer vectors, and
-    # maximize eps subject to a.(x0 + N y) >= eps over y >= 0 (the slack is
-    # split into +/- parts).  Asking y >= 0 changes no optimal slack: x0 is
-    # 0 in each free column and exactly one vector of N is nonzero there,
-    # and positive, so each free distance is a positive multiple of one
-    # y_i, and its row d >= eps makes that y_i positive whenever eps is.
-    # Every row is multiplied by the common denominator of x0, which makes
-    # it integral and gives eps the same coefficient in every row, as
-    # max_slack requires.
-    scale = lcm(*(v.denominator for v in x0))
-    x0_int = [v.numerator * (scale // v.denominator) for v in x0]
+    nullspace = solve_linear_system(eq_rows, nvars)
+    # Substitute d = N y, N's columns being integer vectors, and maximize t
+    # subject to a.N y >= t over y >= 0 and sum(N y) <= 1.  Asking y >= 0
+    # changes no optimal slack: exactly one vector of N is nonzero in each
+    # free column, and positive, so each free distance is a positive
+    # multiple of one y_i, and its row d >= t makes that y_i positive
+    # whenever t is.
     strict = [placement(triple, m) for triple in complement(h).edge_list() for m in triple]
     strict += [((p, 1),) for p in range(nvars)]
-    ge_rows = []
-    ge_rhs = []
-    for terms in strict:
-        ge = [scale * sum(s * vec[p] for p, s in terms) for vec in nullspace]
-        ge.extend((-scale, scale))
-        ge_rows.append(ge)
-        ge_rhs.append(-sum(s * x0_int[p] for p, s in terms))
-    eps, x = max_slack(ge_rows, ge_rhs)
-    if eps <= 0:
-        return None
-    y = x[: len(nullspace)]
-    dvals = [
-        x0[p] + sum(vec[p] * yi for vec, yi in zip(nullspace, y))
-        for p in range(nvars)
+    ge_rows = [
+        [sum(s * vec[p] for p, s in terms) for vec in nullspace] + [-1] for terms in strict
     ]
+    ge_rows.append([-sum(vec) for vec in nullspace] + [0])
+    t, x = max_slack(ge_rows, [0] * len(strict) + [-1])
+    if t <= 0:
+        return None
+    y = x[:-1]
+    dvals = [sum(vec[p] * yi for vec, yi in zip(nullspace, y)) for p in range(nvars)]
     rows = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), p in pidx.items():
         rows[i][j] = rows[j][i] = dvals[p]
@@ -371,10 +354,7 @@ def is_metric_hypergraph(
         while i < len(bases) and TRUE in state[bases[i] : bases[i] + 3]:
             i += 1
         if i == len(bases):
-            try:
-                return lp_max_slack(a, h)
-            except InconsistentAssignment:
-                return None
+            return lp_max_slack(a, h)
         base = bases[i]
         for s in range(base, base + 3):
             if state[s] == FALSE:

@@ -1,33 +1,26 @@
 """Exact slack maximization by integer pivoting.
 
 `max_slack` solves the one linear program the realizability search asks:
-maximize a free slack t subject to rows a.y - c*t >= b over y >= 0.  Since
-t is free, one pivot on t reaches a feasible basis, and a dense tableau
-simplex with Bland's rule takes it from there: the pivot choice is the
-lowest-index improving column and, on ratio ties, the row whose basic
-variable has the lowest index, which rules out cycling.  The tableau holds
-Python ints over one common positive denominator D, the absolute
-determinant of the current basis.  A pivot on entry p updates every other
-row by x <- (x*p - f*y) // D and then sets D <- p; the division is exact
+maximize a slack t subject to rows a.x >= b over x >= 0, with every b <= 0.
+So x = 0 is feasible, and a dense tableau simplex with Bland's rule starts
+there with no phase 1: the pivot choice is the lowest-index improving
+column and, on ratio ties, the row whose basic variable has the lowest
+index, which rules out cycling.  The tableau holds Python ints over one
+common positive denominator D, the absolute determinant of the current
+basis.  A pivot on entry p updates every other row by
+x <- (x*p - f*y) // D and then sets D <- p; the division is exact
 (Edmonds 1967; Bareiss 1968), so every sign and ratio decision is exact and
 no gcd is ever taken.  The intended problems are small (tens to a hundred
 rows).
 
-Also provides fraction-free Gauss-Jordan elimination for presolving
-equality systems down to a particular solution plus an integer nullspace
-basis.
+Also provides fraction-free Gauss-Jordan elimination for presolving a
+homogeneous equality system down to an integer nullspace basis.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InternalConsistencyError
-
-
-def _as_ints(rows):
-    """Scale rows of ints or Fractions by one positive integer to ints."""
-    scale = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
 
 
 def _pivot(rows, d, r, c, z=None):
@@ -58,17 +51,15 @@ def _pivot(rows, d, r, c, z=None):
     return p
 
 
-def solve_linear_system(rows, rhs):
-    """Solve A x = b exactly by fraction-free Gauss-Jordan elimination.
+def solve_linear_system(rows, ncols):
+    """Solve rows.x = 0 by fraction-free Gauss-Jordan elimination.
 
-    Returns (particular_solution, nullspace_basis) or None when the system
-    is inconsistent.  The particular solution is a list of Fractions; the
-    nullspace basis has one primitive integer vector per free column,
-    positive in that column.
+    The rows are ints over ncols unknowns.  Returns the integer nullspace basis: one primitive
+    vector per free column, positive in that column and 0 in every other
+    free column.
     """
-    a = _as_ints([list(row) + [b] for row, b in zip(rows, rhs)])
+    a = [list(row) for row in rows]
     m = len(a)
-    ncols = len(rows[0]) if m else 0
     d = 1
     pivot_of_col: dict[int, int] = {}
     prow = 0
@@ -82,11 +73,6 @@ def solve_linear_system(rows, rhs):
         prow += 1
         if prow == m:
             break
-    if any(a[i][ncols] for i in range(prow, m)):
-        return None
-    particular = [Fraction(0)] * ncols
-    for col, row in pivot_of_col.items():
-        particular[col] = Fraction(a[row][ncols], d)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivot_of_col):
         v = [0] * ncols
@@ -95,7 +81,7 @@ def solve_linear_system(rows, rhs):
             v[col] = -a[row][fc]
         g = gcd(*v)
         basis.append([x // g for x in v])
-    return particular, basis
+    return basis
 
 
 def _bland(tab, d, basis, z):
@@ -126,20 +112,16 @@ def _bland(tab, d, basis, z):
 
 
 def max_slack(rows, rhs):
-    """Maximize t = x[-2] - x[-1] subject to rows.x >= rhs and x >= 0.
+    """Maximize t = x[-1] subject to rows.x >= rhs and x >= 0.
 
-    The rows are ints, and each one ends in -c, c for one common c > 0, so
-    it reads a.y - c*t >= b with the slack t free.  Returns (t, x) as
-    Fractions.  Every slack column starts basic; if some b is positive, one
-    pivot brings t's negative part into the row with the largest b (the
-    lowest such row on ties), which makes every right side nonnegative, and
-    Bland's rule runs from that feasible start.  An unbounded t raises
-    InternalConsistencyError: the realizability program bounds it.
+    The rows and right sides are ints, and every right side is <= 0, so
+    Bland's rule starts from the all-slack basis at x = 0.  Returns (t, x)
+    as Fractions.  A positive right side raises ValueError; an unbounded t
+    raises InternalConsistencyError: the realizability program bounds it.
     """
+    if any(b > 0 for b in rhs):
+        raise ValueError("every right side must be <= 0, so that x = 0 is feasible")
     nvars = len(rows[0])
-    c = rows[0][-1]
-    if c <= 0 or any(row[-2] != -c or row[-1] != c for row in rows):
-        raise ValueError("every row must end in -c, c for one common c > 0")
     m = len(rows)
     # a.x >= b becomes -a.x + slack = -b, slack nvars + i basic in row i.
     tab = [[-v for v in row] + [0] * m + [-b] for row, b in zip(rows, rhs)]
@@ -147,15 +129,10 @@ def max_slack(rows, rhs):
         row[nvars + i] = 1
     basis = [nvars + i for i in range(m)]
     z = [0] * (nvars + m + 1)
-    z[nvars - 2], z[nvars - 1] = -1, 1  # minimize -t
-    d = 1
-    top = max(range(m), key=lambda i: (rhs[i], -i))
-    if rhs[top] > 0:
-        d = _pivot(tab, d, top, nvars - 1, z)
-        basis[top] = nvars - 1
-    d = _bland(tab, d, basis, z)
+    z[nvars - 1] = -1  # minimize -t
+    d = _bland(tab, 1, basis, z)
     x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
             x[b] = Fraction(tab[i][-1], d)
-    return x[-2] - x[-1], tuple(x)
+    return x[-1], tuple(x)

@@ -210,6 +210,26 @@ def test_gen_line_coordinate_outside_the_grammar_exits_2(capsys, monkeypatch, co
     assert err.startswith("error: cannot parse rational")
 
 
+@pytest.mark.parametrize(
+    "params, usage",
+    [
+        (["star", "\uff17"], "star N"),
+        (["star", "1_0"], "star N"),
+        (["theta", "+6"], "theta N"),
+        (["star", "5", "9"], "star N"),
+        (["cycle4", "3"], "cycle4"),
+        (["line"], "line C1 C2 ..."),
+        (["theta"], "theta N"),
+        (["random", "5"], "random N SEED"),
+        (["random", "5", "-1"], "random N SEED"),
+    ],
+)
+def test_gen_arguments_outside_the_usage_exit_2(capsys, monkeypatch, params, usage):
+    code, out, err = run_cli(capsys, monkeypatch, ["gen", *params])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: usage: gen {usage}")
+
+
 def test_unknown_generator_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["gen", "pentagon"])
     assert code == 2

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from linesat import io
-from linesat.errors import CeilingExceeded, InconsistentAssignment
+from linesat.errors import CeilingExceeded
 from linesat.hypergraph import (
     UniformHypergraph,
     complete_hypergraph,
@@ -39,10 +39,7 @@ def brute_force_witness(h):
     edges = h.edge_list()
     for choice in product(*edges):
         a = MiddleAssignment(h, dict(zip(edges, choice)))
-        try:
-            witness = lp_max_slack(a, h)
-        except InconsistentAssignment:
-            continue
+        witness = lp_max_slack(a, h)
         if witness is not None:
             return witness
     return None
@@ -121,10 +118,7 @@ def test_contradiction_dooms_every_completion():
         total = dict(partial)
         total[(1, 2, 3)] = third
         b = MiddleAssignment(h, total)
-        try:
-            assert lp_max_slack(b, h) is None
-        except InconsistentAssignment:
-            pass
+        assert lp_max_slack(b, h) is None
 
 
 def test_contradiction_soundness_on_five_points():
@@ -143,10 +137,7 @@ def test_contradiction_soundness_on_five_points():
             total[free_edges[0]] = m1
             total[free_edges[1]] = m2
             b = MiddleAssignment(h, total)
-            try:
-                assert lp_max_slack(b, h) is None
-            except InconsistentAssignment:
-                pass
+            assert lp_max_slack(b, h) is None
 
 
 def _naive_closure(n, edges, middles):
@@ -575,3 +566,82 @@ def test_witnesses_reach_the_optimal_slack():
         for e in minimal_nonmetric_audit().deletions
     ]
     assert slacks == [Fraction(1, k) for k in (18, 18, 18, 20, 20, 20)]
+
+
+def _surviving_total_assignments(h):
+    """Every total middle assignment of h that survives propagation."""
+    edges = h.edge_list()
+    out = []
+
+    def walk(a, i):
+        if i == len(edges):
+            out.append(a)
+            return
+        for m in edges[i]:
+            b = a.clone()
+            b.choose(edges[i], m)
+            if propagate(b):
+                walk(b, i + 1)
+
+    root = MiddleAssignment(h)
+    if propagate(root):
+        walk(root, 0)
+    return out
+
+
+def _float_max_slack(linprog, h, middles):
+    """The slack program with sum(d) = 1, over the C(n, 2) distances in
+    floats: edge equalities, distances summing to exactly one, and every
+    non-edge placement and every distance at least t.  None when the
+    equalities admit no such distances."""
+    pairs = list(combinations(range(h.n), 2))
+    nvars = len(pairs)
+
+    def row(triple, m):
+        lo, hi = (x for x in triple if x != m)
+        out = [0.0] * (nvars + 1)
+        out[pairs.index(tuple(sorted((lo, m))))] += 1
+        out[pairs.index(tuple(sorted((m, hi))))] += 1
+        out[pairs.index((lo, hi))] -= 1
+        return out
+
+    eq = [row(e, m) for e, m in middles.items()] + [[1.0] * nvars + [0.0]]
+    ge = [row(t, m) for t in combinations(range(h.n), 3) if not h.has_edge(t) for m in t]
+    ge += [[float(j == p) for j in range(nvars)] + [0.0] for p in range(nvars)]
+    for r in ge:
+        r[-1] = -1.0  # a.d - t >= 0
+    res = linprog(
+        [0.0] * nvars + [-1.0],
+        A_ub=[[-v for v in r] for r in ge],
+        b_ub=[0.0] * len(ge),
+        A_eq=eq,
+        b_eq=[0.0] * len(middles) + [1.0],
+        bounds=(None, None),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0
+    return -res.fun
+
+
+def test_slack_program_matches_floating_oracle():
+    # lp_max_slack bounds sum(d) by one instead of fixing it; a witness
+    # must exist exactly when the fixed-sum program has a positive optimum,
+    # and clear that optimum.  Five points are not enough: on every
+    # 5-point hypergraph each total assignment surviving propagation is
+    # realizable, so the refuted kind needs six.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random(3)
+    kinds = {True: 0, False: 0}
+    for _ in range(28):
+        edges = [t for t in combinations(range(6), 3) if rng.random() < 0.7]
+        h = UniformHypergraph.from_edges(6, 3, edges)
+        for a in _surviving_total_assignments(h):
+            witness = lp_max_slack(a, h)
+            opt = _float_max_slack(linprog, h, a.chosen_middles())
+            assert (witness is not None) == (opt is not None and opt > 1e-9)
+            if witness is not None:
+                assert abs(float(_cleared_slack(witness, h)) - opt) < 1e-7
+            kinds[witness is not None] += 1
+    assert min(kinds.values()) >= 30
