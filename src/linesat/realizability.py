@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import CeilingExceeded, InternalConsistencyError
 from .hypergraph import (
@@ -259,7 +259,10 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     scale-invariant, and which bounds the slack, since every distance must
     clear it.  A positive optimum is reached with the sum at exactly one,
     or scaling the distances up would raise it.  Returns an exact witness
-    when the optimum slack is positive, None otherwise.
+    when the optimum slack is positive, None otherwise: at once, without
+    the simplex, when the equalities zero out a strict row.  The witness's
+    distances are summed as integers over the common denominator of the
+    nullspace coordinates.
     """
     n = h.n
     middles = a.chosen_middles()
@@ -295,15 +298,20 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     ge_rows = [
         [sum(s * vec[p] for p, s in terms) for vec in nullspace] + [-1] for terms in strict
     ]
+    # a strict row the equalities zero out reads 0 >= t
+    if any(not any(row[:-1]) for row in ge_rows):
+        return None
     ge_rows.append([-sum(vec) for vec in nullspace] + [0])
     t, x = max_slack(ge_rows, [0] * len(strict) + [-1])
     if t <= 0:
         return None
-    y = x[:-1]
-    dvals = [sum(vec[p] * yi for vec, yi in zip(nullspace, y)) for p in range(nvars)]
+    # the y's are ints over a common denominator, so sum their numerators
+    den = lcm(*(yi.denominator for yi in x[:-1]))
+    y = [yi.numerator * (den // yi.denominator) for yi in x[:-1]]
     rows = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), p in pidx.items():
-        rows[i][j] = rows[j][i] = dvals[p]
+        dist = Fraction(sum(vec[p] * yi for vec, yi in zip(nullspace, y)), den)
+        rows[i][j] = rows[j][i] = dist
     witness = DistanceMatrix(n, tuple(tuple(row) for row in rows))
     validate_metric(witness)
     if degenerate_hypergraph(witness).edges != h.edges:

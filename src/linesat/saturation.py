@@ -25,6 +25,7 @@ at the last level differ in one rank, so their counts are the prefix
 family's, computed once, moved by one on the k-subsets containing that rank.
 """
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -242,7 +243,11 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
     ranks are scanned in process first; if none hits, each pool chunk takes
     every (4 jobs)-th further largest rank and the answer is the least
     index over the chunks' hits, so it does not depend on scheduling.
+    More jobs than CPUs are refused before any process starts.
     """
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        raise OutOfRange(f"jobs {jobs} exceeds the {cpus} CPUs")
     n_ranks = comb(n, r)
     if not 0 <= size <= n_ranks:
         raise OutOfRange(f"size {size} outside [0, C({n},{r})]")

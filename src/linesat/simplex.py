@@ -2,16 +2,19 @@
 
 `max_slack` solves the one linear program the realizability search asks:
 maximize a slack t subject to rows a.x >= b over x >= 0, with every b <= 0.
-So x = 0 is feasible, and a dense tableau simplex with Bland's rule starts
-there with no phase 1: the pivot choice is the lowest-index improving
-column and, on ratio ties, the row whose basic variable has the lowest
-index, which rules out cycling.  The tableau holds Python ints over one
-common positive denominator D, the absolute determinant of the current
-basis.  A pivot on entry p updates every other row by
+So x = 0 is feasible, and a simplex with Bland's rule starts there with no
+phase 1: the least-index improving variable enters and, on ratio ties, the
+row whose basic variable has the least index leaves, which rules out
+cycling.  It pivots a compact dictionary, as lrs does (Avis 2000): one row
+per constraint over the nonbasic variables only, so the identity columns
+of the basic slacks are never stored or updated.  The entries are Python
+ints over one common positive denominator D, the absolute determinant of
+the current basis.  A pivot on entry p updates every other row by
 x <- (x*p - f*y) // D and then sets D <- p; the division is exact
 (Edmonds 1967; Bareiss 1968), so every sign and ratio decision is exact and
-no gcd is ever taken.  The intended problems are small (tens to a hundred
-rows).
+no gcd is ever taken.  Every entry equals the dense tableau's, so the pivot
+path is the one a dense tableau takes.  The intended problems are small
+(tens to a hundred rows).
 
 Also provides fraction-free Gauss-Jordan elimination for presolving a
 homogeneous equality system down to an integer nullspace basis.
@@ -23,8 +26,8 @@ from math import gcd
 from .errors import InternalConsistencyError
 
 
-def _pivot(rows, d, r, c, z=None):
-    """Pivot rows (and the cost row z) on entry (r, c) over denominator d.
+def _pivot(rows, d, r, c):
+    """Pivot rows on entry (r, c) over denominator d.
 
     Keeps the denominator positive by negating the pivot row when the
     pivot is negative; returns the new denominator.
@@ -46,8 +49,6 @@ def _pivot(rows, d, r, c, z=None):
     for i, row in enumerate(rows):
         if i != r:
             rows[i] = combine(row)
-    if z is not None:
-        z[:] = combine(z)
     return p
 
 
@@ -84,31 +85,36 @@ def solve_linear_system(rows, ncols):
     return basis
 
 
-def _bland(tab, d, basis, z):
-    """Minimize over the current basic feasible tableau in place.
+def _exchange(tab, z, basis, nonbasic, d, r, q):
+    """Pivot the dictionary on (r, q) over denominator d: nonbasic[q]
+    enters in row r, basis[r] leaves and takes over column q.
 
-    Each row ends in its right-hand side; z holds the reduced costs scaled
-    by d, and basis holds the column index of each row's basic variable.
-    Returns the final denominator.
+    The pivot p = tab[r][q] is positive.  Every other row and the cost
+    row z become (x*p - f*y) // d, f being their entry q, which then holds
+    -f, the leaving variable's column; row r keeps its entries, with d in
+    column q.  Returns p, the new denominator.
     """
-    while True:
-        enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
-        if enter is None:
-            return d
-        leave = None
-        for i, row in enumerate(tab):
-            coeff = row[enter]
-            if coeff > 0:
-                if leave is None:
-                    leave, num, den = i, row[-1], coeff
-                    continue
-                lhs, rhs = row[-1] * den, num * coeff
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, row[-1], coeff
-        if leave is None:
-            raise InternalConsistencyError("the slack program is unbounded")
-        d = _pivot(tab, d, leave, enter, z)
-        basis[leave] = enter
+    prow = tab[r]
+    p = prow[q]
+
+    def combine(row):
+        f = row[q]
+        if f == 0 and p == d:
+            return row
+        if d == 1:
+            row = [x * p - f * y for x, y in zip(row, prow)]
+        else:
+            row = [(x * p - f * y) // d for x, y in zip(row, prow)]
+        row[q] = -f
+        return row
+
+    for i, row in enumerate(tab):
+        if i != r:
+            tab[i] = combine(row)
+    z[:] = combine(z)
+    prow[q] = d
+    basis[r], nonbasic[q] = nonbasic[q], basis[r]
+    return p
 
 
 def max_slack(rows, rhs):
@@ -118,19 +124,44 @@ def max_slack(rows, rhs):
     Bland's rule starts from the all-slack basis at x = 0.  Returns (t, x)
     as Fractions.  A positive right side raises ValueError; an unbounded t
     raises InternalConsistencyError: the realizability program bounds it.
+
+    Variable j < nvars is x[j] and nvars + i is row i's slack.  The
+    dictionary holds one row per constraint, basis[i] being its basic
+    variable, over the nonbasic variables nonbasic[q] and a last
+    right-hand-side entry; z holds their reduced costs for minimizing -t,
+    the nonbasic slacks' among them.  All are ints over the denominator d,
+    equal to the dense tableau [-A | I | -b]'s entries in those columns.
     """
     if any(b > 0 for b in rhs):
         raise ValueError("every right side must be <= 0, so that x = 0 is feasible")
     nvars = len(rows[0])
     m = len(rows)
     # a.x >= b becomes -a.x + slack = -b, slack nvars + i basic in row i.
-    tab = [[-v for v in row] + [0] * m + [-b] for row, b in zip(rows, rhs)]
-    for i, row in enumerate(tab):
-        row[nvars + i] = 1
-    basis = [nvars + i for i in range(m)]
-    z = [0] * (nvars + m + 1)
+    tab = [[-v for v in row] + [-b] for row, b in zip(rows, rhs)]
+    basis = list(range(nvars, nvars + m))
+    nonbasic = list(range(nvars))
+    z = [0] * (nvars + 1)
     z[nvars - 1] = -1  # minimize -t
-    d = _bland(tab, 1, basis, z)
+    d = 1
+    while True:
+        # Bland's rule goes by variable index, not by column position
+        enter = min((v for v, c in zip(nonbasic, z) if c < 0), default=None)
+        if enter is None:
+            break
+        q = nonbasic.index(enter)
+        leave = None
+        for i, row in enumerate(tab):
+            coeff = row[q]
+            if coeff > 0:
+                if leave is None:
+                    leave, num, den = i, row[-1], coeff
+                    continue
+                here, best = row[-1] * den, num * coeff
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], coeff
+        if leave is None:
+            raise InternalConsistencyError("the slack program is unbounded")
+        d = _exchange(tab, z, basis, nonbasic, d, leave, q)
     x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:

@@ -173,6 +173,19 @@ def test_sweep_min_sat(capsys, monkeypatch):
     assert out.strip().endswith("19")
 
 
+def test_sweep_min_sat_refuses_jobs_beyond_the_cpus(capsys, monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["sweep", "min-sat", "--n", "7", "--jobs", "5000"]
+    )
+    assert code == 2 and out == "" and "jobs 5000" in err
+
+
 def test_sweep_menger(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["sweep", "menger", "--count", "30", "--n-max", "6"]

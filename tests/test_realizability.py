@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from linesat import io
+from linesat import io, realizability
 from linesat.errors import CeilingExceeded
 from linesat.hypergraph import (
     UniformHypergraph,
@@ -377,6 +377,31 @@ def test_verdict_bytes_are_pinned():
     assert digest.hexdigest() == (
         "f477dcdd1053bfea4cd3e10b3cf91f407ef7fa2f9291f937de76d604e5631347"
     )
+
+
+def test_zero_row_refutes_without_the_simplex(monkeypatch):
+    # The one total assignment surviving propagation here has middles
+    # whose equalities pin a strict row to 0, which reads 0 >= t: the
+    # assignment is refuted before any simplex, and the verdict and branch
+    # count are those the simplex gave.
+    h = UniformHypergraph.from_edges(6, 3, [
+        (0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5), (1, 2, 3),
+        (1, 2, 4), (1, 2, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (3, 4, 5),
+    ])
+    lp_calls = []
+
+    def counted(a, g):
+        lp_calls.append(a)
+        return lp_max_slack(a, g)
+
+    def refuse(rows, rhs):
+        raise AssertionError("the simplex ran on a zero-row program")
+
+    monkeypatch.setattr(realizability, "lp_max_slack", counted)
+    monkeypatch.setattr(realizability, "max_slack", refuse)
+    verdict = is_metric_hypergraph(h)
+    assert (verdict.status, verdict.explored) == ("non-metric", 3)
+    assert len(lp_calls) == 1
 
 
 def test_verdict_deterministic():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesat.errors import BudgetExceeded, InvalidK
+from linesat.errors import BudgetExceeded, InvalidK, OutOfRange
 from linesat.hypergraph import (
     DEFAULT_BUDGET,
     UniformHypergraph,
@@ -519,3 +519,18 @@ def test_closure_on_twelve_vertices_under_a_second():
     start = time.perf_counter()
     weak_saturation_closure(h, 6)
     assert time.perf_counter() - start < 1.0
+
+
+def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch):
+    # a huge --jobs must not reach Pool(jobs), which would try to start
+    # that many processes; the patched Pool fails if it is reached
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(OutOfRange):
+        exhaustive_size_check(8, 3, 6, 52, jobs=10**9)
+    with pytest.raises(OutOfRange):
+        min_saturation_search(7, 3, 6, jobs=10**9)

@@ -1,20 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
-from linesat import simplex
+from linesat import realizability, simplex
 from linesat.errors import InternalConsistencyError
+from linesat.hypergraph import UniformHypergraph
+from linesat.metric import DistanceMatrix, degenerate_hypergraph
 from linesat.simplex import max_slack, solve_linear_system
 
-scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
-
-def scipy_max_slack(rows, rhs):
+def scipy_max_slack(linprog, rows, rhs):
     """Floating-point oracle for max x[-1], rows.x >= rhs, x >= 0."""
     cost = [0.0] * (len(rows[0]) - 1) + [-1.0]
-    res = scipy_linprog(
+    res = linprog(
         cost,
         A_ub=[[-float(v) for v in row] for row in rows],
         b_ub=[-float(b) for b in rhs],
@@ -42,16 +43,49 @@ def fraction_rank(rows):
 
 
 def recorded_pivots(monkeypatch):
-    """Patch the pivot to log each (row, column) it is called with."""
-    real_pivot = simplex._pivot
+    """Patch the dictionary pivot to log each (entering, leaving) variable."""
+    real_exchange = simplex._exchange
     calls = []
 
-    def recording(rows, d, r, c, z=None):
-        calls.append((r, c))
-        return real_pivot(rows, d, r, c, z)
+    def recording(tab, z, basis, nonbasic, d, r, q):
+        calls.append((nonbasic[q], basis[r]))
+        return real_exchange(tab, z, basis, nonbasic, d, r, q)
 
-    monkeypatch.setattr(simplex, "_pivot", recording)
+    monkeypatch.setattr(simplex, "_exchange", recording)
     return calls
+
+
+def full_tableau_max_slack(rows, rhs):
+    """The dense simplex that the compact dictionary replaced, kept as the
+    reference for its pivot path: the tableau [-A | I | -b] over one
+    denominator, Bland's rule by column.  Returns (t, x) and the
+    (entering, leaving) variable of each pivot."""
+    nvars, m = len(rows[0]), len(rows)
+    tab = [[-v for v in row] + [int(i == k) for k in range(m)] + [-b]
+           for i, (row, b) in enumerate(zip(rows, rhs))]
+    basis = [nvars + i for i in range(m)]
+    z = [0] * (nvars + m + 1)
+    z[nvars - 1] = -1
+    d, path = 1, []
+    while True:
+        enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(Fraction(row[-1], row[enter]), basis[i], i)
+                  for i, row in enumerate(tab) if row[enter] > 0]
+        assert ratios, "unbounded"
+        r = min(ratios)[2]
+        path.append((enter, basis[r]))
+        prow, p = tab[r], tab[r][enter]
+        for row in tab[:r] + tab[r + 1:] + [z]:
+            f = row[enter]
+            row[:] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+        d, basis[r] = p, enter
+    x = [Fraction(0)] * nvars
+    for i, b in enumerate(basis):
+        if b < nvars:
+            x[b] = Fraction(tab[i][-1], d)
+    return (x[-1], tuple(x)), path
 
 
 # --- hand-solved slack programs ---------------------------------------------
@@ -99,12 +133,12 @@ def test_positive_rhs_is_rejected():
 
 
 def test_no_positive_rhs_starts_without_a_pivot(monkeypatch):
-    # the origin is feasible, so the first pivot is Bland's: t (column 2)
-    # is the only improving column
+    # the origin is feasible, so the first pivot is Bland's: t (variable 2)
+    # is the only improving variable
     calls = recorded_pivots(monkeypatch)
     rows = [[1, 0, -1], [0, 2, -1], [-1, -1, 0]]
     assert max_slack(rows, [0, 0, -1])[0] == Fraction(2, 3)
-    assert calls[0][1] == 2
+    assert calls[0][0] == 2
 
 
 def test_degenerate_ties_terminate():
@@ -123,16 +157,16 @@ def test_degenerate_ties_terminate():
 
 
 def test_tableau_holds_only_ints(monkeypatch):
-    real_pivot = simplex._pivot
+    real_exchange = simplex._exchange
     calls = []
 
-    def checked(rows, d, r, c, z=None):
+    def checked(tab, z, basis, nonbasic, d, r, q):
         assert type(d) is int and d > 0
-        assert all(type(v) is int for row in rows + [z or []] for v in row)
+        assert all(type(v) is int for row in tab + [z] for v in row)
         calls.append(d)
-        return real_pivot(rows, d, r, c, z)
+        return real_exchange(tab, z, basis, nonbasic, d, r, q)
 
-    monkeypatch.setattr(simplex, "_pivot", checked)
+    monkeypatch.setattr(simplex, "_exchange", checked)
     rows = [[3, -7, -2], [-5, 11, -2], [-1, -1, -2]]
     t, x = max_slack(rows, [-1, -2, -10**6])
     assert t == Fraction(11, 16) and len(calls) > 1
@@ -141,9 +175,9 @@ def test_tableau_holds_only_ints(monkeypatch):
 # --- randomized cross-check against scipy ------------------------------------------
 
 
-def test_random_problems_match_floating_oracle():
+def random_problems():
+    """90 seeded slack programs, (rows, rhs), with small and large entries."""
     rng = random.Random(2024)
-    optima = {True: 0, False: 0}
     for trial in range(90):
         big = trial % 3 == 1  # entries up to 10**6
         top = 10**6 if big else 3
@@ -160,8 +194,15 @@ def test_random_problems_match_floating_oracle():
         c = 0 if kind == 2 else rng.randint(1, top)
         rows.append([0 if kind == 0 else -1] * k + [-c])
         rhs.append(-rng.randint(1, top))
+        yield rows, rhs
+
+
+def test_random_problems_match_floating_oracle():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    optima = {True: 0, False: 0}
+    for rows, rhs in random_problems():
         t, x = max_slack(rows, rhs)
-        assert abs(float(t) - scipy_max_slack(rows, rhs)) < 1e-7
+        assert abs(float(t) - scipy_max_slack(linprog, rows, rhs)) < 1e-7
         # the exact solution must satisfy every constraint exactly
         assert t == x[-1]
         for row, b in zip(rows, rhs):
@@ -169,6 +210,88 @@ def test_random_problems_match_floating_oracle():
         assert all(v >= 0 for v in x)
         optima[t > 0] += 1
     assert min(optima.values()) >= 20  # zero and positive optima well covered
+
+
+# --- the compact dictionary follows the full tableau ---------------------------------
+
+# The sparse 7-point case of the realizability tests: the degenerate set of
+# a frozen random rational metric, whose one slack program has 99 rows.
+N7_EDGES = (
+    (0, 2, 3), (0, 2, 4), (0, 1, 5), (1, 2, 5), (1, 3, 6),
+    (2, 3, 6), (1, 4, 6), (2, 4, 6), (0, 5, 6),
+)
+
+
+def l1_degenerate_sets(rng, count):
+    """Degenerate sets with 17 edges of 6 distinct seeded points in the
+    L1 plane [0, 4]^2."""
+    out = []
+    while len(out) < count:
+        pts = []
+        while len(pts) < 6:
+            p = (rng.randint(0, 4), rng.randint(0, 4))
+            if p not in pts:
+                pts.append(p)
+        d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts] for p in pts]
+        h = degenerate_hypergraph(DistanceMatrix.from_rows(d))
+        if h.edge_count == 17:
+            out.append(h)
+    return out
+
+
+def recorded_programs(monkeypatch, hypergraphs):
+    """The (rows, rhs) of every slack program deciding the hypergraphs."""
+    real = realizability.max_slack
+    programs = []
+
+    def recording(rows, rhs):
+        programs.append(([list(row) for row in rows], list(rhs)))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(realizability, "max_slack", recording)
+    for h in hypergraphs:
+        realizability.is_metric_hypergraph(h, 7)
+    monkeypatch.undo()
+    return programs
+
+
+def assert_same_paths(monkeypatch, problems):
+    for rows, rhs in problems:
+        expected, path = full_tableau_max_slack(rows, rhs)
+        with monkeypatch.context() as patch:
+            calls = recorded_pivots(patch)
+            assert max_slack(rows, rhs) == expected
+        assert calls == path
+
+
+def test_compact_dictionary_follows_the_full_tableau_path(monkeypatch):
+    # Same (t, x) and the same (entering, leaving) variable at every pivot
+    # as the dense tableau, on the seeded problems and on every program
+    # the search solves for a seeded set of 6-point L1 degenerate sets.
+    assert_same_paths(monkeypatch, random_problems())
+    hypergraphs = [UniformHypergraph.from_edges(7, 3, N7_EDGES)]
+    hypergraphs += l1_degenerate_sets(random.Random(1), 60)
+    programs = recorded_programs(monkeypatch, hypergraphs)
+    assert len(programs) == 61
+    assert_same_paths(monkeypatch, programs)
+
+
+@pytest.mark.slow
+def test_compact_dictionary_follows_the_full_tableau_path_widely(monkeypatch):
+    # Three more L1 seeds and 150 random hypergraphs on 5 to 7 points,
+    # which bring refuted programs too.
+    hypergraphs = []
+    for seed in (2, 3, 77):
+        hypergraphs += l1_degenerate_sets(random.Random(seed), 60)
+    rng = random.Random(9)
+    for _ in range(150):
+        n = rng.choice((5, 6, 7))
+        p = rng.random()
+        edges = [t for t in combinations(range(n), 3) if rng.random() < p]
+        hypergraphs.append(UniformHypergraph.from_edges(n, 3, edges))
+    programs = recorded_programs(monkeypatch, hypergraphs)
+    assert any(max_slack(rows, rhs)[0] == 0 for rows, rhs in programs)
+    assert_same_paths(monkeypatch, programs)
 
 
 # --- exact nullspaces ---------------------------------------------------------------
