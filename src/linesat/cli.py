@@ -192,7 +192,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif kind == "cycle4":
         d = four_cycle_metric()
     elif kind == "line":
-        d = line_metric([formats._parse_rational(a) for a in params])
+        d = line_metric(formats._parse_rationals(params))
     else:
         d = random_rational_metric(int(params[0]), int(params[1]))
     dumps = formats.dumps_matrix_csv if args.fmt == "csv" else formats.dumps_matrix

@@ -6,7 +6,6 @@ closure certificates stable across vertex deletions.  Bitsets are plain
 Python ints, one bit per r-subset rank.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -67,19 +66,64 @@ def colex_combinations(n: int, r: int):
             yield rest + (top,)
 
 
-@dataclass(frozen=True)
-class UniformHypergraph:
+class Record:
+    """Immutable value record whose fields are its class's `__slots__`.
+
+    Built positionally, in `__slots__` order.  A record equals only a record
+    of the same type with equal fields, hashes its field tuple, refuses
+    assignment and pickles by its fields.  It is a plain class because the
+    standard library's record decorator loads `inspect`, `ast` and more
+    into every CLI run's start-up.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a record")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class UniformHypergraph(Record):
     """r-uniform hypergraph on vertices 0..n-1; edges as a bitset of ranks."""
 
+    __slots__ = ("n", "r", "edges")
     n: int
     r: int
     edges: int
 
-    def __post_init__(self):
-        if self.n < self.r:
-            raise OutOfRange(f"n={self.n} smaller than uniformity r={self.r}")
-        if not 0 <= self.edges < 1 << comb(self.n, self.r):
+    def __init__(self, n: int, r: int, edges: int):
+        if n < r:
+            raise OutOfRange(f"n={n} smaller than uniformity r={r}")
+        if not 0 <= edges < 1 << comb(n, r):
             raise OutOfRange("edge bitset wider than C(n, r)")
+        super().__init__(n, r, edges)
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges) -> "UniformHypergraph":

@@ -9,20 +9,22 @@ off.
 
 Writers take their objects ready-made, so only the matrix loaders and the
 certificate parser import the modules that define their objects, and only
-when called: parsing a hypergraph or a certificate never loads `metric`.
+when called: parsing a hypergraph or a certificate never loads `metric`,
+nor `fractions`, which only the rational parser imports.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import FormatError
 from .hypergraph import UniformHypergraph, check_budget
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .lines import LinearOrder
     from .metric import DistanceMatrix
     from .realizability import AuditReport, RealizabilityVerdict
@@ -56,21 +58,30 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _COUNT = re.compile(r"[0-9]+")
 
 
-def _parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise FormatError(f"boolean {value!r} is not a rational entry")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise FormatError(f"cannot parse rational {value!r}: expected an integer or 'p/q'")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"cannot parse rational {value!r}") from exc
-    raise FormatError(
-        f"entry {value!r} must be an integer or a 'p/q' string (floats are rejected)"
-    )
+def _parse_rationals(values) -> tuple[Fraction, ...]:
+    """Entries that are integers or "p/q" strings, as exact rationals."""
+    from fractions import Fraction  # here, so hypergraph-only commands skip it
+
+    out = []
+    for value in values:
+        if isinstance(value, bool):
+            raise FormatError(f"boolean {value!r} is not a rational entry")
+        if isinstance(value, int):
+            out.append(Fraction(value))
+        elif isinstance(value, str):
+            if not _RATIONAL.fullmatch(value):
+                raise FormatError(
+                    f"cannot parse rational {value!r}: expected an integer or 'p/q'"
+                )
+            try:
+                out.append(Fraction(value))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"cannot parse rational {value!r}") from exc
+        else:
+            raise FormatError(
+                f"entry {value!r} must be an integer or a 'p/q' string (floats are rejected)"
+            )
+    return tuple(out)
 
 
 def _emit_rational(value: Fraction):
@@ -104,7 +115,7 @@ def loads_matrix(text: str, validate: bool = True) -> DistanceMatrix:
         raise FormatError('"dist" must be an n-row matrix')
     if any(not isinstance(row, list) or len(row) != n for row in rows):
         raise FormatError('"dist" must be square')
-    return _matrix(n, (tuple(_parse_rational(x) for x in row) for row in rows), validate)
+    return _matrix(n, (_parse_rationals(row) for row in rows), validate)
 
 
 def dumps_matrix_csv(d: DistanceMatrix) -> str:
@@ -127,7 +138,7 @@ def loads_matrix_csv(text: str, validate: bool = True) -> DistanceMatrix:
         cells = line.split(",")
         if len(cells) != n:
             raise FormatError(f"row {line!r} does not have {n} entries")
-        rows.append(tuple(_parse_rational(cell) for cell in cells))
+        rows.append(_parse_rationals(cells))
     return _matrix(n, rows, validate)
 
 

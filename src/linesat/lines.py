@@ -9,15 +9,13 @@ degeneracy forces such an order in every metric) through weak saturation
 at clique size six.
 """
 
-from dataclasses import dataclass
-
 from .errors import NotAPermutation, SizeMismatch, TooFewVertices
-from .hypergraph import UniformHypergraph
+from .hypergraph import Record, UniformHypergraph
 from .metric import DistanceMatrix, betweenness, middle_of
 
 
-@dataclass(frozen=True)
-class LinearOrder:
+class LinearOrder(Record):
+    __slots__ = ("order",)
     order: tuple[int, ...]
 
     def reversed(self) -> "LinearOrder":

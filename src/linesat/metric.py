@@ -8,7 +8,6 @@ destroy.  Points are 0-based integer indices.
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -26,17 +25,17 @@ from .errors import (
     TooFewVertices,
     TriangleViolation,
 )
-from .hypergraph import UniformHypergraph, check_budget
+from .hypergraph import Record, UniformHypergraph, check_budget
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(Record):
     """Symmetric matrix of exact rational distances on n labeled points.
 
     The container itself only guarantees shape; run :func:`validate_metric`
     to enforce the metric axioms.
     """
 
+    __slots__ = ("n", "d")
     n: int
     d: tuple[tuple[Fraction, ...], ...]
 
@@ -52,10 +51,10 @@ class DistanceMatrix:
         return self.d[i][j]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph; edges stored as (u, v) pairs with u < v."""
 
+    __slots__ = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 

@@ -13,7 +13,6 @@ positive slack exactly when a metric with the required degeneracy pattern
 exists, because the pattern is scale-invariant.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -22,6 +21,7 @@ from math import comb, lcm
 from .errors import CeilingExceeded, InternalConsistencyError
 from .hypergraph import (
     DEFAULT_CEILING,
+    Record,
     UniformHypergraph,
     complement,
     delete_vertex,
@@ -243,8 +243,8 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
+class RealizabilityVerdict(Record):
+    __slots__ = ("status", "witness", "explored")
     status: str  # "metric" | "non-metric"
     witness: DistanceMatrix | None
     explored: int
@@ -382,17 +382,17 @@ def is_metric_hypergraph(
     return RealizabilityVerdict(status, witness, explored)
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(Record):
+    __slots__ = ("deleted_vertex", "edge_count", "verdict")
     deleted_vertex: int | None
     edge_count: int
     verdict: RealizabilityVerdict
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Realizability of the canonical 19-edge hypergraph and its deletions."""
 
+    __slots__ = ("root", "deletions")
     root: AuditEntry
     deletions: tuple[AuditEntry, ...]
 

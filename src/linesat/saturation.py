@@ -26,7 +26,6 @@ family's, computed once, moved by one on the k-subsets containing that rank.
 """
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -34,6 +33,7 @@ from math import comb
 from .errors import BudgetExceeded, InvalidK, OutOfRange
 from .hypergraph import (
     DEFAULT_BUDGET,
+    Record,
     UniformHypergraph,
     check_budget,
     full_edge_mask,
@@ -43,21 +43,21 @@ from .hypergraph import (
 )
 
 
-@dataclass(frozen=True)
-class ClosureCertificate:
+class ClosureCertificate(Record):
     """Replayable trace of a closure run.
 
     Each step pairs the added r-subset T with the witnessing k-subset S that
     contained every other r-subset of itself at that moment.
     """
 
+    __slots__ = ("base", "k", "steps")
     base: UniformHypergraph
     k: int
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(Record):
+    __slots__ = ("closure", "certificate")
     closure: UniformHypergraph
     certificate: ClosureCertificate
 
@@ -243,11 +243,11 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
     ranks are scanned in process first; if none hits, each pool chunk takes
     every (4 jobs)-th further largest rank and the answer is the least
     index over the chunks' hits, so it does not depend on scheduling.
-    More jobs than CPUs are refused before any process starts.
+    A job count below 1 or above the CPU count is refused before any scan.
     """
     cpus = os.cpu_count() or 1
-    if jobs > cpus:
-        raise OutOfRange(f"jobs {jobs} exceeds the {cpus} CPUs")
+    if not 1 <= jobs <= cpus:
+        raise OutOfRange(f"jobs {jobs} outside 1..{cpus}, the CPU count")
     n_ranks = comb(n, r)
     if not 0 <= size <= n_ranks:
         raise OutOfRange(f"size {size} outside [0, C({n},{r})]")
@@ -257,7 +257,7 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
     if count > budget:
         raise BudgetExceeded(count, budget)
     tops = range(c - 1, n_ranks)
-    if jobs <= 1 or count < 4 * jobs:
+    if jobs == 1 or count < 4 * jobs:
         return _scan_tops((n, r, k, c, by_complement, tops, want_saturated))
     # Early answers cost less than starting a pool, so the leading tops are
     # scanned here first: as many as hold at most 1/(4 jobs)**2 of the

@@ -186,6 +186,14 @@ def test_sweep_min_sat_refuses_jobs_beyond_the_cpus(capsys, monkeypatch):
     assert code == 2 and out == "" and "jobs 5000" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_min_sat_refuses_jobs_below_one(capsys, monkeypatch, jobs):
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["sweep", "min-sat", "--n", "5", "--jobs", jobs]
+    )
+    assert code == 2 and out == "" and f"jobs {jobs}" in err
+
+
 def test_sweep_menger(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["sweep", "menger", "--count", "30", "--n-max", "6"]
@@ -304,6 +312,31 @@ def test_cli_import_loads_no_engine():
     )
     assert done.returncode == 0
     assert done.stdout == "['linesat', 'linesat.cli', 'linesat.errors']\n"
+
+
+def _new_modules(code):
+    """Modules a fresh child loads by running `code`, beyond a bare child's."""
+    listing = "import sys; print(*sorted(sys.modules))"
+    bare = _fresh_python(listing)
+    done = _fresh_python(f"{code}; {listing}")
+    assert bare.returncode == 0 and done.returncode == 0
+    return set(done.stdout.split()) - set(bare.stdout.split())
+
+
+def test_no_module_imports_dataclasses():
+    # each record is a plain `Record` subclass; the decorator would load
+    # inspect, ast and dis into every CLI run
+    new = _new_modules(
+        "import linesat.cli, linesat.io, linesat.metric, linesat.saturation, "
+        "linesat.lines, linesat.realizability, linesat.simplex"
+    )
+    assert "linesat.simplex" in new and "dataclasses" not in new
+
+
+def test_hypergraph_only_modules_leave_out_fractions():
+    # `close`, `saturated` and `verify-cert` parse no rational entry
+    new = _new_modules("import linesat.io, linesat.saturation")
+    assert "linesat.saturation" in new and "fractions" not in new
 
 
 # what `close` writes for star7, the input of the `verify-cert` row below

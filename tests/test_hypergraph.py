@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -17,7 +18,10 @@ from linesat.hypergraph import (
     star_construction,
     unrank,
 )
-from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
+from linesat.lines import LinearOrder
+from linesat.metric import DistanceMatrix, Graph, degenerate_hypergraph, graph_metric, theta_graph
+from linesat.realizability import RealizabilityVerdict, is_metric_hypergraph
+from linesat.saturation import weak_saturation_closure
 
 
 # --- colex ranking ------------------------------------------------------------
@@ -134,6 +138,69 @@ def test_delete_vertex_relabels():
     h = UniformHypergraph.from_edges(5, 3, [(0, 1, 4), (1, 2, 3), (2, 3, 4)])
     assert delete_vertex(h, 1).edge_list() == [(1, 2, 3)]
     assert delete_vertex(h, 0).edge_list() == [(0, 1, 2), (1, 2, 3)]
+
+
+# --- value records ------------------------------------------------------------------
+
+
+def test_records_equal_only_records_of_their_type():
+    h = UniformHypergraph(5, 3, 7)
+    assert h == UniformHypergraph(5, 3, 7) and h != UniformHypergraph(5, 3, 6)
+    assert h != (5, 3, 7) and h.__eq__((5, 3, 7)) is NotImplemented
+    assert LinearOrder((0, 1, 2)) != ((0, 1, 2),)
+    # same field count and values, different record types
+    assert Graph(3, ()) != DistanceMatrix(3, ())
+
+
+def test_equal_records_hash_equal():
+    d = graph_metric(theta_graph(6))
+    assert hash(star_construction(7)) == hash(star_construction(7))
+    assert hash(d) == hash(graph_metric(theta_graph(6)))
+    assert len({star_construction(7), star_construction(7), complement(star_construction(7))}) == 2
+
+
+def test_record_fields_cannot_be_assigned():
+    h = star_construction(6)
+    with pytest.raises(AttributeError):
+        h.n = 7
+    with pytest.raises(AttributeError):
+        del h.edges
+    with pytest.raises(AttributeError):
+        h.label = "star"
+    assert h == star_construction(6)
+
+
+def test_wrong_field_count_is_a_type_error():
+    with pytest.raises(TypeError):
+        UniformHypergraph(5, 3)
+    with pytest.raises(TypeError):
+        LinearOrder()
+    with pytest.raises(TypeError):
+        LinearOrder((0, 1), (1, 0))
+    with pytest.raises(TypeError):
+        RealizabilityVerdict("metric", None)
+
+
+@pytest.mark.parametrize("n, r, edges", [(2, 3, 0), (4, 3, 1 << 4), (4, 3, -1)])
+def test_hypergraph_rejects_bad_shape_or_mask(n, r, edges):
+    with pytest.raises(OutOfRange):
+        UniformHypergraph(n, r, edges)
+
+
+def test_record_repr_is_pinned():
+    assert repr(star_construction(6)) == "UniformHypergraph(n=6, r=3, edges=524287)"
+    assert repr(LinearOrder((2, 0, 1))) == "LinearOrder(order=(2, 0, 1))"
+
+
+def test_records_pickle_round_trip():
+    result = weak_saturation_closure(star_construction(7), 6)
+    h = degenerate_hypergraph(graph_metric(theta_graph(6)))
+    verdict = is_metric_hypergraph(h)
+    assert verdict.status == "metric" and verdict.witness is not None
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for record in (result, verdict):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert back == record and type(back) is type(record)
 
 
 # --- star construction ------------------------------------------------------------

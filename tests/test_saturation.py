@@ -534,3 +534,11 @@ def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch):
         exhaustive_size_check(8, 3, 6, 52, jobs=10**9)
     with pytest.raises(OutOfRange):
         min_saturation_search(7, 3, 6, jobs=10**9)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_are_refused(jobs):
+    with pytest.raises(OutOfRange):
+        exhaustive_size_check(6, 3, 6, 18, jobs=jobs)
+    with pytest.raises(OutOfRange):
+        min_saturation_search(5, 3, 6, jobs=jobs)
