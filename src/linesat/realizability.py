@@ -23,7 +23,7 @@ from .hypergraph import (
     DEFAULT_CEILING,
     Record,
     UniformHypergraph,
-    complement,
+    colex_combinations,
     delete_vertex,
     full_edge_mask,
     rank,
@@ -50,6 +50,24 @@ def _slots(n: int) -> list[list[list[int]]]:
             x, y = (v for v in t if v != m)
             table[m][x][y] = table[m][y][x] = base + pos
     return table
+
+
+@lru_cache(maxsize=8)
+def _placements(n: int) -> list[tuple[int, int, int]]:
+    """Distance terms of every placement on n points.
+
+    `_placements(n)[s]`, for the slot s of "m between lo and hi" (lo < hi),
+    indexes the pairs lo-m, m-hi and lo-hi among the pairs of points in
+    lexicographic order: d(lo, m) + d(m, hi) - d(lo, hi) is its defect.
+    """
+    pair = {}
+    for i, p in enumerate(combinations(range(n), 2)):
+        pair[p] = pair[p[::-1]] = i
+    return [
+        (pair[lo, m], pair[m, hi], pair[lo, hi])
+        for a, b, c in colex_combinations(n, 3)
+        for m, lo, hi in ((a, b, c), (b, a, c), (c, a, b))
+    ]
 
 
 @lru_cache(maxsize=8)
@@ -262,30 +280,24 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     when the optimum slack is positive, None otherwise: at once, without
     the simplex, when the equalities zero out a strict row.  The witness's
     distances are summed as integers over the common denominator of the
-    nullspace coordinates.
+    nullspace coordinates.  Rows are read off `_placements(n)` by slot:
+    each edge's true slot, then each non-edge's three slots in slot order.
     """
-    n = h.n
-    middles = a.chosen_middles()
-    if a.contradiction or len(middles) != h.edge_count:
+    n, state = h.n, a.state
+    if a.contradiction or state.count(TRUE) != h.edge_count:
         raise ValueError("assignment must be total and propagation-consistent")
-    pairs = list(combinations(range(n), 2))
-    pidx = {p: i for i, p in enumerate(pairs)}
-    nvars = len(pairs)
-
-    def pair(i, j):
-        return pidx[(i, j) if i < j else (j, i)]
-
-    def placement(triple, m):
-        """(pair, sign) terms of d(lo, m) + d(m, hi) - d(lo, hi)."""
-        lo, hi = (x for x in triple if x != m)
-        return ((pair(lo, m), 1), (pair(m, hi), 1), (pair(lo, hi), -1))
-
-    eq_rows = []
-    for edge in sorted(middles):
-        row = [0] * nvars
-        for p, s in placement(edge, middles[edge]):
-            row[p] = s
-        eq_rows.append(row)
+    place = _placements(n)
+    nvars = comb(n, 2)
+    eq_rows, strict = [], []
+    for t in range(comb(n, 3)):
+        if h.edges >> t & 1:
+            row = [0] * nvars
+            lo_m, m_hi, lo_hi = place[state.index(TRUE, 3 * t, 3 * t + 3)]
+            row[lo_m] = row[m_hi] = 1
+            row[lo_hi] = -1
+            eq_rows.append(row)
+        else:
+            strict += place[3 * t : 3 * t + 3]
     nullspace = solve_linear_system(eq_rows, nvars)
     # Substitute d = N y, N's columns being integer vectors, and maximize t
     # subject to a.N y >= t over y >= 0 and sum(N y) <= 1.  Asking y >= 0
@@ -293,25 +305,25 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     # free column, and positive, so each free distance is a positive
     # multiple of one y_i, and its row d >= t makes that y_i positive
     # whenever t is.
-    strict = [placement(triple, m) for triple in complement(h).edge_list() for m in triple]
-    strict += [((p, 1),) for p in range(nvars)]
+    cols = [[vec[p] for vec in nullspace] for p in range(nvars)]
     ge_rows = [
-        [sum(s * vec[p] for p, s in terms) for vec in nullspace] + [-1] for terms in strict
-    ]
+        [x + y - z for x, y, z in zip(cols[lo_m], cols[m_hi], cols[lo_hi])]
+        for lo_m, m_hi, lo_hi in strict
+    ] + cols
     # a strict row the equalities zero out reads 0 >= t
-    if any(not any(row[:-1]) for row in ge_rows):
+    if not all(map(any, ge_rows)):
         return None
+    ge_rows = [row + [-1] for row in ge_rows]
     ge_rows.append([-sum(vec) for vec in nullspace] + [0])
-    t, x = max_slack(ge_rows, [0] * len(strict) + [-1])
+    t, x = max_slack(ge_rows, [0] * (len(ge_rows) - 1) + [-1])
     if t <= 0:
         return None
     # the y's are ints over a common denominator, so sum their numerators
     den = lcm(*(yi.denominator for yi in x[:-1]))
     y = [yi.numerator * (den // yi.denominator) for yi in x[:-1]]
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), p in pidx.items():
-        dist = Fraction(sum(vec[p] * yi for vec, yi in zip(nullspace, y)), den)
-        rows[i][j] = rows[j][i] = dist
+    for (i, j), col in zip(combinations(range(n), 2), cols):
+        rows[i][j] = rows[j][i] = Fraction(sum(c * yi for c, yi in zip(col, y)), den)
     witness = DistanceMatrix(n, tuple(tuple(row) for row in rows))
     validate_metric(witness)
     if degenerate_hypergraph(witness).edges != h.edges:
@@ -321,22 +333,20 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     return witness
 
 
-def _edge_order(h: UniformHypergraph) -> list[tuple[int, ...]]:
-    """Edges by descending interaction with other edges, then colex rank.
+def _edge_order(h: UniformHypergraph) -> list[int]:
+    """Edge ranks by descending interaction with other edges, then rank.
 
     Two edges interact when they share a pair of vertices: that is exactly
     when the propagation rule can chain their middles, so high-interaction
     edges first makes pruning bite early.
     """
-    edges = h.edge_list()
-    pair_count: dict[tuple[int, int], int] = {}
-    for e in edges:
-        for p in combinations(e, 2):
-            pair_count[p] = pair_count.get(p, 0) + 1
-    impact = {
-        e: sum(pair_count[p] - 1 for p in combinations(e, 2)) for e in edges
-    }
-    return sorted(edges, key=lambda e: (-impact[e], rank(e, h.n)))
+    place = _placements(h.n)
+    ranks = [t for t in range(comb(h.n, 3)) if h.edges >> t & 1]
+    pair_count = [0] * comb(h.n, 2)
+    for t in ranks:
+        for p in place[3 * t]:  # any slot of triple t names its three pairs
+            pair_count[p] += 1
+    return sorted(ranks, key=lambda t: (-sum(pair_count[p] for p in place[3 * t]), t))
 
 
 def is_metric_hypergraph(
@@ -352,7 +362,7 @@ def is_metric_hypergraph(
         raise ValueError("realizability is defined for 3-uniform hypergraphs")
     if h.n > ceiling:
         raise CeilingExceeded(h.n, ceiling)
-    bases = [3 * rank(edge, h.n) for edge in _edge_order(h)]
+    bases = [3 * t for t in _edge_order(h)]
     explored = 0
 
     def dfs(a, i):

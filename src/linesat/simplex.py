@@ -4,17 +4,19 @@
 maximize a slack t subject to rows a.x >= b over x >= 0, with every b <= 0.
 So x = 0 is feasible, and a simplex with Bland's rule starts there with no
 phase 1: the least-index improving variable enters and, on ratio ties, the
-row whose basic variable has the least index leaves, which rules out
-cycling.  It pivots a compact dictionary, as lrs does (Avis 2000): one row
-per constraint over the nonbasic variables only, so the identity columns
-of the basic slacks are never stored or updated.  The entries are Python
-ints over one common positive denominator D, the absolute determinant of
-the current basis.  A pivot on entry p updates every other row by
+variable with the least index leaves, which rules out cycling.  The
+programs have many more rows than structural variables (tens of rows, a
+handful of variables), so, as in the revised simplex (Dantzig and
+Orchard-Hays 1954), only the dictionary rows of the structural variables
+are stored: each in terms of the current nonbasic variables.  A basic
+slack's row is its constraint row times those, formed only as far as the
+ratio test and the pivot need it.  The entries are Python ints over one
+common positive denominator D, the absolute determinant of the current
+basis.  A pivot on entry p updates each stored row by
 x <- (x*p - f*y) // D and then sets D <- p; the division is exact
 (Edmonds 1967; Bareiss 1968), so every sign and ratio decision is exact and
 no gcd is ever taken.  Every entry equals the dense tableau's, so the pivot
-path is the one a dense tableau takes.  The intended problems are small
-(tens to a hundred rows).
+path is the one a dense tableau takes.
 
 Also provides fraction-free Gauss-Jordan elimination for presolving a
 homogeneous equality system down to an integer nullspace basis.
@@ -22,6 +24,7 @@ homogeneous equality system down to an integer nullspace basis.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InternalConsistencyError
 
@@ -38,17 +41,14 @@ def _pivot(rows, d, r, c):
         p = -p
         prow = rows[r] = [-y for y in prow]
 
-    def combine(row):
-        f = row[c]
-        if f == 0:
-            return row if p == d else [x * p // d for x in row]
-        if d == 1:
-            return [x * p - f * y for x, y in zip(row, prow)]
-        return [(x * p - f * y) // d for x, y in zip(row, prow)]
-
     for i, row in enumerate(rows):
-        if i != r:
-            rows[i] = combine(row)
+        f = row[c]
+        if i == r or f == 0 and p == d:
+            continue
+        if d == 1:
+            rows[i] = [x * p - f * y for x, y in zip(row, prow)]
+        else:
+            rows[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
     return p
 
 
@@ -85,35 +85,30 @@ def solve_linear_system(rows, ncols):
     return basis
 
 
-def _exchange(tab, z, basis, nonbasic, d, r, q):
-    """Pivot the dictionary on (r, q) over denominator d: nonbasic[q]
-    enters in row r, basis[r] leaves and takes over column q.
+def _exchange(tab, z, nonbasic, d, q, leave, prow):
+    """Pivot on column q over denominator d: nonbasic[q] enters and the
+    variable `leave`, whose dictionary row is prow, leaves and takes over
+    column q.
 
-    The pivot p = tab[r][q] is positive.  Every other row and the cost
-    row z become (x*p - f*y) // d, f being their entry q, which then holds
-    -f, the leaving variable's column; row r keeps its entries, with d in
-    column q.  Returns p, the new denominator.
+    The pivot p = prow[q] is positive.  Every stored row and the cost row
+    z become (x*p - f*y) // d, f being their entry q, which then holds -f,
+    the leaving variable's column.  So the entering variable's row becomes
+    prow with d in column q, and a leaving structural variable's row -p in
+    column q alone.  Returns p, the new denominator.
     """
-    prow = tab[r]
     p = prow[q]
 
     def combine(row):
         f = row[q]
         if f == 0 and p == d:
             return row
-        if d == 1:
-            row = [x * p - f * y for x, y in zip(row, prow)]
-        else:
-            row = [(x * p - f * y) // d for x, y in zip(row, prow)]
+        row = [(x * p - f * y) // d for x, y in zip(row, prow)]
         row[q] = -f
         return row
 
-    for i, row in enumerate(tab):
-        if i != r:
-            tab[i] = combine(row)
+    tab[:] = [combine(row) for row in tab]
     z[:] = combine(z)
-    prow[q] = d
-    basis[r], nonbasic[q] = nonbasic[q], basis[r]
+    nonbasic[q] = leave
     return p
 
 
@@ -125,20 +120,22 @@ def max_slack(rows, rhs):
     as Fractions.  A positive right side raises ValueError; an unbounded t
     raises InternalConsistencyError: the realizability program bounds it.
 
-    Variable j < nvars is x[j] and nvars + i is row i's slack.  The
-    dictionary holds one row per constraint, basis[i] being its basic
-    variable, over the nonbasic variables nonbasic[q] and a last
-    right-hand-side entry; z holds their reduced costs for minimizing -t,
-    the nonbasic slacks' among them.  All are ints over the denominator d,
-    equal to the dense tableau [-A | I | -b]'s entries in those columns.
+    Variable j < nvars is x[j] and nvars + i is row i's slack.  Over the
+    denominator d, the dictionary row of a variable v reads
+    d*v + sum(row[q] * nonbasic[q]) = row[-1], so a nonbasic v has -d in
+    its own column and 0 elsewhere.  Only the nvars structural rows are
+    stored, in tab, with the reduced costs z for minimizing -t.  Row i's
+    slack is rows[i].x - rhs[i], so its row is rows[i] times tab, less
+    d*rhs[i] in the last entry.  The ratio test forms a slack's entry in
+    the entering column and, where that is positive, its right side; the
+    full row only of the slack that leaves.  Every entry equals the dense
+    tableau [-A | I | -b]'s in those columns.
     """
     if any(b > 0 for b in rhs):
         raise ValueError("every right side must be <= 0, so that x = 0 is feasible")
     nvars = len(rows[0])
-    m = len(rows)
-    # a.x >= b becomes -a.x + slack = -b, slack nvars + i basic in row i.
-    tab = [[-v for v in row] + [-b] for row, b in zip(rows, rhs)]
-    basis = list(range(nvars, nvars + m))
+    # every x[j] starts nonbasic in column j, at 0; d = 1
+    tab = [[-int(j == k) for k in range(nvars)] + [0] for j in range(nvars)]
     nonbasic = list(range(nvars))
     z = [0] * (nvars + 1)
     z[nvars - 1] = -1  # minimize -t
@@ -149,21 +146,32 @@ def max_slack(rows, rhs):
         if enter is None:
             break
         q = nonbasic.index(enter)
+        # The ratio test scans variables by index, so a tie keeps the least.
+        # No ratio is below 0, so a 0 ends it.
         leave = None
-        for i, row in enumerate(tab):
+        for j, row in enumerate(tab):
             coeff = row[q]
-            if coeff > 0:
-                if leave is None:
-                    leave, num, den = i, row[-1], coeff
-                    continue
-                here, best = row[-1] * den, num * coeff
-                if here < best or (here == best and basis[i] < basis[leave]):
-                    leave, num, den = i, row[-1], coeff
+            if coeff > 0 and (leave is None or row[-1] * den < num * coeff):
+                leave, num, den = j, row[-1], coeff
+        if leave is None or num:
+            tq = [row[q] for row in tab]
+            last = [row[-1] for row in tab]
+            for i, a in enumerate(rows):
+                coeff = sum(map(mul, a, tq))
+                if coeff > 0:
+                    here = sum(map(mul, a, last)) - d * rhs[i]
+                    if leave is None or here * den < num * coeff:
+                        leave, num, den = nvars + i, here, coeff
+                        if not num:
+                            break
         if leave is None:
             raise InternalConsistencyError("the slack program is unbounded")
-        d = _exchange(tab, z, basis, nonbasic, d, leave, q)
-    x = [Fraction(0)] * nvars
-    for i, b in enumerate(basis):
-        if b < nvars:
-            x[b] = Fraction(tab[i][-1], d)
-    return x[-1], tuple(x)
+        if leave < nvars:
+            prow = tab[leave]
+        else:
+            a = rows[leave - nvars]
+            prow = [sum(map(mul, a, c)) for c in zip(*tab)]
+            prow[-1] -= d * rhs[leave - nvars]
+        d = _exchange(tab, z, nonbasic, d, q, leave, prow)
+    x = tuple(Fraction(row[-1], d) for row in tab)
+    return x[-1], x

@@ -32,6 +32,7 @@ from linesat.realizability import (
     nineteen_edge_hypergraph,
     propagate,
 )
+from linesat.simplex import solve_linear_system
 
 
 def brute_force_witness(h):
@@ -670,3 +671,63 @@ def test_slack_program_matches_floating_oracle():
                 assert abs(float(_cleared_slack(witness, h)) - opt) < 1e-7
             kinds[witness is not None] += 1
     assert min(kinds.values()) >= 30
+
+
+def _slack_program_by_definition(h, middles):
+    """The (rows, rhs) lp_max_slack should hand the simplex, built from
+    the definition: the pairs in lexicographic order are the distances,
+    the edge equalities give the nullspace N, and the strict rows are each
+    non-edge in colex order with its middles in sorted order, then the
+    distances, each over N with -1 for the slack; the last row bounds
+    sum(d) by one.  None when a strict row is 0 over N."""
+    pairs = list(combinations(range(h.n), 2))
+
+    def defect(triple, m):
+        lo, hi = (v for v in triple if v != m)
+        terms = {tuple(sorted((lo, m))): 1, tuple(sorted((m, hi))): 1, (lo, hi): -1}
+        return [terms.get(p, 0) for p in pairs]
+
+    nullspace = solve_linear_system(
+        [defect(e, m) for e, m in sorted(middles.items())], len(pairs)
+    )
+    triples = sorted(combinations(range(h.n), 3), key=lambda t: t[::-1])
+    strict = [defect(t, m) for t in triples if t not in middles for m in t]
+    strict += [[int(p == q) for p in pairs] for q in pairs]
+    rows = [[sum(c * v for c, v in zip(row, vec)) for vec in nullspace] for row in strict]
+    if not all(any(row) for row in rows):
+        return None
+    rows = [row + [-1] for row in rows] + [[-sum(vec) for vec in nullspace] + [0]]
+    return rows, [0] * len(strict) + [-1]
+
+
+def test_slack_program_matches_its_definition(monkeypatch):
+    # Seeded total assignments on 3 to 7 points, collinear middles on a
+    # complete hypergraph (no strict placement rows), and the frozen n=7
+    # case with its metric's middles.
+    real = realizability.max_slack
+    programs = []
+
+    def recording(rows, rhs):
+        programs.append(([list(row) for row in rows], list(rhs)))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(realizability, "max_slack", recording)
+    rng = random.Random(16)
+    cases = []
+    for n in range(3, 8):
+        for _ in range(12):
+            p = rng.random()
+            edges = [t for t in combinations(range(n), 3) if rng.random() < p]
+            cases.append((n, {e: rng.choice(e) for e in edges}))
+    cases.append((5, {t: t[1] for t in combinations(range(5), 3)}))
+    n7 = DistanceMatrix(7, tuple(tuple(Fraction(x) for x in row) for row in N7_MATRIX))
+    cases.append((7, {e: middle_of(n7, e) for e in N7_EDGES}))
+    solved = 0
+    for n, middles in cases:
+        h = UniformHypergraph.from_edges(n, 3, middles)
+        programs.clear()
+        lp_max_slack(MiddleAssignment(h, middles), h)
+        expected = _slack_program_by_definition(h, middles)
+        assert programs == ([] if expected is None else [expected]), (n, middles)
+        solved += expected is not None
+    assert solved >= 30

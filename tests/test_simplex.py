@@ -47,9 +47,11 @@ def recorded_pivots(monkeypatch):
     real_exchange = simplex._exchange
     calls = []
 
-    def recording(tab, z, basis, nonbasic, d, r, q):
-        calls.append((nonbasic[q], basis[r]))
-        return real_exchange(tab, z, basis, nonbasic, d, r, q)
+    def recording(tab, z, nonbasic, d, q, leave, prow):
+        # one stored row per structural variable, none per constraint
+        assert len(tab) <= len(z) - 1
+        calls.append((nonbasic[q], leave))
+        return real_exchange(tab, z, nonbasic, d, q, leave, prow)
 
     monkeypatch.setattr(simplex, "_exchange", recording)
     return calls
@@ -160,11 +162,11 @@ def test_tableau_holds_only_ints(monkeypatch):
     real_exchange = simplex._exchange
     calls = []
 
-    def checked(tab, z, basis, nonbasic, d, r, q):
+    def checked(tab, z, nonbasic, d, q, leave, prow):
         assert type(d) is int and d > 0
-        assert all(type(v) is int for row in tab + [z] for v in row)
+        assert all(type(v) is int for row in tab + [z, prow] for v in row)
         calls.append(d)
-        return real_exchange(tab, z, basis, nonbasic, d, r, q)
+        return real_exchange(tab, z, nonbasic, d, q, leave, prow)
 
     monkeypatch.setattr(simplex, "_exchange", checked)
     rows = [[3, -7, -2], [-5, 11, -2], [-1, -1, -2]]
