@@ -23,6 +23,10 @@ chosen ranks (the edges, or the non-edges when fewer) in colex order.  One
 walk fixes them from the largest down, carrying the family's mask; siblings
 at the last level differ in one rank, so their counts are the prefix
 family's, computed once, moved by one on the k-subsets containing that rank.
+When the non-edges are chosen and a leaf's removed rank lies in a k-subset
+its prefix family fills, that rank comes straight back, so the leaf closes
+to the prefix family's closure: once one such leaf is decided, the rest
+share its verdict and are not closed.
 """
 
 import os
@@ -195,6 +199,12 @@ def _scan_tops(args):
     once; each leaf copies those counts and moves the ones containing its
     own rank.  Recursion depth is c, and c <= log2(count) because
     C(N, c) >= 2**c for c <= N/2: at most 20 at the default budget.
+
+    A complement leaf L = P - {t} (P the prefix family) whose t lies in a
+    k-subset P fills gets t back at its first step, so cl(L) = cl(P).  The
+    first such leaf is closed; if it misses, either a saturated family is
+    wanted and no subset of P has one, or every later such leaf is skipped.
+    Only proven misses are skipped, so the answer is unchanged.
     """
     n, r, k, c, by_complement, tops, want_saturated = args
     kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
@@ -216,12 +226,25 @@ def _scan_tops(args):
                     return found
             return None
         prefix = [(mask & km).bit_count() for km in kmasks]
+        back = 0  # the ranks in some k-subset that the prefix family fills
+        if by_complement and threshold + 1 in prefix:
+            for km, count in zip(kmasks, prefix):
+                if count > threshold:
+                    back |= km
+        missed = False  # whether a leaf with its rank in `back` has missed
         for t in members:
+            comes_back = back >> t & 1
+            if comes_back and missed:
+                continue
             counts = prefix.copy()
             for j in containing[t]:
                 counts[j] += step
             if hit(mask ^ 1 << t, counts):
                 return mask ^ 1 << t
+            if comes_back:
+                if want_saturated:  # no subset of the prefix family saturates
+                    return None
+                missed = True
         return None
 
     if c == 0:

@@ -28,6 +28,7 @@ from linesat.saturation import (
     _containing,
     _kmasks,
     _scan_all,
+    _scan_tops,
     exhaustive_size_check,
     is_weakly_saturated,
     min_saturation_search,
@@ -371,6 +372,19 @@ def test_some_32_edge_set_on_seven_fails():
     assert not is_weakly_saturated(found, 6)
 
 
+def test_all_53_edge_sets_on_eight_saturate():
+    # the paper's bound C(n,3) - n + 5 at n = 8, and one fewer fails
+    assert exhaustive_size_check(8, 3, 6, comb(8, 3) - 8 + 5) is None
+    found = exhaustive_size_check(8, 3, 6, 52)
+    assert found.edge_count == 52 and not is_weakly_saturated(found, 6)
+
+
+@pytest.mark.slow
+def test_all_80_edge_sets_on_nine_saturate():
+    # C(9,3) - 9 + 5 = 80: all C(84, 4) = 1,929,501 families of 4 non-edges
+    assert exhaustive_size_check(9, 3, 6, 80, budget=2_000_000) is None
+
+
 def test_found_counterexample_is_deterministic():
     a = exhaustive_size_check(6, 3, 6, 18)
     b = exhaustive_size_check(6, 3, 6, 18)
@@ -423,18 +437,24 @@ def test_parallel_scan_without_a_hit():
     assert exhaustive_size_check(6, 2, 4, 12, jobs=2) is None
 
 
-def enumeration_oracle(n, r, k, size):
-    """The first (index, mask) of each saturation verdict, keyed by it,
-    closing every size-edge family with fresh counts in colex order of the
-    chosen ranks (the complement's, when that is smaller)."""
+def enumerated(n, r, k, size):
+    """Every size-edge family as (index, largest chosen rank, mask,
+    saturated), closed with fresh counts, in colex order of the chosen
+    ranks (the complement's, when that is smaller)."""
     kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
     n_ranks, full = comb(n, r), full_edge_mask(n, r)
     by_complement = n_ranks - size < size
     chosen = combinations(range(n_ranks), n_ranks - size if by_complement else size)
-    first = {}
     for index, ranks in enumerate(sorted(chosen, key=lambda s: s[::-1])):
         mask = sum(1 << t for t in ranks) ^ (full if by_complement else 0)
         saturated = _close_mask(mask, kmasks, containing, comb(k, r) - 1) == full
+        yield index, ranks[-1] if ranks else None, mask, saturated
+
+
+def enumeration_oracle(n, r, k, size):
+    """The first (index, mask) of each saturation verdict, keyed by it."""
+    first = {}
+    for index, _, mask, saturated in enumerated(n, r, k, size):
         first.setdefault(saturated, (index, mask))
         if len(first) == 2:
             break
@@ -444,16 +464,61 @@ def enumeration_oracle(n, r, k, size):
 @pytest.mark.parametrize(
     "limit", [pytest.param(20000, id="small"), pytest.param(None, id="all", marks=pytest.mark.slow)]
 )
-@pytest.mark.parametrize("n, r, k", [(5, 2, 3), (6, 2, 4), (6, 3, 5), (6, 3, 4), (7, 2, 5), (6, 3, 6)])
+@pytest.mark.parametrize(
+    "n, r, k", [(4, 2, 3), (5, 2, 3), (6, 2, 4), (6, 3, 5), (6, 3, 4), (7, 2, 5), (6, 3, 6), (7, 3, 6)]
+)
 def test_scan_matches_enumeration_oracle(n, r, k, limit):
-    # every size whose scan has at most `limit` candidates, both verdicts
+    # every size whose scan has at most `limit` candidates (the default
+    # budget, for all), both verdicts
     n_ranks = comb(n, r)
     for size in range(n_ranks + 1):
-        if limit is not None and comb(n_ranks, min(size, n_ranks - size)) > limit:
+        if comb(n_ranks, min(size, n_ranks - size)) > (limit or DEFAULT_BUDGET):
             continue
         first = enumeration_oracle(n, r, k, size)
         for want in (False, True):
             assert _scan_all(n, r, k, size, DEFAULT_BUDGET, 1, want) == first.get(want)
+
+
+def test_scan_of_each_top_matches_enumeration_oracle():
+    # A scan of one top rank x must give the first hit among the families
+    # whose largest chosen rank is x, so a leaf skipped or a prefix given
+    # up wrongly shows even where an earlier top hits first.  Every shape
+    # r < k <= n <= 8 (at k = r every family saturates in one round), every
+    # size with at most 6,000 candidates.
+    for n in range(2, 9):
+        for r in range(1, n):
+            n_ranks = comb(n, r)
+            for k in range(r + 1, n + 1):
+                for size in range(1, n_ranks):
+                    c = min(size, n_ranks - size)
+                    if comb(n_ranks, c) > 6000:
+                        continue
+                    first = {}
+                    for index, top, mask, saturated in enumerated(n, r, k, size):
+                        first.setdefault((top, saturated), (index, mask))
+                    by_complement = n_ranks - size < size
+                    for top in range(c - 1, n_ranks):
+                        for want in (False, True):
+                            args = (n, r, k, c, by_complement, [top], want)
+                            assert _scan_tops(args) == first.get((top, want)), (n, r, k, size, top, want)
+
+
+def test_closure_bound_scan_skips_leaves_that_close_like_their_prefix(monkeypatch):
+    # Every 53-edge family on 8 points saturates.  Closing each of the
+    # 27,720 candidates took 27,720 closures; deciding a leaf whose
+    # removed triple comes straight back from its prefix family's
+    # closure leaves 1,485.
+    from linesat import saturation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _close_mask(*args, **kwargs)
+
+    monkeypatch.setattr(saturation, "_close_mask", counted)
+    assert exhaustive_size_check(8, 3, 6, 53) is None
+    assert len(calls) <= 2000
 
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (8, 3, 6), (7, 2, 4), (6, 3, 4)])
@@ -494,7 +559,6 @@ def test_min_saturation_at_five_is_complete():
     assert min_saturation_search(5, 3, 6) == 10
 
 
-@pytest.mark.slow
 def test_min_saturation_at_seven_is_31():
     assert min_saturation_search(7, 3, 6) == 31
 
@@ -506,7 +570,7 @@ def test_min_saturation_at_seven_is_31():
 )
 def test_min_saturation_matches_closed_form(n, r, k):
     # wsat(n, K_k^r) = C(n, r) - C(n - k + r, r) (Frankl 1982; Kalai 1985);
-    # (7, 3, 6) is the slow test above
+    # (7, 3, 6) is the test above
     assert min_saturation_search(n, r, k) == comb(n, r) - comb(n - k + r, r)
 
 
