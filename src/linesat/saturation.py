@@ -27,11 +27,18 @@ When the non-edges are chosen and a leaf's removed rank lies in a k-subset
 its prefix family fills, that rank comes straight back, so the leaf closes
 to the prefix family's closure: once one such leaf is decided, the rest
 share its verdict and are not closed.
+
+The minimum saturated size asks only whether some family of a size
+saturates, which relabeling the vertices does not change.  Relabel the
+chosen ranks so that two of them meeting in the most points, i, become
+rank 0 = {0..r-1} and b_i = {0..i-1} + {r..2r-i-1}: every r-set before b_i
+in colex order meets {0..r-1} in more than i points, so every other chosen
+rank lies above b_i, and one class per i is scanned.
 """
 
 import os
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .errors import BudgetExceeded, InvalidK, OutOfRange
@@ -192,6 +199,8 @@ def is_weakly_saturated(h: UniformHypergraph, k: int) -> bool:
 def _scan_tops(args):
     """(index, mask) of the first candidate with the wanted verdict among
     those whose largest chosen rank is in `tops`; None when there is none.
+    The candidates hold the ranks in `fixed` and c more, all above them;
+    with c = 0 the one candidate is `fixed` itself and `tops` is unused.
 
     The walk fixes the chosen ranks from the largest down, in colex order,
     carrying the mask of the family chosen so far.  Under each fixed
@@ -206,10 +215,11 @@ def _scan_tops(args):
     wanted and no subset of P has one, or every later such leaf is skipped.
     Only proven misses are skipped, so the answer is unchanged.
     """
-    n, r, k, c, by_complement, tops, want_saturated = args
+    n, r, k, c, by_complement, tops, want_saturated, fixed = args
     kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
     full = full_edge_mask(n, r)
     base = full if by_complement else 0
+    low = fixed[-1] + 1 if fixed else 0  # the least rank the walk may choose
     threshold = comb(k, r) - 1
     step = -1 if by_complement else 1
 
@@ -221,7 +231,7 @@ def _scan_tops(args):
         # `level` ranks are left to choose, the largest of them from `members`
         if level > 1:
             for x in members:
-                found = walk(level - 1, range(level - 2, x), mask ^ 1 << x)
+                found = walk(level - 1, range(low + level - 2, x), mask ^ 1 << x)
                 if found is not None:
                     return found
             return None
@@ -247,16 +257,34 @@ def _scan_tops(args):
                 missed = True
         return None
 
-    if c == 0:
-        return (0, base) if hit(base) else None
-    mask = walk(c, tops, base)
+    start = base
+    for t in fixed:
+        start ^= 1 << t
+    if c:
+        mask = walk(c, tops, start)
+    else:
+        mask = start if hit(start) else None
     if mask is None:
         return None
     chosen = mask ^ base
     return rank([t for t in range(comb(n, r)) if chosen >> t & 1], comb(n, r)), mask
 
 
-def _scan_all(n, r, k, size, budget, jobs, want_saturated):
+def _classes(n, r, c):
+    """(fixed ranks, number of further ranks) of each class a scan up to
+    relabeling visits: c = 0 and c = 1 fix () and (0,); otherwise, for each
+    largest overlap i of two chosen r-sets, rank 0 and the rank of
+    b_i = {0..i-1} + {r..2r-i-1}.  Two distinct r-sets meet in at least
+    2r - n points."""
+    if c < 2:
+        return [((0,)[:c], 0)]
+    return [
+        ((0, rank([*range(i), *range(r, 2 * r - i)], n)), c - 2)
+        for i in range(r - 1, max(0, 2 * r - n) - 1, -1)
+    ]
+
+
+def _scan_all(n, r, k, size, budget, jobs, want_saturated, up_to_relabeling=False):
     """(index, mask) of the first candidate with the wanted saturation
     verdict, scanning all `size`-edge hypergraphs; None when there is none.
 
@@ -267,6 +295,11 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
     every (4 jobs)-th further largest rank and the answer is the least
     index over the chunks' hits, so it does not depend on scheduling.
     A job count below 1 or above the CPU count is refused before any scan.
+
+    With `up_to_relabeling` only the `_classes` are scanned, one after
+    another and in one pool; a hit shows that some candidate has the
+    verdict, not which comes first.  The budget still counts every
+    candidate.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
@@ -279,24 +312,44 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated):
     count = comb(n_ranks, c)
     if count > budget:
         raise BudgetExceeded(count, budget)
-    tops = range(c - 1, n_ranks)
-    if jobs == 1 or count < 4 * jobs:
-        return _scan_tops((n, r, k, c, by_complement, tops, want_saturated))
+    classes = _classes(n, r, c) if up_to_relabeling else [((), c)]
+    lows = [fixed[-1] + 1 if fixed else 0 for fixed, _ in classes]
+    # each class's largest walked ranks; a class with none to walk is one candidate
+    every = [range(low + w - 1, n_ranks) if w else [None] for (_, w), low in zip(classes, lows)]
+
+    def tasks(part):  # part: some of each class's tops
+        return [
+            (n, r, k, w, by_complement, tops, want_saturated, fixed)
+            for (fixed, w), tops in zip(classes, part)
+            if tops
+        ]
+
+    def first(part):
+        return next(filter(None, map(_scan_tops, tasks(part))), None)
+
+    if jobs == 1:
+        return first(every)
+    units = [(j, x) for j, tops in enumerate(every) for x in tops]
+    sizes = (1 if x is None else comb(x - lows[j], classes[j][1] - 1) for j, x in units)
+    held = list(accumulate(sizes))  # candidates up to each unit
+    if held[-1] < 4 * jobs:
+        return first(every)
+
+    def split(some):  # units back to each class's tops
+        part = [[] for _ in classes]
+        for j, x in some:
+            part[j].append(x)
+        return part
+
     # Early answers cost less than starting a pool, so the leading tops are
     # scanned here first: as many as hold at most 1/(4 jobs)**2 of the
-    # candidates (those with largest rank below c - 1 + lead number
-    # C(c - 1 + lead, c)), about 1.6% of a fruitless scan at jobs=2.
-    lead = 1
-    while comb(c + lead, c) <= count // (4 * jobs) ** 2:
-        lead += 1
-    first = _scan_tops((n, r, k, c, by_complement, tops[:lead], want_saturated))
-    if first is not None:
-        return first
-    rest = tops[lead:]
-    chunks = [
-        (n, r, k, c, by_complement, rest[i :: 4 * jobs], want_saturated)
-        for i in range(min(4 * jobs, len(rest)))
-    ]
+    # candidates, about 1.6% of a fruitless scan at jobs=2.
+    lead = max(1, sum(h <= held[-1] // (4 * jobs) ** 2 for h in held))
+    hit = first(split(units[:lead]))
+    if hit is not None:
+        return hit
+    rest = units[lead:]
+    chunks = [t for i in range(4 * jobs) for t in tasks(split(rest[i :: 4 * jobs]))]
     from multiprocessing import Pool  # imported here so runs without a pool skip it
 
     with Pool(jobs) as pool:
@@ -328,6 +381,13 @@ def min_saturation_search(
     hypergraph saturates" is monotone in m; the search walks m downward
     from a known saturated seed until a full scan finds no saturated set,
     and returns the last size that had one.
+
+    Relabeling the vertices keeps saturation, so each size scans only the
+    families whose chosen ranks hold rank 0 = {0..r-1} and the rank of
+    b_i = {0..i-1} + {r..2r-i-1}, the rest above b_i, for each largest
+    overlap i of two chosen r-sets: relabel two that meet in i points to
+    these, and any other meets {0..r-1} in at most i points, which every
+    r-set before b_i in colex order but rank 0 exceeds.
     """
     if k < r:
         raise InvalidK(k, r)
@@ -339,7 +399,7 @@ def min_saturation_search(
             upper = star.edge_count
     m = upper - 1
     while m >= 0:
-        if _scan_all(n, r, k, m, budget, jobs, want_saturated=True) is None:
+        if _scan_all(n, r, k, m, budget, jobs, True, up_to_relabeling=True) is None:
             return m + 1
         m -= 1
     return 0

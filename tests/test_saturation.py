@@ -24,6 +24,7 @@ from linesat.io import dumps_certificate
 from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
 from linesat.saturation import (
     ClosureCertificate,
+    _classes,
     _close_mask,
     _containing,
     _kmasks,
@@ -499,7 +500,7 @@ def test_scan_of_each_top_matches_enumeration_oracle():
                     by_complement = n_ranks - size < size
                     for top in range(c - 1, n_ranks):
                         for want in (False, True):
-                            args = (n, r, k, c, by_complement, [top], want)
+                            args = (n, r, k, c, by_complement, [top], want, ())
                             assert _scan_tops(args) == first.get((top, want)), (n, r, k, size, top, want)
 
 
@@ -519,6 +520,182 @@ def test_closure_bound_scan_skips_leaves_that_close_like_their_prefix(monkeypatc
     monkeypatch.setattr(saturation, "_close_mask", counted)
     assert exhaustive_size_check(8, 3, 6, 53) is None
     assert len(calls) <= 2000
+
+
+def test_every_rank_set_relabels_into_a_scanned_class():
+    # The claim behind the min-sat scan, checked without closures: every
+    # c-set of r-subsets has an image under S_n inside one of the classes,
+    # i.e. its least ranks are a class's fixed ranks.  Orbits are walked
+    # with the generators (0 1) and (0 1 ... n-1) of S_n.
+    for n in range(2, 7):
+        for r in range(n + 1):
+            n_ranks = comb(n, r)
+            subsets = [unrank(t, n, r) for t in range(n_ranks)]
+            gens = [
+                [rank([p[v] for v in s], n) for s in subsets]
+                for p in ((1, 0, *range(2, n)), (*range(1, n), 0))
+            ]
+            for c in range(n_ranks + 1):
+                if comb(n_ranks, c) > 20000:
+                    continue
+                heads = {fixed for fixed, _ in _classes(n, r, c)}
+                unseen = {sum(1 << t for t in chosen) for chosen in combinations(range(n_ranks), c)}
+                while unseen:
+                    stack, hit = [unseen.pop()], False
+                    while stack:
+                        mask = stack.pop()
+                        ranks = [t for t in range(n_ranks) if mask >> t & 1]
+                        hit = hit or any(tuple(ranks[: len(h)]) == h for h in heads)
+                        for g in gens:
+                            image = sum(1 << g[t] for t in ranks)
+                            if image in unseen:
+                                unseen.discard(image)
+                                stack.append(image)
+                    assert hit, (n, r, c, ranks)
+
+
+@pytest.mark.parametrize(
+    "limit", [pytest.param(20000, id="small"), pytest.param(None, id="all", marks=pytest.mark.slow)]
+)
+def test_scan_up_to_relabeling_matches_full_scan(limit):
+    # existence of a saturated family (and of an unsaturated one, which
+    # relabeling keeps too), every shape r < k <= n <= 7 and every size
+    # with at most `limit` candidates (the default budget, for all)
+    for n in range(2, 8):
+        for r in range(1, n):
+            n_ranks = comb(n, r)
+            for k in range(r + 1, n + 1):
+                for size in range(n_ranks + 1):
+                    if comb(n_ranks, min(size, n_ranks - size)) > (limit or DEFAULT_BUDGET):
+                        continue
+                    for want in (True, False):
+                        args = (n, r, k, size, DEFAULT_BUDGET, 1, want)
+                        full, reduced = _scan_all(*args), _scan_all(*args, up_to_relabeling=True)
+                        assert (reduced is None) == (full is None), (n, r, k, size, want)
+                        if reduced is not None:
+                            h = UniformHypergraph(n, r, reduced[1])
+                            assert h.edge_count == size and is_weakly_saturated(h, k) == want
+
+
+def test_scan_of_each_class_top_matches_enumeration_oracle():
+    # Under a class's fixed ranks the walk must visit exactly the class:
+    # a scan of one of its tops gives the first hit among the families
+    # whose least chosen ranks are the fixed ones and whose largest is
+    # that top.  Every shape r < k <= n <= 7, every size with at most
+    # 6,000 candidates.
+    for n in range(2, 8):
+        for r in range(1, n):
+            n_ranks, full = comb(n, r), full_edge_mask(n, r)
+            for k in range(r + 1, n + 1):
+                for size in range(n_ranks + 1):
+                    c = min(size, n_ranks - size)
+                    if comb(n_ranks, c) > 6000:
+                        continue
+                    by_complement = n_ranks - size < size
+                    families = list(enumerated(n, r, k, size))
+                    for fixed, w in _classes(n, r, c):
+                        first = {}
+                        for index, top, mask, saturated in families:
+                            chosen = mask ^ (full if by_complement else 0)
+                            least = [t for t in range(n_ranks) if chosen >> t & 1][: len(fixed)]
+                            if least == list(fixed):
+                                first.setdefault((top if w else None, saturated), (index, mask))
+                        low = fixed[-1] + 1 if fixed else 0
+                        for top in range(low + w - 1, n_ranks) if w else [None]:
+                            for want in (False, True):
+                                args = (n, r, k, w, by_complement, [top], want, fixed)
+                                assert _scan_tops(args) == first.get((top, want)), (n, r, k, size, fixed, top)
+
+
+@pytest.mark.parametrize(
+    "n, r, k, size, want, relabeled", [(7, 3, 6, 30, True, True), (8, 3, 6, 53, False, False)]
+)
+def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size, want, relabeled):
+    # With nothing to find, jobs=2 scans every top of every class exactly
+    # once, a small lead in process and the rest in one pool, run inline here.
+    import multiprocessing
+
+    from linesat import saturation
+
+    scanned, pools, pooled = [], [], []
+
+    class InlinePool:
+        def __init__(self, jobs):
+            pools.append(jobs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            pooled.extend(chunks)
+            return list(map(fn, chunks))
+
+    def spied(args):
+        scanned.append(args)
+        return _scan_tops(args)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(saturation, "_scan_tops", spied)
+    assert _scan_all(n, r, k, size, DEFAULT_BUDGET, 2, want, up_to_relabeling=relabeled) is None
+    assert pools == [2] and len(pooled) > len(scanned) / 2
+    tops = {}
+    for args in scanned:
+        tops.setdefault((args[7], args[3]), []).extend(args[5])
+    n_ranks = comb(n, r)
+    c = min(size, n_ranks - size)
+    expected = {}
+    for fixed, w in _classes(n, r, c) if relabeled else [((), c)]:
+        expected[fixed, w] = list(range((fixed[-1] + 1 if fixed else 0) + w - 1, n_ranks))
+    assert {key: sorted(xs) for key, xs in tops.items()} == expected
+
+
+def test_min_saturation_at_seven_scans_one_class_per_overlap(monkeypatch):
+    # 324,633 closures at most without relabeling, 261,915 with the leaf
+    # rule; the last size scans 5,456 + 2,925 + 455 = 8,836 candidates
+    from linesat import saturation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _close_mask(*args, **kwargs)
+
+    monkeypatch.setattr(saturation, "_close_mask", counted)
+    assert min_saturation_search(7, 3, 6) == 31
+    assert len(calls) <= 9000
+
+
+def test_min_saturation_budget_counts_every_candidate():
+    # the first size below the 46-edge star leaves 11 of 56 triples out
+    with pytest.raises(BudgetExceeded) as err:
+        min_saturation_search(8, 3, 6)
+    assert err.value.required == comb(56, 11)
+
+
+@pytest.mark.parametrize("n, r, k", [(7, 3, 6), (6, 2, 4), (6, 3, 5)])
+def test_min_saturation_in_a_pool_starts_one_pool_per_size(monkeypatch, n, r, k):
+    # all relabeling classes of a size share at most one pool
+    import multiprocessing
+
+    from linesat import saturation
+
+    real_pool, starts, sizes = multiprocessing.Pool, [], []
+
+    def counted_pool(*args, **kwargs):
+        starts.append(len(sizes))
+        return real_pool(*args, **kwargs)
+
+    def counted_scan(*args, **kwargs):
+        sizes.append(args[3])
+        return _scan_all(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+    monkeypatch.setattr(saturation, "_scan_all", counted_scan)
+    assert min_saturation_search(n, r, k, jobs=2) == min_saturation_search(n, r, k, jobs=1)
+    assert starts and len(set(starts)) == len(starts)
 
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (8, 3, 6), (7, 2, 4), (6, 3, 4)])
