@@ -33,7 +33,9 @@ saturates, which relabeling the vertices does not change.  Relabel the
 chosen ranks so that two of them meeting in the most points, i, become
 rank 0 = {0..r-1} and b_i = {0..i-1} + {r..2r-i-1}: every r-set before b_i
 in colex order meets {0..r-1} in more than i points, so every other chosen
-rank lies above b_i, and one class per i is scanned.
+rank lies above b_i, and one class per i is scanned.  A size check scans
+the same classes for an unsaturated family: when none has one, no family of
+that size fails, and only otherwise does the colex scan look for the first.
 """
 
 import os
@@ -363,9 +365,16 @@ def exhaustive_size_check(
     """First hypergraph of the given size that is not weakly saturated, or None.
 
     None means every hypergraph with `size` edges on n vertices saturates.
+    Every family relabels into one of the `_classes` and relabeling keeps
+    saturation, so None is proven by scanning the classes, in process.  The
+    colex-first counterexample is searched for, with `jobs`, only once a
+    class shows that one exists.
     """
     if k < r:
         raise InvalidK(k, r)
+    # an out-of-range `jobs` skips the class pass; the full scan refuses it
+    if 1 <= jobs <= (os.cpu_count() or 1) and not _scan_all(n, r, k, size, budget, 1, False, True):
+        return None
     hit = _scan_all(n, r, k, size, budget, jobs, want_saturated=False)
     if hit is None:
         return None

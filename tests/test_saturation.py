@@ -380,10 +380,15 @@ def test_all_53_edge_sets_on_eight_saturate():
     assert found.edge_count == 52 and not is_weakly_saturated(found, 6)
 
 
-@pytest.mark.slow
 def test_all_80_edge_sets_on_nine_saturate():
     # C(9,3) - 9 + 5 = 80: all C(84, 4) = 1,929,501 families of 4 non-edges
     assert exhaustive_size_check(9, 3, 6, 80, budget=2_000_000) is None
+
+
+@pytest.mark.slow
+def test_all_115_edge_sets_on_ten_saturate():
+    # C(10,3) - 10 + 5 = 115: all C(120, 5) = 190,578,024 families of 5 non-edges
+    assert exhaustive_size_check(10, 3, 6, 115, budget=2 * 10**8) is None
 
 
 def test_found_counterexample_is_deterministic():
@@ -434,8 +439,16 @@ def test_parallel_scan_answers_early_without_a_pool(monkeypatch, n, size):
     assert exhaustive_size_check(n, 3, 6, size, jobs=2).edges == seq.edges
 
 
-def test_parallel_scan_without_a_hit():
+def test_parallel_scan_without_a_hit(monkeypatch):
+    # with no counterexample the relabeling classes decide, in process
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert exhaustive_size_check(6, 2, 4, 12, jobs=2) is None
+    assert exhaustive_size_check(8, 3, 6, 53, jobs=2) is None
 
 
 def enumerated(n, r, k, size):
@@ -480,6 +493,24 @@ def test_scan_matches_enumeration_oracle(n, r, k, limit):
             assert _scan_all(n, r, k, size, DEFAULT_BUDGET, 1, want) == first.get(want)
 
 
+@pytest.mark.parametrize(
+    "n, r, k", [(4, 2, 3), (5, 2, 3), (6, 2, 4), (6, 3, 5), (6, 3, 4), (7, 2, 5), (6, 3, 6), (7, 3, 6)]
+)
+def test_size_check_matches_enumeration_oracle(n, r, k):
+    # the colex-first unsaturated family, or None, for every size with at
+    # most 20,000 candidates; those with at least 2,000 at jobs=2 as well
+    n_ranks = comb(n, r)
+    for size in range(n_ranks + 1):
+        count = comb(n_ranks, min(size, n_ranks - size))
+        if count > 20000:
+            continue
+        first = enumeration_oracle(n, r, k, size).get(False)
+        expected = None if first is None else first[1]
+        for jobs in (1, 2) if count >= 2000 else (1,):
+            found = exhaustive_size_check(n, r, k, size, jobs=jobs)
+            assert (None if found is None else found.edges) == expected, (n, r, k, size, jobs)
+
+
 def test_scan_of_each_top_matches_enumeration_oracle():
     # A scan of one top rank x must give the first hit among the families
     # whose largest chosen rank is x, so a leaf skipped or a prefix given
@@ -520,6 +551,24 @@ def test_closure_bound_scan_skips_leaves_that_close_like_their_prefix(monkeypatc
     monkeypatch.setattr(saturation, "_close_mask", counted)
     assert exhaustive_size_check(8, 3, 6, 53) is None
     assert len(calls) <= 2000
+
+
+def test_size_bound_closes_only_the_relabeling_classes(monkeypatch):
+    # the full scans ran 1,485 and 91,881 closures
+    from linesat import saturation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _close_mask(*args, **kwargs)
+
+    monkeypatch.setattr(saturation, "_close_mask", counted)
+    assert exhaustive_size_check(8, 3, 6, 53) is None
+    assert len(calls) <= 10
+    calls.clear()
+    assert exhaustive_size_check(9, 3, 6, 80, budget=2_000_000) is None
+    assert len(calls) <= 300
 
 
 def test_every_rank_set_relabels_into_a_scanned_class():
@@ -762,10 +811,12 @@ def test_closure_on_twelve_vertices_under_a_second():
     assert time.perf_counter() - start < 1.0
 
 
-def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch):
+def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch, capsys):
     # a huge --jobs must not reach Pool(jobs), which would try to start
     # that many processes; the patched Pool fails if it is reached
     import multiprocessing
+
+    from linesat.cli import main
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was requested")
@@ -774,12 +825,18 @@ def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch):
     with pytest.raises(OutOfRange):
         exhaustive_size_check(8, 3, 6, 52, jobs=10**9)
     with pytest.raises(OutOfRange):
+        exhaustive_size_check(8, 3, 6, 53, jobs=10**9)  # at the bound, with nothing to find
+    with pytest.raises(OutOfRange):
         min_saturation_search(7, 3, 6, jobs=10**9)
+    assert main(["sweep", "theorem2", "--n", "8", "--jobs", "5000"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_are_refused(jobs):
     with pytest.raises(OutOfRange):
         exhaustive_size_check(6, 3, 6, 18, jobs=jobs)
+    with pytest.raises(OutOfRange):
+        exhaustive_size_check(6, 2, 4, 12, jobs=jobs)
     with pytest.raises(OutOfRange):
         min_saturation_search(5, 3, 6, jobs=jobs)
