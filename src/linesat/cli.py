@@ -11,6 +11,10 @@ their witness data).
 
 Each handler imports the modules it calls, so a run loads only what its
 subcommand needs: `close` never loads the realizability search or its LP.
+A run naming a subcommand builds only that subparser; help and error texts
+read the same.  Run as a program, `main` flushes stdout and stderr and
+leaves through `os._exit`, skipping interpreter teardown; `main(argv)`
+returns the exit code instead.
 """
 
 import argparse
@@ -306,9 +310,54 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or only `command`'s subparser when it names one."""
     from .hypergraph import DEFAULT_BUDGET, DEFAULT_CEILING
 
+    def opt(*flags, **kwargs):
+        return flags, kwargs
+
+    def ints(*defaults):  # integer options with no help line
+        return [opt(flag, type=int, default=value) for flag, value in defaults]
+
+    io_args = (
+        opt("input", nargs="?", default="-", help="input file (default: stdin)"),
+        opt("-o", "--output", default=None, help="output file (default: stdout)"),
+    )
+    out = opt("-o", "--output", default=None)
+    no_validate = opt("--no-validate", action="store_true")
+    skip_checks = opt("--no-validate", action="store_true", help="skip metric axiom checks")
+    closure_out = opt("--closure-out", default=None, help="also write the closure hypergraph")
+    clique = opt("--k", type=int, default=6, help="clique size (default 6)")
+    branching = "max vertex count; raising it accepts exponential branching"
+    ceiling = opt("--ceiling", type=int, default=DEFAULT_CEILING, help=branching)
+    kinds = " | ".join(_GEN_USAGE.values())
+    table = {  # subcommand -> its help line and its arguments, in listing order
+        "degenerate": ("degenerate-triangle hypergraph of a metric", *io_args, skip_checks),
+        "close": ("weak saturation closure with certificate", *io_args, clique, closure_out),
+        "verify-cert": ("replay and check a closure certificate", *io_args),
+        "saturated": ("test weak saturation", *io_args, clique),
+        "anchor": ("certify an anchor via closure (sufficient only)", *io_args),
+        "reconstruct": ("reconstruct a linear order from a metric", *io_args, no_validate),
+        "witness-check": (
+            "verify a metric disproving anchorhood of a hypergraph",
+            opt("hypergraph"), opt("metric"), out, no_validate,
+        ),
+        "realize": ("decide metric realizability of a hypergraph", *io_args, ceiling),
+        "gen": (
+            "generate example inputs",
+            opt("params", nargs="+", metavar="KIND [ARG...]", help=kinds),
+            out, opt("--format", dest="fmt", choices=("json", "csv"), default="json"),
+        ),
+        "sweep": (
+            "bulk verification runs",
+            opt("name", choices=sorted(_SWEEPS)), out,
+            *ints(("--n", 6), ("--n-min", 5), ("--n-max", None), ("--r", 3)),
+            clique,
+            *ints(("--count", 1000), ("--seed", 0), ("--budget", DEFAULT_BUDGET), ("--jobs", 1)),
+            ceiling,
+        ),
+    }
     parser = argparse.ArgumentParser(
         prog="linesat",
         description=(
@@ -316,89 +365,38 @@ def _build_parser() -> argparse.ArgumentParser:
             "hypergraph saturation, line reconstruction, and realizability"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("input", nargs="?", default="-", help="input file (default: stdin)")
-        p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-
-    def clique(p):
-        p.add_argument("--k", type=int, default=6, help="clique size (default 6)")
-
-    def ceiling(p):
-        p.add_argument(
-            "--ceiling",
-            type=int,
-            default=DEFAULT_CEILING,
-            help="max vertex count; raising it accepts exponential branching",
-        )
-
-    p = sub.add_parser("degenerate", help="degenerate-triangle hypergraph of a metric")
-    common(p)
-    p.add_argument("--no-validate", action="store_true", help="skip metric axiom checks")
-
-    p = sub.add_parser("close", help="weak saturation closure with certificate")
-    common(p)
-    clique(p)
-    p.add_argument("--closure-out", default=None, help="also write the closure hypergraph")
-
-    p = sub.add_parser("verify-cert", help="replay and check a closure certificate")
-    common(p)
-
-    p = sub.add_parser("saturated", help="test weak saturation")
-    common(p)
-    clique(p)
-
-    p = sub.add_parser("anchor", help="certify an anchor via closure (sufficient only)")
-    common(p)
-
-    p = sub.add_parser("reconstruct", help="reconstruct a linear order from a metric")
-    common(p)
-    p.add_argument("--no-validate", action="store_true")
-
-    p = sub.add_parser(
-        "witness-check", help="verify a metric disproving anchorhood of a hypergraph"
-    )
-    p.add_argument("hypergraph")
-    p.add_argument("metric")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--no-validate", action="store_true")
-
-    p = sub.add_parser("realize", help="decide metric realizability of a hypergraph")
-    common(p)
-    ceiling(p)
-
-    p = sub.add_parser("gen", help="generate example inputs")
-    p.add_argument(
-        "params",
-        nargs="+",
-        metavar="KIND [ARG...]",
-        help=" | ".join(_GEN_USAGE.values()),
-    )
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("sweep", help="bulk verification runs")
-    p.add_argument("name", choices=sorted(_SWEEPS))
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--n-min", type=int, default=5)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--r", type=int, default=3)
-    clique(p)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
-    ceiling(p)
+    # A lone subparser takes the usage line of the whole set; the whole set
+    # keeps no metavar, as its errors name the action by its dest.
+    names = [command] if command in table else list(table)
+    choices = "{%s}" % ",".join(table) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name in names:
+        help_text, *arguments = table[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    code = run(_build_parser().parse_args(argv))
-    if argv is None:
-        sys.exit(code)
-    return code
+    words = sys.argv[1:] if argv is None else argv
+    code = run(_build_parser(words[0] if words else None).parse_args(words))
+    if argv is not None:
+        return code
+    # A program run leaves without interpreter teardown, which costs more
+    # than most commands' work; only the standard streams need flushing.
+    import os
+
+    try:
+        if sys.stdout:
+            sys.stdout.flush()
+    except OSError as exc:  # say, a pipe whose reader has closed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_ERROR
+    if sys.stderr:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

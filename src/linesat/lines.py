@@ -7,11 +7,20 @@ strictly increasing, so sorting by distance from the true first point
 recovers the order.  A family of triples is certified as an anchor (its
 degeneracy forces such an order in every metric) through weak saturation
 at clique size six.
+
+The functions that take a metric import `metric` when called, so
+certifying an anchor loads neither it nor `fractions`.
 """
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .errors import NotAPermutation, SizeMismatch, TooFewVertices
 from .hypergraph import Record, UniformHypergraph
-from .metric import DistanceMatrix, betweenness, middle_of
+
+if TYPE_CHECKING:
+    from .metric import DistanceMatrix
 
 
 class LinearOrder(Record):
@@ -24,6 +33,8 @@ class LinearOrder(Record):
 
 def check_order(d: DistanceMatrix, o: LinearOrder) -> bool:
     """True iff every position-ordered triple of the order is degenerate."""
+    from .metric import betweenness
+
     seq = tuple(o.order)
     if sorted(seq) != list(range(d.n)):
         raise NotAPermutation(seq, d.n)
@@ -76,11 +87,17 @@ def verify_non_anchor_witness(h: UniformHypergraph, d: DistanceMatrix) -> bool:
 
     True iff every edge of h is degenerate in d and yet no linear order
     passes check_order.  The order search is complete (first-point
-    enumeration), so True is a proof of non-anchorhood.
+    enumeration), so True is a proof of non-anchorhood.  Each edge is tested
+    as by `middle_of`, on integers; triples outside h are not looked at.
     """
+    from .metric import _degeneracy_test
+
     if h.n != d.n:
         raise SizeMismatch(h.n, d.n)
+    degenerate = _degeneracy_test(d)
     for edge in h.edge_list():
-        if middle_of(d, edge) is None:
+        if len(edge) != 3:
+            raise ValueError(f"{edge} is not a 3-subset")
+        if not degenerate(*edge):
             return False
     return reconstruct_line(d) is None

@@ -148,18 +148,13 @@ def middle_of(d: DistanceMatrix, triple) -> int | None:
     return mids[0] if mids else None
 
 
-def degenerate_hypergraph(d: DistanceMatrix) -> UniformHypergraph:
-    """The 3-uniform hypergraph of all degenerate triangles of the metric.
+def _degeneracy_test(d: DistanceMatrix):
+    """A test of whether the triple a < b < c is degenerate in d.
 
-    Tests the same three placements as :func:`middle_of`, on integer
-    numerators and denominators instead of `Fraction` sums, and sets the
-    edge bits in a byte buffer: OR-ing each bit into a growing int would
-    copy the whole mask once per edge.
+    It tests the same three placements as :func:`middle_of`, and raises the
+    same error where two of them hold, but on integer numerators and
+    denominators instead of `Fraction` sums.
     """
-    n = d.n
-    if n < 3:
-        raise TooFewPoints(n, 3)
-    check_budget(n, 3)
     num = [[x.numerator for x in row] for row in d.d]
     den = [[x.denominator for x in row] for row in d.d]
 
@@ -169,18 +164,35 @@ def degenerate_hypergraph(d: DistanceMatrix) -> UniformHypergraph:
             num[r][t] * den[r][s] * den[s][t]
         )
 
+    def degenerate(a, b, c):
+        mids = between(b, a, c) + between(a, b, c) + between(a, c, b)
+        if mids > 1:
+            raise InternalConsistencyError(
+                f"triple {[a, b, c]} has {mids} middles; the metric axioms were violated"
+            )
+        return mids == 1
+
+    return degenerate
+
+
+def degenerate_hypergraph(d: DistanceMatrix) -> UniformHypergraph:
+    """The 3-uniform hypergraph of all degenerate triangles of the metric.
+
+    Each triple is decided by :func:`_degeneracy_test`, and the edge bits
+    are set in a byte buffer: OR-ing each bit into a growing int would copy
+    the whole mask once per edge.
+    """
+    n = d.n
+    if n < 3:
+        raise TooFewPoints(n, 3)
+    check_budget(n, 3)
+    degenerate = _degeneracy_test(d)
     bits = bytearray((comb(n, 3) + 7) // 8)
     t_rank = 0
     for c in range(2, n):  # colex order: by largest point, then the next
         for b in range(1, c):
             for a in range(b):
-                mids = between(b, a, c) + between(a, b, c) + between(a, c, b)
-                if mids > 1:
-                    raise InternalConsistencyError(
-                        f"triple {[a, b, c]} has {mids} middles; "
-                        "the metric axioms were violated"
-                    )
-                if mids:
+                if degenerate(a, b, c):
                     bits[t_rank >> 3] |= 1 << (t_rank & 7)
                 t_rank += 1
     return UniformHypergraph(n, 3, int.from_bytes(bits, "little"))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import linesat
-from linesat.cli import main
+from linesat.cli import _COMMANDS, _build_parser, main
 from linesat.hypergraph import star_construction
 from linesat.io import dumps_certificate
 from linesat.saturation import weak_saturation_closure
@@ -271,6 +271,72 @@ def test_sweep_rejects_bad_arguments(capsys, argv):
     assert exc.value.code == 2
 
 
+_CHOICES = (
+    "{degenerate,close,verify-cert,saturated,anchor,reconstruct,witness-check,realize,gen,sweep}"
+)
+_USAGE = f"usage: linesat [-h]\n               {_CHOICES}\n               ...\n"
+
+
+def _ended_by_argparse(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# positionals each subcommand requires, so that a stray option is left to the top parser
+_REQUIRED = {"witness-check": ["h.json", "m.json"], "gen": ["star", "6"], "sweep": ["audit"]}
+
+
+@pytest.mark.parametrize("command", [*_COMMANDS, "sweep"])
+def test_one_subparser_prints_what_the_whole_parser_prints(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    whole = _build_parser().parse_args
+    helped = _ended_by_argparse(capsys, main, [command, "--help"])
+    assert helped == _ended_by_argparse(capsys, whole, [command, "--help"])
+    assert helped[0] == 0 and helped[1].startswith(f"usage: linesat {command} ")
+    stray = [command, *_REQUIRED.get(command, []), "--no-such-option"]
+    refused = _ended_by_argparse(capsys, main, stray)
+    assert refused == _ended_by_argparse(capsys, whole, stray)
+    assert refused[0] == 2 and refused[2].startswith(_USAGE + "linesat: error: unrecognized")
+
+
+def test_a_named_subcommand_builds_only_its_subparser(capsys):
+    with pytest.raises(SystemExit):
+        _build_parser("close").parse_args(["gen", "star", "6"])
+    assert "(choose from 'close')" in capsys.readouterr().err
+
+
+def test_top_level_help_and_unknown_command_are_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    listing = "".join(
+        f"    {name:<20}{text}\n"
+        for name, text in [
+            ("degenerate", "degenerate-triangle hypergraph of a metric"),
+            ("close", "weak saturation closure with certificate"),
+            ("verify-cert", "replay and check a closure certificate"),
+            ("saturated", "test weak saturation"),
+            ("anchor", "certify an anchor via closure (sufficient only)"),
+            ("reconstruct", "reconstruct a linear order from a metric"),
+            ("witness-check", "verify a metric disproving anchorhood of a hypergraph"),
+            ("realize", "decide metric realizability of a hypergraph"),
+            ("gen", "generate example inputs"),
+            ("sweep", "bulk verification runs"),
+        ]
+    )
+    assert _ended_by_argparse(capsys, main, ["--help"]) == (
+        0,
+        _USAGE + "\nexact tools for metric betweenness, degenerate triangles, weak hypergraph\n"
+        "saturation, line reconstruction, and realizability\n\npositional arguments:\n"
+        f"  {_CHOICES}\n{listing}\n"
+        "options:\n  -h, --help            show this help message and exit\n",
+        "",
+    )
+    code, out, err = _ended_by_argparse(capsys, main, ["pentagon"])
+    assert code == 2 and out == ""
+    assert err.startswith(_USAGE + "linesat: error: argument command: invalid choice: 'pentagon'")
+
+
 def test_memory_error_exits_2(capsys, monkeypatch):
     def exhausted(h, k):
         raise MemoryError("out of memory")
@@ -341,7 +407,7 @@ def test_hypergraph_only_modules_leave_out_fractions():
 
 # what `close` writes for star7, the input of the `verify-cert` row below
 _STAR7_CERT = dumps_certificate(weak_saturation_closure(star_construction(7), 6).certificate)
-_NO_METRIC = {"lines", "metric", "realizability", "simplex"}
+_NO_METRIC = {"fractions", "lines", "metric", "realizability", "simplex"}
 
 
 @pytest.mark.parametrize(
@@ -350,14 +416,16 @@ _NO_METRIC = {"lines", "metric", "realizability", "simplex"}
         (["close"], '{"n":7,"r":3,"edges":[[0,1,2]]}', _NO_METRIC),
         (["saturated"], '{"n":7,"r":3,"edges":[]}', _NO_METRIC),
         (["verify-cert"], _STAR7_CERT, _NO_METRIC),
+        (["anchor"], '{"n":7,"r":3,"edges":[[0,1,2]]}', {"fractions", "metric", "realizability"}),
         (["gen", "theta", "8"], "", {"lines", "realizability", "simplex", "saturation"}),
     ],
-    ids=["close", "saturated", "verify-cert", "gen"],
+    ids=["close", "saturated", "verify-cert", "anchor", "gen"],
 )
 def test_subcommand_loads_only_its_modules(argv, stdin_text, unused):
     code = (
         "import sys\nfrom linesat.cli import main\nmain(sys.argv[1:])\n"
-        "print(*(m for m in sys.modules if m.startswith('linesat.')), file=sys.stderr)"
+        "print(*(m for m in sys.modules if m.startswith('linesat.') or m == 'fractions'),"
+        " file=sys.stderr)"
     )
     done = _fresh_python(code, *argv, stdin_text=stdin_text)
     assert done.returncode in (0, 1) and done.stdout
@@ -375,17 +443,88 @@ def test_star_import_binds_every_public_name():
     assert done.returncode == 0 and done.stdout == "39 True\n"
 
 
+def _cli_child(*argv, stdin_text="", timeout=30, **options):
+    """`python -m linesat.cli` in a fresh interpreter: a program run, which
+    leaves through the fast exit."""
+    options = {"capture_output": True, "env": _fresh_env(), **options}
+    return subprocess.run(
+        [sys.executable, "-m", "linesat.cli", *argv],
+        input=stdin_text,
+        text=True,
+        timeout=timeout,
+        **options,
+    )
+
+
+def test_children_pipe_gen_to_verify_cert():
+    text = _cli_child("gen", "theta", "8").stdout
+    for command in ("degenerate", "close", "verify-cert"):
+        done = _cli_child(command, stdin_text=text)
+        assert done.returncode == 0 and done.stderr == ""
+        text = done.stdout
+    assert text == '{"valid":true}\n'
+
+
+def test_child_close_writes_what_main_writes(tmp_path, capsys):
+    star = tmp_path / "star.json"
+    assert main(["gen", "star", "7", "-o", str(star)]) == 0
+    child, here = tmp_path / "child.json", tmp_path / "here.json"
+    done = _cli_child("close", str(star), "--closure-out", str(child))
+    assert main(["close", str(star), "--closure-out", str(here)]) == 0
+    assert done.returncode == 0 and done.stdout == capsys.readouterr().out
+    assert child.read_bytes() == here.read_bytes()
+
+
+def test_child_exit_codes():
+    theta = _cli_child("gen", "theta", "6").stdout
+    done = _cli_child("saturated", stdin_text=_cli_child("degenerate", stdin_text=theta).stdout)
+    assert done.returncode == 1 and done.stdout == '{"weakly_saturated":false}\n'
+    done = _cli_child("close", stdin_text='{"n":7,"r":3}')
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+@pytest.mark.parametrize("argv", [["theorem2", "--n", "6"], ["min-sat", "--n", "7"]])
+def test_child_sweep_with_jobs_prints_what_main_prints(capsys, argv):
+    argv = ["sweep", *argv, "--jobs", "2"]
+    # min-sat at n=7 starts a pool; a worker outliving the child would hold
+    # the captured pipes open until the timeout
+    done = _cli_child(*argv)
+    assert main(argv) == 0
+    assert done.returncode == 0 and done.stdout == capsys.readouterr().out
+
+
+def test_program_run_skips_interpreter_teardown():
+    # exit handlers run in teardown, which a program run leaves out
+    code = (
+        "import atexit\nfrom linesat.cli import main\n"
+        "atexit.register(print, 'teardown ran')\nmain()"
+    )
+    done = _fresh_python(code, "gen", "cycle4")
+    assert done.returncode == 0 and done.stdout.startswith('{"n":4,')
+    assert "teardown ran" not in done.stdout
+
+
+def test_closed_stdout_pipe_exits_2_with_one_error_line():
+    # buffered stdout, so the write fails only in the final flush
+    env = {k: v for k, v in _fresh_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        pipe = {"capture_output": False, "stdout": write_end, "stderr": subprocess.PIPE}
+        done = _cli_child("gen", "theta", "8", env=env, **pipe)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Broken pipe" in done.stderr
+
+
 def _assert_refused_promptly(argv, stdin_text, subsets):
     # A fresh interpreter, so a runaway build would hit the timeout instead
     # of stalling the suite.
-    done = subprocess.run(
-        [sys.executable, "-m", "linesat.cli", *argv],
-        input=stdin_text or "",
-        capture_output=True,
-        text=True,
-        env=_fresh_env(),
-        timeout=30,
-    )
+    done = _cli_child(*argv, stdin_text=stdin_text or "")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: enumeration needs")
     assert subsets in done.stderr and "budget of 1000000" in done.stderr
@@ -431,14 +570,7 @@ def test_oversized_matrices_exit_2_promptly(argv, subsets):
 )
 def test_exponent_entries_exit_2_promptly(stdin_text):
     # Fraction alone would build 10**5000000 for each entry: tens of seconds
-    done = subprocess.run(
-        [sys.executable, "-m", "linesat.cli", "degenerate"],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        env=_fresh_env(),
-        timeout=10,
-    )
+    done = _cli_child("degenerate", stdin_text=stdin_text, timeout=10)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: cannot parse rational '1e5000000'")
 

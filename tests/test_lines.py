@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesat.errors import NotAPermutation, SizeMismatch, TooFewVertices
+from linesat.errors import (
+    InternalConsistencyError,
+    NotAPermutation,
+    SizeMismatch,
+    TooFewVertices,
+)
 from linesat.hypergraph import (
     UniformHypergraph,
     complete_hypergraph,
@@ -25,6 +30,8 @@ from linesat.metric import (
     four_cycle_metric,
     graph_metric,
     line_metric,
+    middle_of,
+    random_rational_metric,
     theta_graph,
 )
 
@@ -213,3 +220,36 @@ def test_witness_with_nondegenerate_edge_rejected():
 def test_witness_size_mismatch():
     with pytest.raises(SizeMismatch):
         verify_non_anchor_witness(complete_hypergraph(5, 3), four_cycle_metric())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_witness_check_agrees_with_middle_of(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    d = rng.choice(
+        [
+            random_rational_metric(n, seed),
+            random_collinear_metric(rng, n),
+            graph_metric(theta_graph(max(n, 5))),
+        ]
+    )
+    triples = degenerate_hypergraph(d).edge_list()
+    if rng.random() < 0.5:  # maybe one nondegenerate triple among the edges
+        triples.append(tuple(sorted(rng.sample(range(d.n), 3))))
+    h = UniformHypergraph.from_edges(d.n, 3, rng.sample(triples, rng.randint(0, len(triples))))
+    expected = all(middle_of(d, e) is not None for e in h.edge_list())
+    assert verify_non_anchor_witness(h, d) == (expected and reconstruct_line(d) is None)
+
+
+def test_witness_check_raises_only_on_an_edge_with_two_middles():
+    # points 0 and 1 coincide, so {0, 1, 2} and {0, 1, 3} each have two middles
+    d = DistanceMatrix.from_rows([[0, 0, 1, 2], [0, 0, 1, 2], [1, 1, 0, 1], [2, 2, 1, 0]])
+    assert not verify_non_anchor_witness(UniformHypergraph.from_edges(4, 3, [(0, 2, 3)]), d)
+    with pytest.raises(InternalConsistencyError, match=r"triple \[0, 1, 2\] has 2 middles"):
+        verify_non_anchor_witness(UniformHypergraph.from_edges(4, 3, [(0, 1, 2), (1, 2, 3)]), d)
+
+
+def test_witness_check_refuses_edges_that_are_not_triples():
+    h = UniformHypergraph.from_edges(5, 4, [(0, 1, 2, 3)])
+    with pytest.raises(ValueError, match=r"\(0, 1, 2, 3\) is not a 3-subset"):
+        verify_non_anchor_witness(h, line_metric(range(5)))
