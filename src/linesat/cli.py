@@ -49,6 +49,8 @@ def _write(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.output is None or args.output == "-":
+        if sys.stdout is None:  # fd 1 was closed when the run started
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -211,8 +213,8 @@ def _sweep_theorem2(args: argparse.Namespace) -> int:
 
     n, r, k = args.n, args.r, args.k
     bound = comb(n, r) - n + k - 1
-    at_bound = exhaustive_size_check(n, r, k, bound, args.budget, args.jobs)
-    below = exhaustive_size_check(n, r, k, bound - 1, args.budget, args.jobs)
+    at_bound = exhaustive_size_check(n, r, k, bound, args.budget)
+    below = exhaustive_size_check(n, r, k, bound - 1, args.budget)
     lines = [f"n={n} r={r} k={k} bound={bound}"]
     for size, hit in ((bound, at_bound), (bound - 1, below)):
         found = "all saturated" if hit is None else "counterexample found"
@@ -247,7 +249,7 @@ def _sweep_theorem3(args: argparse.Namespace) -> int:
 def _sweep_min_sat(args: argparse.Namespace) -> int:
     from .saturation import min_saturation_search
 
-    m = min_saturation_search(args.n, args.r, args.k, args.budget, args.jobs)
+    m = min_saturation_search(args.n, args.r, args.k, args.budget)
     _write(args, f"minimum weakly saturated size at n={args.n} r={args.r} k={args.k}: {m}")
     return EXIT_OK
 
@@ -354,7 +356,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             opt("name", choices=sorted(_SWEEPS)), out,
             *ints(("--n", 6), ("--n-min", 5), ("--n-max", None), ("--r", 3)),
             clique,
-            *ints(("--count", 1000), ("--seed", 0), ("--budget", DEFAULT_BUDGET), ("--jobs", 1)),
+            *ints(("--count", 1000), ("--seed", 0), ("--budget", DEFAULT_BUDGET)),
             ceiling,
         ),
     }

@@ -28,19 +28,18 @@ its prefix family fills, that rank comes straight back, so the leaf closes
 to the prefix family's closure: once one such leaf is decided, the rest
 share its verdict and are not closed.
 
-The minimum saturated size asks only whether some family of a size
-saturates, which relabeling the vertices does not change.  Relabel the
-chosen ranks so that two of them meeting in the most points, i, become
-rank 0 = {0..r-1} and b_i = {0..i-1} + {r..2r-i-1}: every r-set before b_i
-in colex order meets {0..r-1} in more than i points, so every other chosen
-rank lies above b_i, and one class per i is scanned.  A size check scans
-the same classes for an unsaturated family: when none has one, no family of
-that size fails, and only otherwise does the colex scan look for the first.
+A scan asks only whether some family of a size saturates (the minimum
+saturated size) or fails (a size check), which relabeling the vertices does
+not change.  Relabel the chosen ranks so that two of them meeting in the
+most points, i, become rank 0 = {0..r-1} and b_i = {0..i-1} + {r..2r-i-1}:
+every r-set before b_i in colex order meets {0..r-1} in more than i points,
+so every other chosen rank lies above b_i, and one class per i is scanned,
+in process, the largest i first.
 """
 
 import os
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceeded, InvalidK, OutOfRange
@@ -273,11 +272,10 @@ def _scan_tops(args):
 
 
 def _classes(n, r, c):
-    """(fixed ranks, number of further ranks) of each class a scan up to
-    relabeling visits: c = 0 and c = 1 fix () and (0,); otherwise, for each
-    largest overlap i of two chosen r-sets, rank 0 and the rank of
-    b_i = {0..i-1} + {r..2r-i-1}.  Two distinct r-sets meet in at least
-    2r - n points."""
+    """(fixed ranks, number of further ranks) of each class a scan visits:
+    c = 0 and c = 1 fix () and (0,); otherwise, for each largest overlap i
+    of two chosen r-sets, rank 0 and the rank of b_i = {0..i-1} +
+    {r..2r-i-1}.  Two distinct r-sets meet in at least 2r - n points."""
     if c < 2:
         return [((0,)[:c], 0)]
     return [
@@ -286,26 +284,15 @@ def _classes(n, r, c):
     ]
 
 
-def _scan_all(n, r, k, size, budget, jobs, want_saturated, up_to_relabeling=False):
-    """(index, mask) of the first candidate with the wanted saturation
-    verdict, scanning all `size`-edge hypergraphs; None when there is none.
+def _scan_all(n, r, k, size, budget, want_saturated):
+    """(index, mask) of a candidate with the wanted saturation verdict among
+    all `size`-edge hypergraphs; None when there is none.
 
-    Candidates are ordered by colex rank of the enumerated subsets (edge
-    sets, or their complements when those are smaller), so the result is
-    deterministic.  With jobs > 1 the candidates with the least largest
-    ranks are scanned in process first; if none hits, each pool chunk takes
-    every (4 jobs)-th further largest rank and the answer is the least
-    index over the chunks' hits, so it does not depend on scheduling.
-    A job count below 1 or above the CPU count is refused before any scan.
-
-    With `up_to_relabeling` only the `_classes` are scanned, one after
-    another and in one pool; a hit shows that some candidate has the
-    verdict, not which comes first.  The budget still counts every
-    candidate.
+    Every family relabels into one of the `_classes` and relabeling keeps
+    saturation, so only they are scanned, one after another, each in colex
+    order of its walked ranks.  The hit is the first in that order; the
+    budget still counts every candidate.
     """
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise OutOfRange(f"jobs {jobs} outside 1..{cpus}, the CPU count")
     n_ranks = comb(n, r)
     if not 0 <= size <= n_ranks:
         raise OutOfRange(f"size {size} outside [0, C({n},{r})]")
@@ -314,71 +301,39 @@ def _scan_all(n, r, k, size, budget, jobs, want_saturated, up_to_relabeling=Fals
     count = comb(n_ranks, c)
     if count > budget:
         raise BudgetExceeded(count, budget)
-    classes = _classes(n, r, c) if up_to_relabeling else [((), c)]
-    lows = [fixed[-1] + 1 if fixed else 0 for fixed, _ in classes]
-    # each class's largest walked ranks; a class with none to walk is one candidate
-    every = [range(low + w - 1, n_ranks) if w else [None] for (_, w), low in zip(classes, lows)]
+    for fixed, w in _classes(n, r, c):
+        tops = range(fixed[-1] + w if fixed else 0, n_ranks)  # unused when w = 0
+        hit = _scan_tops((n, r, k, w, by_complement, tops, want_saturated, fixed))
+        if hit is not None:
+            return hit
+    return None
 
-    def tasks(part):  # part: some of each class's tops
-        return [
-            (n, r, k, w, by_complement, tops, want_saturated, fixed)
-            for (fixed, w), tops in zip(classes, part)
-            if tops
-        ]
 
-    def first(part):
-        return next(filter(None, map(_scan_tops, tasks(part))), None)
-
-    if jobs == 1:
-        return first(every)
-    units = [(j, x) for j, tops in enumerate(every) for x in tops]
-    sizes = (1 if x is None else comb(x - lows[j], classes[j][1] - 1) for j, x in units)
-    held = list(accumulate(sizes))  # candidates up to each unit
-    if held[-1] < 4 * jobs:
-        return first(every)
-
-    def split(some):  # units back to each class's tops
-        part = [[] for _ in classes]
-        for j, x in some:
-            part[j].append(x)
-        return part
-
-    # Early answers cost less than starting a pool, so the leading tops are
-    # scanned here first: as many as hold at most 1/(4 jobs)**2 of the
-    # candidates, about 1.6% of a fruitless scan at jobs=2.
-    lead = max(1, sum(h <= held[-1] // (4 * jobs) ** 2 for h in held))
-    hit = first(split(units[:lead]))
-    if hit is not None:
-        return hit
-    rest = units[lead:]
-    chunks = [t for i in range(4 * jobs) for t in tasks(split(rest[i :: 4 * jobs]))]
-    from multiprocessing import Pool  # imported here so runs without a pool skip it
-
-    with Pool(jobs) as pool:
-        hits = [hit for hit in pool.map(_scan_tops, chunks) if hit is not None]
-    return min(hits) if hits else None
+def _check_jobs(jobs: int) -> None:
+    """Refuse a job count outside 1..the CPU count.  The scans run in
+    process whatever it is."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise OutOfRange(f"jobs {jobs} outside 1..{cpus}, the CPU count")
 
 
 def exhaustive_size_check(
     n: int, r: int, k: int, size: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> UniformHypergraph | None:
-    """First hypergraph of the given size that is not weakly saturated, or None.
+    """A hypergraph of the given size that is not weakly saturated, or None.
 
     None means every hypergraph with `size` edges on n vertices saturates.
-    Every family relabels into one of the `_classes` and relabeling keeps
-    saturation, so None is proven by scanning the classes, in process.  The
-    colex-first counterexample is searched for, with `jobs`, only once a
-    class shows that one exists.
+    The family returned is the first in class order.  Class r-1 fixes ranks
+    0 and 1 and is scanned first, so this is the colex-first counterexample
+    whenever that one holds ranks 0 and 1; it is equal to the colex-first on
+    every shape the tests check, but that is not proven in general.  `jobs`
+    must lie in 1..the CPU count and is otherwise ignored.
     """
     if k < r:
         raise InvalidK(k, r)
-    # an out-of-range `jobs` skips the class pass; the full scan refuses it
-    if 1 <= jobs <= (os.cpu_count() or 1) and not _scan_all(n, r, k, size, budget, 1, False, True):
-        return None
-    hit = _scan_all(n, r, k, size, budget, jobs, want_saturated=False)
-    if hit is None:
-        return None
-    return UniformHypergraph(n, r, hit[1])
+    _check_jobs(jobs)
+    hit = _scan_all(n, r, k, size, budget, want_saturated=False)
+    return None if hit is None else UniformHypergraph(n, r, hit[1])
 
 
 def min_saturation_search(
@@ -389,17 +344,13 @@ def min_saturation_search(
     Saturation survives adding edges, so the property "some m-edge
     hypergraph saturates" is monotone in m; the search walks m downward
     from a known saturated seed until a full scan finds no saturated set,
-    and returns the last size that had one.
-
-    Relabeling the vertices keeps saturation, so each size scans only the
-    families whose chosen ranks hold rank 0 = {0..r-1} and the rank of
-    b_i = {0..i-1} + {r..2r-i-1}, the rest above b_i, for each largest
-    overlap i of two chosen r-sets: relabel two that meet in i points to
-    these, and any other meets {0..r-1} in at most i points, which every
-    r-set before b_i in colex order but rank 0 exceeds.
+    and returns the last size that had one.  Each size is scanned up to
+    relabeling (`_scan_all`).  `jobs` must lie in 1..the CPU count and is
+    otherwise ignored.
     """
     if k < r:
         raise InvalidK(k, r)
+    _check_jobs(jobs)
     n_ranks = comb(n, r)
     upper = n_ranks  # the complete hypergraph always saturates
     if r == 3 and k == 6 and n >= 5:
@@ -408,7 +359,7 @@ def min_saturation_search(
             upper = star.edge_count
     m = upper - 1
     while m >= 0:
-        if _scan_all(n, r, k, m, budget, jobs, True, up_to_relabeling=True) is None:
+        if _scan_all(n, r, k, m, budget, want_saturated=True) is None:
             return m + 1
         m -= 1
     return 0

@@ -173,25 +173,24 @@ def test_sweep_min_sat(capsys, monkeypatch):
     assert out.strip().endswith("19")
 
 
-def test_sweep_min_sat_refuses_jobs_beyond_the_cpus(capsys, monkeypatch):
-    import multiprocessing
+def _refused(capsys, argv):
+    """(exit code, stdout, stderr) of `main` refusing argv in its parser."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out, captured.err
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was requested")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    code, out, err = run_cli(
-        capsys, monkeypatch, ["sweep", "min-sat", "--n", "7", "--jobs", "5000"]
-    )
-    assert code == 2 and out == "" and "jobs 5000" in err
+def test_sweep_min_sat_refuses_jobs_beyond_the_cpus(capsys):
+    # the scans run in process, so `sweep` has no --jobs option
+    code, out, err = _refused(capsys, ["sweep", "min-sat", "--n", "7", "--jobs", "5000"])
+    assert code == 2 and out == "" and "unrecognized arguments: --jobs 5000" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_min_sat_refuses_jobs_below_one(capsys, monkeypatch, jobs):
-    code, out, err = run_cli(
-        capsys, monkeypatch, ["sweep", "min-sat", "--n", "5", "--jobs", jobs]
-    )
-    assert code == 2 and out == "" and f"jobs {jobs}" in err
+def test_sweep_min_sat_refuses_jobs_below_one(capsys, jobs):
+    code, out, err = _refused(capsys, ["sweep", "min-sat", "--n", "5", "--jobs", jobs])
+    assert code == 2 and out == "" and f"unrecognized arguments: --jobs {jobs}" in err
 
 
 def test_sweep_menger(capsys, monkeypatch):
@@ -366,9 +365,19 @@ def _fresh_python(code, *argv, stdin_text=""):
 
 
 def test_cli_import_leaves_out_multiprocessing():
-    # only `--jobs` above 1 needs a process pool; every other run skips its import
-    done = _fresh_python("import sys, linesat.cli; print('multiprocessing' in sys.modules)")
-    assert done.returncode == 0 and done.stdout == "False\n"
+    # no run starts a process pool, whatever `jobs` says, so none imports it
+    code = (
+        "import os, sys\nfrom linesat.cli import main\n"
+        "from linesat.saturation import min_saturation_search\n"
+        "seen = ['multiprocessing' in sys.modules]\n"
+        "for n, name in ((7, 'min-sat'), (8, 'theorem2')):\n"
+        "    main(['sweep', name, '--n', str(n), '-o', os.devnull])\n"
+        "    seen.append('multiprocessing' in sys.modules)\n"
+        "min_saturation_search(7, 3, 6, jobs=min(2, os.cpu_count() or 1))\n"
+        "print(seen + ['multiprocessing' in sys.modules])"
+    )
+    done = _fresh_python(code)
+    assert done.returncode == 0 and done.stdout == "[False, False, False, False]\n"
 
 
 def test_cli_import_loads_no_engine():
@@ -484,15 +493,19 @@ def test_child_exit_codes():
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 @pytest.mark.parametrize("argv", [["theorem2", "--n", "6"], ["min-sat", "--n", "7"]])
-def test_child_sweep_with_jobs_prints_what_main_prints(capsys, argv):
-    argv = ["sweep", *argv, "--jobs", "2"]
-    # min-sat at n=7 starts a pool; a worker outliving the child would hold
-    # the captured pipes open until the timeout
-    done = _cli_child(*argv)
-    assert main(argv) == 0
+def test_child_sweep_with_jobs_prints_what_main_prints(capsys, monkeypatch, argv):
+    # a child sweeps as `main` does, and refuses --jobs as an unknown
+    # argument with the same usage error
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _cli_child("sweep", *argv)
+    assert main(["sweep", *argv]) == 0
     assert done.returncode == 0 and done.stdout == capsys.readouterr().out
+    argv = ["sweep", *argv, "--jobs", "2"]
+    done = _cli_child(*argv)
+    code, out, err = _refused(capsys, argv)
+    assert done.returncode == code == 2 and done.stdout == out == ""
+    assert done.stderr == err and "unrecognized arguments: --jobs 2" in err
 
 
 def test_program_run_skips_interpreter_teardown():
@@ -519,6 +532,22 @@ def test_closed_stdout_pipe_exits_2_with_one_error_line():
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Broken pipe" in done.stderr
+
+
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path):
+    # fd 1 closed at start, so Python sets sys.stdout to None
+    def close_stdout():
+        os.close(1)
+
+    done = _cli_child("gen", "star", "6", capture_output=False, stderr=subprocess.PIPE,
+                      preexec_fn=close_stdout)
+    assert done.returncode == 2
+    assert done.stderr == "error: standard output is closed\n"
+    out = tmp_path / "star.json"
+    done = _cli_child("gen", "star", "6", "-o", str(out), capture_output=False,
+                      stderr=subprocess.PIPE, preexec_fn=close_stdout)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(out.read_text())["n"] == 6
 
 
 def _assert_refused_promptly(argv, stdin_text, subsets):

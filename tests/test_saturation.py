@@ -385,10 +385,17 @@ def test_all_80_edge_sets_on_nine_saturate():
     assert exhaustive_size_check(9, 3, 6, 80, budget=2_000_000) is None
 
 
-@pytest.mark.slow
 def test_all_115_edge_sets_on_ten_saturate():
     # C(10,3) - 10 + 5 = 115: all C(120, 5) = 190,578,024 families of 5 non-edges
     assert exhaustive_size_check(10, 3, 6, 115, budget=2 * 10**8) is None
+
+
+def test_some_114_edge_set_on_ten_fails():
+    # the colex-first of the C(120, 6) families of 6 non-edges that fails
+    found = exhaustive_size_check(10, 3, 6, 114, budget=4 * 10**9)
+    non_edges = [t for t in range(120) if not found.edges >> t & 1]
+    assert rank(non_edges, 120) == 1_638_878
+    assert found.edge_count == 114 and not is_weakly_saturated(found, 6)
 
 
 def test_found_counterexample_is_deterministic():
@@ -409,6 +416,10 @@ def test_budget_exceeded_reports_requirement():
     assert err.value.required == comb(comb(8, 3), 28)
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a pool was started")
+
+
 def test_parallel_scan_matches_sequential():
     seq = exhaustive_size_check(6, 3, 6, 18, jobs=1)
     par = exhaustive_size_check(6, 3, 6, 18, jobs=2)
@@ -416,23 +427,19 @@ def test_parallel_scan_matches_sequential():
 
 
 def test_parallel_scan_takes_the_least_hit_over_chunks():
-    # At 16 of the 20 triples jobs=2 first scans, in process, the 70
-    # candidates whose largest rank is at most 7; every one of the 8 chunks
-    # it makes from ranks 8..19 holds an unsaturated family, and the first
-    # overall lies in the third chunk, not the first.
-    seq = _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, 1, False)
-    top = (full_edge_mask(6, 3) ^ seq[1]).bit_length() - 1
-    assert top > 7 and (top - 8) % 8 == 2
-    assert _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, 2, False) == seq
+    # At 16 of the 20 triples the first unsaturated family removes rank 10,
+    # past the 70 candidates whose removed ranks are all at most 7; the
+    # class pass, which fixes ranks 0 and 1 first, returns the colex walk's
+    # hit, index and mask.
+    hit = _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, False)
+    assert (full_edge_mask(6, 3) ^ hit[1]).bit_length() - 1 == 10
+    assert hit == _scan_tops((6, 3, 4, 4, True, range(3, 20), False, ()))
 
 
 @pytest.mark.parametrize("n, size", [(8, 52), (7, 32)])
 def test_parallel_scan_answers_early_without_a_pool(monkeypatch, n, size):
-    # Both first hits lie among the candidates scanned before a pool starts.
+    # No scan starts a pool, whatever `jobs` says, and the answer is jobs=1's.
     import multiprocessing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     seq = exhaustive_size_check(n, 3, 6, size, jobs=1)
@@ -442,9 +449,6 @@ def test_parallel_scan_answers_early_without_a_pool(monkeypatch, n, size):
 def test_parallel_scan_without_a_hit(monkeypatch):
     # with no counterexample the relabeling classes decide, in process
     import multiprocessing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert exhaustive_size_check(6, 2, 4, 12, jobs=2) is None
@@ -482,15 +486,20 @@ def enumeration_oracle(n, r, k, size):
     "n, r, k", [(4, 2, 3), (5, 2, 3), (6, 2, 4), (6, 3, 5), (6, 3, 4), (7, 2, 5), (6, 3, 6), (7, 3, 6)]
 )
 def test_scan_matches_enumeration_oracle(n, r, k, limit):
-    # every size whose scan has at most `limit` candidates (the default
-    # budget, for all), both verdicts
+    # a hit exactly when the oracle has one, of the size and the verdict
+    # wanted, for every size whose scan has at most `limit` candidates (the
+    # default budget, for all), both verdicts
     n_ranks = comb(n, r)
     for size in range(n_ranks + 1):
         if comb(n_ranks, min(size, n_ranks - size)) > (limit or DEFAULT_BUDGET):
             continue
         first = enumeration_oracle(n, r, k, size)
         for want in (False, True):
-            assert _scan_all(n, r, k, size, DEFAULT_BUDGET, 1, want) == first.get(want)
+            hit = _scan_all(n, r, k, size, DEFAULT_BUDGET, want)
+            assert (hit is None) == (want not in first), (n, r, k, size, want)
+            if hit is not None:
+                h = UniformHypergraph(n, r, hit[1])
+                assert h.edge_count == size and is_weakly_saturated(h, k) == want
 
 
 @pytest.mark.parametrize(
@@ -498,17 +507,42 @@ def test_scan_matches_enumeration_oracle(n, r, k, limit):
 )
 def test_size_check_matches_enumeration_oracle(n, r, k):
     # the colex-first unsaturated family, or None, for every size with at
-    # most 20,000 candidates; those with at least 2,000 at jobs=2 as well
+    # most 20,000 candidates
     n_ranks = comb(n, r)
     for size in range(n_ranks + 1):
-        count = comb(n_ranks, min(size, n_ranks - size))
-        if count > 20000:
+        if comb(n_ranks, min(size, n_ranks - size)) > 20000:
             continue
         first = enumeration_oracle(n, r, k, size).get(False)
         expected = None if first is None else first[1]
-        for jobs in (1, 2) if count >= 2000 else (1,):
-            found = exhaustive_size_check(n, r, k, size, jobs=jobs)
-            assert (None if found is None else found.edges) == expected, (n, r, k, size, jobs)
+        found = exhaustive_size_check(n, r, k, size)
+        assert (None if found is None else found.edges) == expected, (n, r, k, size)
+
+
+@pytest.mark.parametrize(
+    "n_max, limit, sizes",
+    [pytest.param(8, 20000, 223, id="small"), pytest.param(9, 300000, 400, id="all", marks=pytest.mark.slow)],
+)
+def test_size_check_agrees_with_the_colex_walk(n_max, limit, sizes):
+    # The size check returns the first unsaturated family in class order,
+    # and the colex walk the colex-first; they are the same family on every
+    # shape 4 <= n <= n_max, r in (2, 3), r < k <= n and every size with at
+    # most `limit` candidates.  `sizes` of them have one.
+    hits = 0
+    for n in range(4, n_max + 1):
+        for r in (2, 3):
+            n_ranks = comb(n, r)
+            for k in range(r + 1, n + 1):
+                for size in range(n_ranks + 1):
+                    by_complement = n_ranks - size < size
+                    c = n_ranks - size if by_complement else size
+                    if comb(n_ranks, c) > limit:
+                        continue
+                    found = exhaustive_size_check(n, r, k, size, budget=limit)
+                    colex = _scan_tops((n, r, k, c, by_complement, range(c - 1, n_ranks), False, ()))
+                    expected = None if colex is None else colex[1]
+                    assert (None if found is None else found.edges) == expected, (n, r, k, size)
+                    hits += colex is not None
+    assert hits == sizes
 
 
 def test_scan_of_each_top_matches_enumeration_oracle():
@@ -608,18 +642,21 @@ def test_every_rank_set_relabels_into_a_scanned_class():
 )
 def test_scan_up_to_relabeling_matches_full_scan(limit):
     # existence of a saturated family (and of an unsaturated one, which
-    # relabeling keeps too), every shape r < k <= n <= 7 and every size
-    # with at most `limit` candidates (the default budget, for all)
+    # relabeling keeps too) against the colex walk over every family, every
+    # shape r < k <= n <= 7 and every size with at most `limit` candidates
+    # (the default budget, for all)
     for n in range(2, 8):
         for r in range(1, n):
             n_ranks = comb(n, r)
             for k in range(r + 1, n + 1):
                 for size in range(n_ranks + 1):
-                    if comb(n_ranks, min(size, n_ranks - size)) > (limit or DEFAULT_BUDGET):
+                    by_complement = n_ranks - size < size
+                    c = n_ranks - size if by_complement else size
+                    if comb(n_ranks, c) > (limit or DEFAULT_BUDGET):
                         continue
                     for want in (True, False):
-                        args = (n, r, k, size, DEFAULT_BUDGET, 1, want)
-                        full, reduced = _scan_all(*args), _scan_all(*args, up_to_relabeling=True)
+                        full = _scan_tops((n, r, k, c, by_complement, range(c - 1, n_ranks), want, ()))
+                        reduced = _scan_all(n, r, k, size, DEFAULT_BUDGET, want)
                         assert (reduced is None) == (full is None), (n, r, k, size, want)
                         if reduced is not None:
                             h = UniformHypergraph(n, r, reduced[1])
@@ -657,48 +694,34 @@ def test_scan_of_each_class_top_matches_enumeration_oracle():
 
 
 @pytest.mark.parametrize(
-    "n, r, k, size, want, relabeled", [(7, 3, 6, 30, True, True), (8, 3, 6, 53, False, False)]
+    "n, r, k, size, want, jobs2", [(7, 3, 6, 30, True, True), (8, 3, 6, 53, False, False)]
 )
-def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size, want, relabeled):
-    # With nothing to find, jobs=2 scans every top of every class exactly
-    # once, a small lead in process and the rest in one pool, run inline here.
+def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size, want, jobs2):
+    # With nothing to find, each class's tops are scanned once, in process,
+    # at jobs=2 as at jobs=1: min-sat(7,3,6) scans only size 30, below the
+    # 31-edge star, for a saturated family, and size(8,3,6,53) for an
+    # unsaturated one.
     import multiprocessing
 
     from linesat import saturation
 
-    scanned, pools, pooled = [], [], []
-
-    class InlinePool:
-        def __init__(self, jobs):
-            pools.append(jobs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            pooled.extend(chunks)
-            return list(map(fn, chunks))
+    scanned = []
 
     def spied(args):
         scanned.append(args)
         return _scan_tops(args)
 
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(saturation, "_scan_tops", spied)
-    assert _scan_all(n, r, k, size, DEFAULT_BUDGET, 2, want, up_to_relabeling=relabeled) is None
-    assert pools == [2] and len(pooled) > len(scanned) / 2
-    tops = {}
-    for args in scanned:
-        tops.setdefault((args[7], args[3]), []).extend(args[5])
+    jobs = 2 if jobs2 else 1
+    if want:
+        assert min_saturation_search(n, r, k, jobs=jobs) == size + 1
+    else:
+        assert exhaustive_size_check(n, r, k, size, jobs=jobs) is None
     n_ranks = comb(n, r)
     c = min(size, n_ranks - size)
-    expected = {}
-    for fixed, w in _classes(n, r, c) if relabeled else [((), c)]:
-        expected[fixed, w] = list(range((fixed[-1] + 1 if fixed else 0) + w - 1, n_ranks))
-    assert {key: sorted(xs) for key, xs in tops.items()} == expected
+    tops = [(args[7], args[3], list(args[5])) for args in scanned]
+    assert tops == [(fixed, w, list(range(fixed[-1] + w, n_ranks))) for fixed, w in _classes(n, r, c)]
 
 
 def test_min_saturation_at_seven_scans_one_class_per_overlap(monkeypatch):
@@ -726,25 +749,23 @@ def test_min_saturation_budget_counts_every_candidate():
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (6, 2, 4), (6, 3, 5)])
 def test_min_saturation_in_a_pool_starts_one_pool_per_size(monkeypatch, n, r, k):
-    # all relabeling classes of a size share at most one pool
+    # jobs=2 starts no pool: each size is scanned once, in process, from
+    # the seed downward, and the answer is jobs=1's
     import multiprocessing
 
     from linesat import saturation
 
-    real_pool, starts, sizes = multiprocessing.Pool, [], []
-
-    def counted_pool(*args, **kwargs):
-        starts.append(len(sizes))
-        return real_pool(*args, **kwargs)
+    sizes = []
 
     def counted_scan(*args, **kwargs):
         sizes.append(args[3])
         return _scan_all(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(saturation, "_scan_all", counted_scan)
-    assert min_saturation_search(n, r, k, jobs=2) == min_saturation_search(n, r, k, jobs=1)
-    assert starts and len(set(starts)) == len(starts)
+    m = min_saturation_search(n, r, k, jobs=2)
+    assert sizes == list(range(sizes[0], m - 2, -1))
+    assert min_saturation_search(n, r, k, jobs=1) == m
 
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (8, 3, 6), (7, 2, 4), (6, 3, 4)])
@@ -818,9 +839,6 @@ def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch, capsys):
 
     from linesat.cli import main
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was requested")
-
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     with pytest.raises(OutOfRange):
         exhaustive_size_check(8, 3, 6, 52, jobs=10**9)
@@ -828,8 +846,9 @@ def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch, capsys):
         exhaustive_size_check(8, 3, 6, 53, jobs=10**9)  # at the bound, with nothing to find
     with pytest.raises(OutOfRange):
         min_saturation_search(7, 3, 6, jobs=10**9)
-    assert main(["sweep", "theorem2", "--n", "8", "--jobs", "5000"]) == 2
-    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exit_:  # `sweep` has no --jobs
+        main(["sweep", "theorem2", "--n", "8", "--jobs", "5000"])
+    assert exit_.value.code == 2 and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
