@@ -131,7 +131,7 @@ class UniformHypergraph(Record):
         for e in edges:
             e = tuple(sorted(e))
             if len(e) != r or len(set(e)) != r:
-                raise OutOfRange(f"{e} is not an {r}-subset")
+                raise OutOfRange(f"{e} is not a {r}-subset")
             mask |= 1 << rank(e, n)
         return cls(n, r, mask)
 

@@ -6,16 +6,19 @@ search branches over middle assignments.  After each choice the betweenness
 state is closed by unit propagation over clauses that hold in every metric:
 the propagation rule ([abc] and [acd] force [abd] and [bcd]) read as
 "not both premises, or the conclusion", exclusivity, and "every edge has a
-middle".  A branch dies when a non-edge is forced degenerate, a triple gets
-two middles, or an edge loses all three.  Surviving total assignments go
-to an exact LP that maximizes a uniform slack: distances are feasible with
-positive slack exactly when a metric with the required degeneracy pattern
-exists, because the pattern is scale-invariant.
+middle".  Each event visits only clauses that can fire: a placement set
+true walks the rule instances it is a premise of, and one set false only
+the instances concluding it whose other premise is true, found by ANDing
+two bitmasks.  A branch dies when a non-edge is forced degenerate, a triple
+gets two middles, or an edge loses all three.  Surviving total assignments
+go to an exact LP that maximizes a uniform slack: distances are feasible
+with positive slack exactly when a metric with the required degeneracy
+pattern exists, because the pattern is scale-invariant.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 from .errors import CeilingExceeded, InternalConsistencyError
@@ -98,22 +101,43 @@ def _rules(n: int) -> list[tuple[tuple[int, int, int], ...]]:
 
 
 @lru_cache(maxsize=8)
-def _concl(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every 4-point rule instance on n points, indexed by a conclusion slot.
+def _premises(n: int) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Every 4-point rule instance on n points, grouped by conclusion slot.
 
-    `_concl(n)[c]` lists the premise slots (x, y) of each instance in
-    `_rules(n)` that concludes c, in both orders: 8(n - 3) pairs per slot.
+    `_premises(n)[c]` is (mask, groups): mask has bit x set for each
+    premise slot x of an instance in `_rules(n)` that concludes c, and the
+    i-th group lists the partners y of its i-th lowest set bit.  Expanded,
+    these are the premise pairs (x, y) in both orders, 8(n - 3) per slot.
     Read as the clause "not x, or not y, or c", a false c and a true x
     force y false.
     """
-    concl = [[] for _ in range(3 * comb(n, 3))]
+    size = 3 * comb(n, 3)
+    masks, last = [0] * size, [-1] * size
+    groups = [[] for _ in range(size)]
+    # slots s come in ascending order, so each c's groups follow its bits;
+    # unrolled over the two conclusions to keep the cold build short
     for s, entries in enumerate(_rules(n)):
-        # each instance appears under both of its premises, so this
-        # records both orders of the pair
+        bit = 1 << s
         for partner, c1, c2 in entries:
-            concl[c1].append((s, partner))
-            concl[c2].append((s, partner))
-    return [tuple(pairs) for pairs in concl]
+            if last[c1] == s:
+                groups[c1][-1] += (partner,)
+            else:
+                last[c1], masks[c1] = s, masks[c1] | bit
+                groups[c1].append((partner,))
+            if last[c2] == s:
+                groups[c2][-1] += (partner,)
+            else:
+                last[c2], masks[c2] = s, masks[c2] | bit
+                groups[c2].append((partner,))
+    return [(mask, tuple(g)) for mask, g in zip(masks, groups)]
+
+
+# The edge-unit check by an edge's states a, b, c at index 9a + 3b + c: the
+# open position when the other two are false, -1 if all are false, or None.
+_UNIT = tuple(
+    -1 if t.count(FALSE) == 3 else t.index(OPEN) if sorted(t) == [OPEN, FALSE, FALSE] else None
+    for t in product((OPEN, TRUE, FALSE), repeat=3)
+)
 
 
 def _set_true(state: bytearray, queue: list[int], s: int) -> bool:
@@ -146,9 +170,10 @@ class MiddleAssignment:
     placements false.  Later changes are queued as events until
     `propagate` has handled them: a slot s set true as s, whose premise
     rules in `_rules(n)` are then scanned, and a slot set false by a rule
-    as ~s, whose conclusion rules in `_concl(n)` and whose edge are then
+    as ~s, whose edge and whose conclusion rules in `_premises(n)` are then
     checked.  The siblings of a slot set true go false silently (see
-    `_set_true`).
+    `_set_true`).  `_true` has bit s set for each true slot s whose event
+    has been handled, so it equals the true slots once the queue is empty.
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -160,6 +185,7 @@ class MiddleAssignment:
         self.contradiction = False
         # events not yet propagated: s for a slot set true, ~s for one set false
         self._queue: list[int] = []
+        self._true = 0
         for t_rank in range(comb(h.n, 3)):
             if not h.edges >> t_rank & 1:
                 base = 3 * t_rank
@@ -175,6 +201,7 @@ class MiddleAssignment:
         twin.state = bytearray(self.state)
         twin.contradiction = self.contradiction
         twin._queue = list(self._queue)
+        twin._true = self._true
         return twin
 
     def choose(self, triple, m) -> None:
@@ -206,35 +233,46 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     inequality there: each 4-point rule instance (x, y) concluding c reads
     "not x, or not y, or c", a triple has at most one middle, and an edge
     has at least one.  Pops queued events until none is left:
-    - s, set true: for each instance in `_rules(n)[s]`, a true partner
-      forces both conclusions true, and an open partner beside a false
-      conclusion is set false.
-    - ~s, set false: an edge with one open placement left and none true
-      gets it forced true, and one with none left is a contradiction; for
-      each premise pair (x, y) in `_concl(n)[s]`, a true x sets y false.
-    Forcing follows `_set_true`, whose siblings set false are no events.
-    Setting a false slot true or a true slot false is a contradiction,
-    which stops the closure at once and is remembered, so a contradicted
-    assignment stays False.  Without a contradiction the closure is a
-    monotone fixpoint, so the order events are taken in does not matter.
+    - s, set true: s joins `a._true`; for each instance in `_rules(n)[s]`,
+      a true partner forces both conclusions true, and an open partner
+      beside a false conclusion is set false.
+    - ~s, set false: `_UNIT` reads off whether its edge has one open
+      placement left and none true, which is forced true, or none left, a
+      contradiction; each premise slot in `_premises(n)[s]` that is in
+      `a._true` sets its partners false.
+    A true slot whose event is still queued is not yet in `a._true`, so a
+    false event skips its clauses; its own event reaches each of them
+    later from the other premise, where the false conclusion sets an open
+    partner false and makes a true partner a contradiction, as the skipped
+    visit would have.  Forcing follows `_set_true`, whose siblings set
+    false are no events.  Setting a false slot true or a true slot false
+    is a contradiction, which stops the closure at once and is remembered,
+    so a contradicted assignment stays False.  Without a contradiction the
+    closure is a monotone fixpoint, so the order events are taken in does
+    not matter.
     """
     if h is not None and h != a.hypergraph:
         raise ValueError("assignment belongs to a different hypergraph")
     if a.contradiction:
         return False
-    state, rules, concl, queue = a.state, _rules(a.n), _concl(a.n), a._queue
+    state, queue, true_bits = a.state, a._queue, a._true
+    rules, premises = _rules(a.n), _premises(a.n)
+    a.contradiction = True  # until the closure is reached
     while queue:
         s = queue.pop()
         if s >= 0:
+            true_bits |= 1 << s
             for partner, c1, c2 in rules[s]:
                 p = state[partner]
                 if p == TRUE:
                     for c in (c1, c2):
                         cur = state[c]
-                        if cur == OPEN:
-                            _set_true(state, queue, c)
+                        if cur == OPEN:  # as `_set_true` does
+                            base = c - c % 3
+                            state[base : base + 3] = _ALL_FALSE
+                            state[c] = TRUE
+                            queue.append(c)
                         elif cur == FALSE:
-                            a.contradiction = True
                             return False
                 elif p == OPEN and (state[c1] == FALSE or state[c2] == FALSE):
                     state[partner] = FALSE
@@ -242,22 +280,26 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
             continue
         s = ~s
         base = s - s % 3
-        trio = state[base : base + 3]
-        if TRUE not in trio:
-            if OPEN not in trio:
-                a.contradiction = True
+        unit = _UNIT[9 * state[base] + 3 * state[base + 1] + state[base + 2]]
+        if unit is not None:
+            if unit < 0:
                 return False
-            if trio.count(OPEN) == 1:
-                _set_true(state, queue, base + trio.index(OPEN))
-        for x, y in concl[s]:
-            if state[x] == TRUE:
+            state[base + unit] = TRUE  # its siblings are false already
+            queue.append(base + unit)
+        mask, groups = premises[s]
+        fired = true_bits & mask
+        while fired:
+            low = fired & -fired
+            fired ^= low
+            for y in groups[(mask & (low - 1)).bit_count()]:
                 cur = state[y]
                 if cur == OPEN:
                     state[y] = FALSE
                     queue.append(~y)
                 elif cur == TRUE:
-                    a.contradiction = True
                     return False
+    a.contradiction = False
+    a._true = true_bits
     return True
 
 

@@ -104,6 +104,13 @@ def test_realize_exit_codes(capsys, monkeypatch):
     assert obj["status"] == "metric" and obj["witness"]["n"] == 5
 
 
+def test_realize_edge_with_a_repeated_vertex_exits_2(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["realize"], stdin_text='{"n":4,"r":3,"edges":[[0,1,1]]}'
+    )
+    assert (code, out, err) == (2, "", "error: (0, 1, 1) is not a 3-subset\n")
+
+
 def test_gen_random_csv_format(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["gen", "random", "5", "11", "--format", "csv"]

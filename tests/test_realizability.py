@@ -25,6 +25,7 @@ from linesat.metric import (
 )
 from linesat.realizability import (
     MiddleAssignment,
+    _premises,
     _rules,
     is_metric_hypergraph,
     lp_max_slack,
@@ -242,6 +243,85 @@ def test_sibling_events_are_redundant(n):
     assert cases == 3 * comb(n, 3) * 4 * (n - 3) * 2 * 2
 
 
+def _true_bits(state):
+    return sum(1 << s for s, v in enumerate(state) if v == 1)
+
+
+def test_propagate_matches_naive_fixpoint_on_eight_points():
+    # 168 slots at n = 8: the true and premise masks span more than the 105
+    # slots of n = 7.  A consistent closure leaves `_true` equal to its
+    # true slots.
+    rng = random.Random(8)
+    n, triples = 8, list(combinations(range(8), 3))
+    outcomes = []
+    for _ in range(40):
+        density = rng.choice((0.3, 0.6, 0.9))
+        edges = [t for t in triples if rng.random() < density]
+        h = UniformHypergraph.from_edges(n, 3, edges)
+        chosen = rng.sample(edges, min(len(edges), rng.randint(0, 6)))
+        middles = {t: rng.choice(t) for t in chosen}
+        a = MiddleAssignment(h, middles)
+        consistent = propagate(a, h)
+        expected, true, false = _naive_closure(n, edges, middles)
+        assert consistent == expected, (edges, middles)
+        outcomes.append(consistent)
+        if consistent:
+            state = bytearray(
+                1 if (m, frozenset(t) - {m}) in true
+                else 2 if (m, frozenset(t) - {m}) in false else 0
+                for t in sorted(triples, key=lambda t: t[::-1])
+                for m in t
+            )
+            assert a.state == state, (edges, middles)
+            assert a._true == _true_bits(state)
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_premise_table_matches_the_rules(n):
+    # Expanding each conclusion slot's groups gives the (premise, partner)
+    # pairs of every rule instance concluding it, in both orders.
+    expected = [[] for _ in range(3 * comb(n, 3))]
+    for x, entries in enumerate(_rules(n)):
+        for y, c1, c2 in entries:
+            expected[c1].append((x, y))
+            expected[c2].append((x, y))
+    table = _premises(n)
+    assert len(table) == len(expected)
+    for c, (mask, groups) in enumerate(table):
+        xs = [x for x in range(mask.bit_length()) if mask >> x & 1]
+        assert len(xs) == len(groups) == 5 * (n - 3) and all(groups), c
+        pairs = [(x, y) for x, ys in zip(xs, groups) for y in ys]
+        assert sorted(pairs) == sorted(expected[c]), c
+        assert len(pairs) == 8 * (n - 3)
+
+
+def test_true_mask_tracks_the_true_slots(monkeypatch):
+    # Inside the search, every consistent propagate and every clone leaves
+    # `_true` equal to the true slots of the state.
+    checks = []
+
+    def checked_propagate(a, h=None):
+        consistent = propagate(a, h)
+        if consistent:
+            assert a._true == _true_bits(a.state)
+            checks.append(a)
+        return consistent
+
+    def checked_clone(a):
+        twin = clone(a)
+        assert twin._true == _true_bits(twin.state) == a._true
+        checks.append(twin)
+        return twin
+
+    clone = MiddleAssignment.clone
+    monkeypatch.setattr(realizability, "propagate", checked_propagate)
+    monkeypatch.setattr(MiddleAssignment, "clone", checked_clone)
+    minimal_nonmetric_audit()
+    is_metric_hypergraph(star_construction(7), ceiling=7)
+    assert len(checks) > 1000
+
+
 def test_propagation_is_sound_on_real_metrics():
     # Every clause holds in every metric, so starting from some of a
     # metric's own middles, propagation stays consistent, sets only that
@@ -377,6 +457,28 @@ def test_verdict_bytes_are_pinned():
         digest.update(io.dumps_verdict(verdict).encode() + b"\n")
     assert digest.hexdigest() == (
         "f477dcdd1053bfea4cd3e10b3cf91f407ef7fa2f9291f937de76d604e5631347"
+    )
+
+
+def test_extension_verdict_bytes_are_pinned():
+    # Non-metric 7-vertex extensions of the 19-edge family, the shape whose
+    # search propagation dominates: the core relabeled at random, plus a
+    # seeded 2 to 7 of the 15 triples through the seventh vertex.  Statuses
+    # and branch counts as `linesat realize` prints them.
+    rng = random.Random(5)
+    core = [t for t in combinations(range(6), 3) if t != (3, 4, 5)]
+    through6 = [t for t in combinations(range(7), 3) if 6 in t]
+    digest = hashlib.sha256()
+    for i in range(66):
+        extra = rng.sample(through6, 2 + i % 6)
+        perm = list(range(7))
+        rng.shuffle(perm)
+        edges = [tuple(perm[v] for v in t) for t in core + extra]
+        verdict = is_metric_hypergraph(UniformHypergraph.from_edges(7, 3, edges), 7)
+        assert verdict.status == "non-metric"
+        digest.update(io.dumps_verdict(verdict).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "1bb6e624399c71453a0a1ef91da495f6e46d3c70442f084c58bccd24511dde72"
     )
 
 
