@@ -11,17 +11,18 @@ their witness data).
 
 Each handler imports the modules it calls, so a run loads only what its
 subcommand needs: `close` never loads the realizability search or its LP.
-A run naming a subcommand builds only that subparser; help and error texts
-read the same.  Run as a program, `main` flushes stdout and stderr and
-leaves through `os._exit`, skipping interpreter teardown; `main(argv)`
-returns the exit code instead.
+One table gives each subcommand, and each sweep, its handler, help line
+and arguments; a run builds only the subparsers its words name, and help
+and error texts read the same.  Run as a program, `main` flushes stdout
+and stderr and leaves through `os._exit`, skipping interpreter teardown;
+`main(argv)` returns the exit code instead.
 """
 
 import argparse
 import sys
 from math import comb
 
-from .errors import FormatError, LinesatError
+from .errors import FormatError, LinesatError, OutOfRange
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -67,8 +68,7 @@ def _load_matrix(args: argparse.Namespace, path: str):
     from . import io as formats
 
     text = _read(path)
-    json_text = text.lstrip().startswith("{")
-    loads = formats.loads_matrix if json_text else formats.loads_matrix_csv
+    loads = formats.loads_matrix if text.lstrip().startswith("{") else formats.loads_matrix_csv
     return loads(text, validate=not args.no_validate)
 
 
@@ -148,11 +148,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
     h = formats.loads_hypergraph(_read(args.input))
     if args.ceiling > DEFAULT_CEILING:
-        print(
-            f"warning: ceiling {args.ceiling} accepts worst-case branching of "
-            "3^edges middle assignments",
-            file=sys.stderr,
-        )
+        branching = "accepts worst-case branching of 3^edges middle assignments"
+        print(f"warning: ceiling {args.ceiling} {branching}", file=sys.stderr)
     verdict = is_metric_hypergraph(h, args.ceiling)
     _write(args, formats.dumps_verdict(verdict))
     return EXIT_OK if verdict.status == "metric" else EXIT_NEGATIVE
@@ -206,6 +203,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _at_least(flag: str, value: int, low: int, bound: str = "") -> None:
+    """Refuse a sweep flag whose value leaves the sweep nothing to do."""
+    if value < low:
+        raise OutOfRange(f"{flag} must be at least {bound or low}, got {value}")
+
+
 def _sweep_theorem2(args: argparse.Namespace) -> int:
     """At the size bound C(n,r)-n+k-1 every hypergraph saturates; one edge
     below, some hypergraph must fail."""
@@ -230,18 +233,14 @@ def _sweep_theorem3(args: argparse.Namespace) -> int:
     from .hypergraph import star_construction
     from .saturation import is_weakly_saturated
 
-    ok = True
-    lines = []
-    n_max = 10 if args.n_max is None else args.n_max
-    for n in range(args.n_min, n_max + 1):
+    _at_least("--n-max", args.n_max, args.n_min, f"--n-min ({args.n_min})")
+    ok, lines = True, []
+    for n in range(args.n_min, args.n_max + 1):
         star = star_construction(n)
         expected = 3 * comb(n - 2, 2) + 1
         saturated = is_weakly_saturated(star, args.k)
         ok = ok and star.edge_count == expected and saturated
-        lines.append(
-            f"n={n}: edges={star.edge_count} expected={expected} "
-            f"saturated={saturated}"
-        )
+        lines.append(f"n={n}: edges={star.edge_count} expected={expected} saturated={saturated}")
     _write(args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -259,11 +258,12 @@ def _sweep_menger(args: argparse.Namespace) -> int:
 
     from .metric import check_menger, random_rational_metric
 
+    _at_least("--count", args.count, 1)
+    _at_least("--n-max", args.n_max, 3)
     rng = random.Random(args.seed)
     bad = 0
-    n_max = 8 if args.n_max is None else args.n_max
     for _ in range(args.count):
-        n = rng.randint(3, n_max)
+        n = rng.randint(3, args.n_max)
         d = random_rational_metric(n, rng.randrange(2**32))
         if check_menger(d):
             bad += 1
@@ -275,45 +275,22 @@ def _sweep_audit(args: argparse.Namespace) -> int:
     from . import io as formats
     from .realizability import minimal_nonmetric_audit
 
-    report = minimal_nonmetric_audit(args.ceiling)
+    report = minimal_nonmetric_audit()
     _write(args, formats.dumps_audit(report))
     return EXIT_OK if report.is_minimal_non_metric() else EXIT_NEGATIVE
 
 
-_SWEEPS = {
-    "theorem2": _sweep_theorem2,
-    "theorem3": _sweep_theorem3,
-    "min-sat": _sweep_min_sat,
-    "menger": _sweep_menger,
-    "audit": _sweep_audit,
-}
-
-_COMMANDS = {
-    "degenerate": _cmd_degenerate,
-    "close": _cmd_close,
-    "verify-cert": _cmd_verify_cert,
-    "saturated": _cmd_saturated,
-    "anchor": _cmd_anchor,
-    "reconstruct": _cmd_reconstruct,
-    "witness-check": _cmd_witness_check,
-    "realize": _cmd_realize,
-    "gen": _cmd_gen,
-}
-
-
 def run(args: argparse.Namespace) -> int:
-    """Dispatch parsed arguments; returns the process exit code."""
+    """Run the parsed subcommand's handler; returns the process exit code."""
     try:
-        if args.command == "sweep":
-            return _SWEEPS[args.name](args)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (LinesatError, OSError, ValueError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser, or only `command`'s subparser when it names one."""
+def _build_parser(words=()) -> argparse.ArgumentParser:
+    """The parser of the run `words`: only the subcommand and sweep they name, if any."""
     from .hypergraph import DEFAULT_BUDGET, DEFAULT_CEILING
 
     def opt(*flags, **kwargs):
@@ -322,43 +299,41 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     def ints(*defaults):  # integer options with no help line
         return [opt(flag, type=int, default=value) for flag, value in defaults]
 
-    io_args = (
-        opt("input", nargs="?", default="-", help="input file (default: stdin)"),
-        opt("-o", "--output", default=None, help="output file (default: stdout)"),
-    )
-    out = opt("-o", "--output", default=None)
-    no_validate = opt("--no-validate", action="store_true")
-    skip_checks = opt("--no-validate", action="store_true", help="skip metric axiom checks")
-    closure_out = opt("--closure-out", default=None, help="also write the closure hypergraph")
+    out = opt("-o", "--output", default=None, help="output file (default: stdout)")
+    io_args = (opt("input", nargs="?", default="-", help="input file (default: stdin)"), out)
+    no_validate = opt("--no-validate", action="store_true", help="skip metric axiom checks")
     clique = opt("--k", type=int, default=6, help="clique size (default 6)")
+    size_args = (out, *ints(("--n", 6), ("--r", 3)), clique, *ints(("--budget", DEFAULT_BUDGET)))
     branching = "max vertex count; raising it accepts exponential branching"
-    ceiling = opt("--ceiling", type=int, default=DEFAULT_CEILING, help=branching)
     kinds = " | ".join(_GEN_USAGE.values())
-    table = {  # subcommand -> its help line and its arguments, in listing order
-        "degenerate": ("degenerate-triangle hypergraph of a metric", *io_args, skip_checks),
-        "close": ("weak saturation closure with certificate", *io_args, clique, closure_out),
-        "verify-cert": ("replay and check a closure certificate", *io_args),
-        "saturated": ("test weak saturation", *io_args, clique),
-        "anchor": ("certify an anchor via closure (sufficient only)", *io_args),
-        "reconstruct": ("reconstruct a linear order from a metric", *io_args, no_validate),
-        "witness-check": (
-            "verify a metric disproving anchorhood of a hypergraph",
-            opt("hypergraph"), opt("metric"), out, no_validate,
-        ),
-        "realize": ("decide metric realizability of a hypergraph", *io_args, ceiling),
-        "gen": (
-            "generate example inputs",
-            opt("params", nargs="+", metavar="KIND [ARG...]", help=kinds),
-            out, opt("--format", dest="fmt", choices=("json", "csv"), default="json"),
-        ),
-        "sweep": (
-            "bulk verification runs",
-            opt("name", choices=sorted(_SWEEPS)), out,
-            *ints(("--n", 6), ("--n-min", 5), ("--n-max", None), ("--r", 3)),
-            clique,
-            *ints(("--count", 1000), ("--seed", 0), ("--budget", DEFAULT_BUDGET)),
-            ceiling,
-        ),
+    sweeps = {  # sweep -> its handler, help line and arguments, in listing order
+        "audit": (_sweep_audit, "minimality audit of the 19-edge non-metric family", out),
+        "menger": (_sweep_menger, "4-point rule on random metrics", out,
+                   *ints(("--count", 1000), ("--n-max", 8), ("--seed", 0))),
+        "min-sat": (_sweep_min_sat, "minimum weakly saturated size", *size_args),
+        "theorem2": (_sweep_theorem2, "exhaustive check of the bound C(n,r)-n+k-1", *size_args),
+        "theorem3": (_sweep_theorem3, "size 3*C(n-2,2)+1 and saturation of the star family",
+                     out, *ints(("--n-min", 5), ("--n-max", 10)), clique),
+    }
+    table = {  # subcommand -> its handler, help line and arguments, in listing order
+        "degenerate": (_cmd_degenerate, "degenerate-triangle hypergraph of a metric",
+                       *io_args, no_validate),
+        "close": (_cmd_close, "weak saturation closure with certificate", *io_args, clique,
+                  opt("--closure-out", default=None, help="also write the closure hypergraph")),
+        "verify-cert": (_cmd_verify_cert, "replay and check a closure certificate", *io_args),
+        "saturated": (_cmd_saturated, "test weak saturation", *io_args, clique),
+        "anchor": (_cmd_anchor, "certify an anchor via closure (sufficient only)", *io_args),
+        "reconstruct": (_cmd_reconstruct, "reconstruct a linear order from a metric",
+                        *io_args, no_validate),
+        "witness-check": (_cmd_witness_check,
+                          "verify a metric disproving anchorhood of a hypergraph",
+                          opt("hypergraph"), opt("metric"), out, no_validate),
+        "realize": (_cmd_realize, "decide metric realizability of a hypergraph", *io_args,
+                    opt("--ceiling", type=int, default=DEFAULT_CEILING, help=branching)),
+        "gen": (_cmd_gen, "generate example inputs",
+                opt("params", nargs="+", metavar="KIND [ARG...]", help=kinds),
+                out, opt("--format", dest="fmt", choices=("json", "csv"), default="json")),
+        "sweep": (sweeps, "bulk verification runs"),  # a table of its own
     }
     parser = argparse.ArgumentParser(
         prog="linesat",
@@ -367,22 +342,32 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "hypergraph saturation, line reconstruction, and realizability"
         ),
     )
+    _add_subparsers(parser, "command", table, list(words))
+    return parser
+
+
+def _add_subparsers(parser, dest: str, table: dict, words: list, **options) -> None:
+    """Add `table`'s subparsers to `parser`, or only the one `words` starts with."""
+    named = bool(words) and words[0] in table
+    names, rest = (words[:1], words[1:]) if named else (list(table), [])
     # A lone subparser takes the usage line of the whole set; the whole set
     # keeps no metavar, as its errors name the action by its dest.
-    names = [command] if command in table else list(table)
-    choices = "{%s}" % ",".join(table) if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    choices = "{%s}" % ",".join(table) if named else None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=choices)
     for name in names:
-        help_text, *arguments = table[name]
-        p = sub.add_parser(name, help=help_text)
+        handler, help_text, *arguments = table[name]
+        p = sub.add_parser(name, help=help_text, **options)
+        if isinstance(handler, dict):  # no abbreviations, or menger would read --n as --n-max
+            _add_subparsers(p, "name", handler, rest, allow_abbrev=False)
+            continue
+        p.set_defaults(handler=handler)
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
-    return parser
 
 
 def main(argv=None) -> int:
     words = sys.argv[1:] if argv is None else argv
-    code = run(_build_parser(words[0] if words else None).parse_args(words))
+    code = run(_build_parser(words).parse_args(words))
     if argv is not None:
         return code
     # A program run leaves without interpreter teardown, which costs more

@@ -67,7 +67,7 @@ class DuplicateCoordinate(LinesatError):
 
 
 class OutOfRange(LinesatError):
-    """A subset or rank falls outside the declared ground set."""
+    """A subset, rank, size or count falls outside its allowed range."""
 
 
 class TooFewVertices(LinesatError):

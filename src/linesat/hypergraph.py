@@ -119,6 +119,8 @@ class UniformHypergraph(Record):
     edges: int
 
     def __init__(self, n: int, r: int, edges: int):
+        if r < 0:
+            raise OutOfRange(f"uniformity r={r} is negative")
         if n < r:
             raise OutOfRange(f"n={n} smaller than uniformity r={r}")
         if not 0 <= edges < 1 << comb(n, r):

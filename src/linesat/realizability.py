@@ -461,15 +461,13 @@ def nineteen_edge_hypergraph() -> UniformHypergraph:
     return UniformHypergraph(6, 3, full ^ (1 << (comb(6, 3) - 1)))
 
 
-def minimal_nonmetric_audit(ceiling: int = DEFAULT_CEILING) -> AuditReport:
+def minimal_nonmetric_audit() -> AuditReport:
     """Confirm the 19-edge hypergraph is non-metric yet every single-vertex
     deletion of it is metric, witnessed by explicit matrices."""
     root_h = nineteen_edge_hypergraph()
-    root = AuditEntry(None, root_h.edge_count, is_metric_hypergraph(root_h, ceiling))
+    root = AuditEntry(None, root_h.edge_count, is_metric_hypergraph(root_h))
     deletions = []
     for v in range(root_h.n):
         sub = delete_vertex(root_h, v)
-        deletions.append(
-            AuditEntry(v, sub.edge_count, is_metric_hypergraph(sub, ceiling))
-        )
+        deletions.append(AuditEntry(v, sub.edge_count, is_metric_hypergraph(sub)))
     return AuditReport(root, tuple(deletions))

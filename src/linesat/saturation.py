@@ -342,24 +342,24 @@ def min_saturation_search(
     """Smallest edge count for which some hypergraph is weakly saturated.
 
     Saturation survives adding edges, so the property "some m-edge
-    hypergraph saturates" is monotone in m; the search walks m downward
-    from a known saturated seed until a full scan finds no saturated set,
-    and returns the last size that had one.  Each size is scanned up to
-    relabeling (`_scan_all`).  `jobs` must lie in 1..the CPU count and is
-    otherwise ignored.
+    hypergraph saturates" is monotone in m.  The empty family is closed
+    first; unless it saturates, the search walks m downward from a known
+    saturated seed until a full scan finds no saturated set, and returns
+    the last size that had one.  Each size is scanned up to relabeling
+    (`_scan_all`).  `jobs` must lie in 1..the CPU count and is otherwise
+    ignored.
     """
     if k < r:
         raise InvalidK(k, r)
     _check_jobs(jobs)
-    n_ranks = comb(n, r)
-    upper = n_ranks  # the complete hypergraph always saturates
+    upper = comb(n, r)  # the complete hypergraph always saturates
+    if not upper or is_weakly_saturated(UniformHypergraph(n, r, 0), k):
+        return 0  # the empty family is complete, or saturates (at k = r, say)
     if r == 3 and k == 6 and n >= 5:
         star = star_construction(n)
         if is_weakly_saturated(star, k):
             upper = star.edge_count
-    m = upper - 1
-    while m >= 0:
+    for m in range(upper - 1, 0, -1):
         if _scan_all(n, r, k, m, budget, want_saturated=True) is None:
             return m + 1
-        m -= 1
-    return 0
+    return 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import linesat
-from linesat.cli import _COMMANDS, _build_parser, main
+from linesat.cli import _build_parser, main
 from linesat.hypergraph import star_construction
 from linesat.io import dumps_certificate
 from linesat.saturation import weak_saturation_closure
@@ -200,6 +200,26 @@ def test_sweep_min_sat_refuses_jobs_below_one(capsys, jobs):
     assert code == 2 and out == "" and f"unrecognized arguments: --jobs {jobs}" in err
 
 
+def test_sweep_min_sat_where_the_empty_family_saturates(capsys, monkeypatch):
+    # at k = r every family saturates; the walk down from the top overran the budget
+    code, out, _ = run_cli(capsys, monkeypatch, ["sweep", "min-sat", "--n", "7", "--k", "3"])
+    assert code == 0 and out == "minimum weakly saturated size at n=7 r=3 k=3: 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["menger", "--count", "-5"], "--count must be at least 1, got -5"),
+        (["menger", "--count", "0"], "--count must be at least 1, got 0"),
+        (["menger", "--n-max", "2"], "--n-max must be at least 3, got 2"),
+        (["theorem3", "--n-min", "11"], "--n-max must be at least --n-min (11), got 10"),
+    ],
+)
+def test_sweep_with_nothing_to_do_exits_2(capsys, monkeypatch, argv, message):
+    code, out, err = run_cli(capsys, monkeypatch, ["sweep", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_menger(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["sweep", "menger", "--count", "30", "--n-max", "6"]
@@ -294,14 +314,26 @@ def _ended_by_argparse(capsys, parse, argv):
 _REQUIRED = {"witness-check": ["h.json", "m.json"], "gen": ["star", "6"], "sweep": ["audit"]}
 
 
-@pytest.mark.parametrize("command", [*_COMMANDS, "sweep"])
-def test_one_subparser_prints_what_the_whole_parser_prints(capsys, monkeypatch, command):
+# each sweep and the flags it reads; `sweep` took all ten for every sweep
+_SWEEP_FLAGS = {
+    "audit": ["-o"],
+    "menger": ["-o", "--count", "--n-max", "--seed"],
+    "min-sat": ["-o", "--n", "--r", "--k", "--budget"],
+    "theorem2": ["-o", "--n", "--r", "--k", "--budget"],
+    "theorem3": ["-o", "--n-min", "--n-max", "--k"],
+}
+_RUNS = [[command] for command in _CHOICES[1:-1].split(",")]
+_RUNS += [["sweep", name] for name in _SWEEP_FLAGS]
+
+
+@pytest.mark.parametrize("words", _RUNS, ids=" ".join)
+def test_one_subparser_prints_what_the_whole_parser_prints(capsys, monkeypatch, words):
     monkeypatch.setenv("COLUMNS", "80")
     whole = _build_parser().parse_args
-    helped = _ended_by_argparse(capsys, main, [command, "--help"])
-    assert helped == _ended_by_argparse(capsys, whole, [command, "--help"])
-    assert helped[0] == 0 and helped[1].startswith(f"usage: linesat {command} ")
-    stray = [command, *_REQUIRED.get(command, []), "--no-such-option"]
+    helped = _ended_by_argparse(capsys, main, [*words, "--help"])
+    assert helped == _ended_by_argparse(capsys, whole, [*words, "--help"])
+    assert helped[0] == 0 and helped[1].startswith(f"usage: linesat {' '.join(words)} ")
+    stray = [*words, *_REQUIRED.get(" ".join(words), []), "--no-such-option"]
     refused = _ended_by_argparse(capsys, main, stray)
     assert refused == _ended_by_argparse(capsys, whole, stray)
     assert refused[0] == 2 and refused[2].startswith(_USAGE + "linesat: error: unrecognized")
@@ -309,8 +341,41 @@ def test_one_subparser_prints_what_the_whole_parser_prints(capsys, monkeypatch, 
 
 def test_a_named_subcommand_builds_only_its_subparser(capsys):
     with pytest.raises(SystemExit):
-        _build_parser("close").parse_args(["gen", "star", "6"])
+        _build_parser(["close"]).parse_args(["gen", "star", "6"])
     assert "(choose from 'close')" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        _build_parser(["sweep", "audit"]).parse_args(["sweep", "menger"])
+    assert "(choose from 'audit')" in capsys.readouterr().err
+
+
+def test_each_sweep_takes_only_the_flags_it_reads(capsys):
+    parse = _build_parser().parse_args
+    every = {flag for flags in _SWEEP_FLAGS.values() for flag in flags} | {"--ceiling"}
+    for name, flags in _SWEEP_FLAGS.items():
+        for flag in sorted(every):
+            argv = ["sweep", name, flag, "7"]
+            if flag in flags:
+                assert parse(argv).handler.__name__ == "_sweep_" + name.replace("-", "_")
+            else:
+                code, out, err = _ended_by_argparse(capsys, parse, argv)
+                assert (code, out) == (2, "")
+                assert err.endswith(f"linesat: error: unrecognized arguments: {flag} 7\n")
+
+
+def test_sweep_defaults_live_in_the_parser():
+    parse = _build_parser().parse_args
+    assert parse(["sweep", "theorem3"]).n_max == 10
+    assert parse(["sweep", "menger"]).n_max == 8
+    assert vars(parse(["sweep", "min-sat"])).items() >= {"n": 6, "r": 3, "k": 6}.items()
+
+
+def test_sweep_help_lists_each_sweep_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = _ended_by_argparse(capsys, main, ["sweep", "--help"])
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+    assert code == 0 and listed == list(_SWEEP_FLAGS)
+    usage = "usage: linesat sweep [-h] {audit,menger,min-sat,theorem2,theorem3} ...\n"
+    assert out.startswith(usage)
 
 
 def test_top_level_help_and_unknown_command_are_unchanged(capsys, monkeypatch):

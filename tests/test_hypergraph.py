@@ -63,6 +63,13 @@ def test_colex_combinations_order_matches_rank():
         assert listed == [unrank(k, n, r) for k in range(comb(n, r))]
 
 
+@pytest.mark.parametrize("n, r", [(3, -1), (-2, -3), (-2, 0), (2, 3)])
+def test_shapes_outside_zero_to_n_are_out_of_range(n, r):
+    # math.comb raised a bare ValueError for the negative ones
+    with pytest.raises(OutOfRange):
+        UniformHypergraph(n, r, 0)
+
+
 def test_rank_rejects_bad_subsets():
     with pytest.raises(OutOfRange):
         rank((0, 0, 1), 6)

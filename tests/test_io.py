@@ -1,14 +1,27 @@
+import io as stdio
 import json
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linesat import io as formats
-from linesat.errors import FormatError, TriangleViolation
-from linesat.hypergraph import star_construction
+from linesat.cli import main
+from linesat.errors import FormatError, InvalidK, LinesatError, OutOfRange, TriangleViolation
+from linesat.hypergraph import delete_vertex, star_construction
 from linesat.metric import four_cycle_metric, random_rational_metric
 from linesat.realizability import is_metric_hypergraph, nineteen_edge_hypergraph
-from linesat.saturation import weak_saturation_closure
+from linesat.saturation import (
+    ClosureCertificate,
+    exhaustive_size_check,
+    is_weakly_saturated,
+    min_saturation_search,
+    verify_certificate,
+    weak_saturation_closure,
+)
 
 
 def test_matrix_roundtrip():
@@ -137,3 +150,100 @@ def test_certificate_rejects_non_list_steps(text):
 def test_booleans_are_not_vertex_indices(loads, text):
     with pytest.raises(FormatError):
         loads(text)
+
+
+def _parsed(loads, text, command, error=FormatError):
+    """A row of the table below: `loads` refuses `text`, and so does `command` on stdin."""
+    return partial(loads, text), error, [command], text
+
+
+_STAR6 = formats.dumps_hypergraph(star_construction(6))
+
+
+@pytest.mark.parametrize(
+    "call, error, argv, stdin_text",
+    [
+        _parsed(formats.loads_hypergraph, '{"n":3,', "saturated"),
+        _parsed(formats.loads_hypergraph, '{"n":3,"r":3}', "saturated"),
+        _parsed(formats.loads_matrix, '{"n":2,"dist":[[0,1]],"extra":0}', "degenerate"),
+        _parsed(formats.loads_matrix, '{"n":2,"dist":[[0,1],[1]]}', "degenerate"),
+        _parsed(formats.loads_matrix_csv, "", "degenerate"),
+        _parsed(formats.loads_matrix_csv, "3\n0,1,1\n1,0,1\n", "degenerate"),
+        _parsed(formats.loads_matrix_csv, "2\n0,1,1\n1,0\n", "degenerate"),
+        _parsed(formats.loads_matrix, '{"n":2,"dist":[[0,"1/0"],["1/0",0]]}', "degenerate"),
+        _parsed(formats.loads_hypergraph, '{"n":3,"r":3,"edges":{}}', "saturated"),
+        _parsed(formats.loads_hypergraph, '{"n":3,"r":3,"edges":[[0,1,2],[2,1,0]]}', "saturated"),
+        _parsed(
+            formats.loads_certificate,
+            '{"n":6,"r":3,"k":6,"base":[],"steps":[{"T":[0,1,2],"S":[0,1,2,3,4,5],"U":[]}]}',
+            "verify-cert",
+        ),
+        _parsed(formats.loads_hypergraph, '{"n":3,"r":-1,"edges":[]}', "saturated", OutOfRange),
+        _parsed(formats.loads_hypergraph, '{"n":-2,"r":-3,"edges":[]}', "saturated", OutOfRange),
+        (partial(exhaustive_size_check, 6, 3, 2, 10), InvalidK,
+         ["sweep", "theorem2", "--n", "6", "--k", "2"], ""),
+        (partial(min_saturation_search, 6, 3, 2), InvalidK,
+         ["sweep", "min-sat", "--n", "6", "--k", "2"], ""),
+        (partial(is_weakly_saturated, star_construction(6), 2), InvalidK,
+         ["saturated", "--k", "2"], _STAR6),
+        (partial(delete_vertex, star_construction(6), 6), OutOfRange, None, None),
+    ],
+    ids=[
+        "invalid-json", "wrong-keys", "matrix-extra-key", "non-square-dist", "empty-csv",
+        "csv-row-count", "csv-row-width", "zero-denominator", "edges-not-a-list",
+        "duplicate-edges", "step-extra-key", "negative-r", "negative-n-and-r",
+        "size-check-k-below-r", "min-sat-k-below-r", "saturated-k-below-r",
+        "delete-vertex-out-of-range",
+    ],
+)
+def test_rejected_inputs_raise_typed_errors_and_exit_2(
+    capsys, monkeypatch, call, error, argv, stdin_text
+):
+    with pytest.raises(error):
+        call()
+    if argv is None:  # no subcommand takes this input
+        return
+    monkeypatch.setattr(sys, "stdin", stdio.StringIO(stdin_text))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_step_with_a_wrong_size_t_is_an_invalid_certificate(capsys, monkeypatch):
+    # the schema leaves T's length to the verifier, whose "no" is a verdict
+    cert = ClosureCertificate(star_construction(6), 6, (((0, 1), (0, 1, 2, 3, 4, 5)),))
+    assert verify_certificate(cert) is False
+    monkeypatch.setattr(sys, "stdin", stdio.StringIO(formats.dumps_certificate(cert)))
+    assert main(["verify-cert"]) == 1
+    assert capsys.readouterr().out == '{"valid":false}\n'
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_INT = st.integers(-3, 8)
+_ENTRY = _INT | st.sampled_from(["1/2", "-1", "1/0", "0/0"]) | _JSON
+_EDGES = st.lists(st.lists(_INT, max_size=4), max_size=3)
+_DIST = st.lists(st.lists(_ENTRY, max_size=4), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _JSON,
+        st.fixed_dictionaries({"n": _INT, "r": _INT, "edges": _EDGES}),
+        st.fixed_dictionaries({"n": _INT | _JSON, "r": _INT | _JSON, "edges": _JSON}),
+        st.fixed_dictionaries({"n": _INT, "dist": _DIST}),
+        st.fixed_dictionaries({"n": _INT | _JSON, "dist": _JSON}),
+    )
+)
+def test_loaders_raise_only_typed_errors(value):
+    text = json.dumps(value)
+    for loads in (formats.loads_hypergraph, formats.loads_matrix):
+        try:
+            loads(text)
+        except LinesatError:
+            pass

@@ -800,6 +800,13 @@ def test_min_saturation_at_six_is_19():
     assert min_saturation_search(6, 3, 6) == 19
 
 
+@pytest.mark.parametrize("n", [6, 7, 9])
+def test_min_saturation_is_zero_where_the_empty_family_saturates(n):
+    # at k = r each r-set is a k-set missing only itself; the walk down from
+    # C(n, r) ran over the budget at mid sizes for n = 7
+    assert min_saturation_search(n, 3, 3) == 0
+
+
 def test_min_saturation_at_five_is_complete():
     # k = 6 exceeds n = 5, so no closure step ever fires and only the
     # complete hypergraph is saturated
