@@ -68,7 +68,8 @@ def _load_matrix(args: argparse.Namespace, path: str):
     from . import io as formats
 
     text = _read(path)
-    loads = formats.loads_matrix if text.lstrip().startswith("{") else formats.loads_matrix_csv
+    json_text = text.lstrip().startswith("{")
+    loads = formats.loads_matrix if json_text else formats.loads_matrix_csv
     return loads(text, validate=not args.no_validate)
 
 
@@ -148,8 +149,11 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
     h = formats.loads_hypergraph(_read(args.input))
     if args.ceiling > DEFAULT_CEILING:
-        branching = "accepts worst-case branching of 3^edges middle assignments"
-        print(f"warning: ceiling {args.ceiling} {branching}", file=sys.stderr)
+        print(
+            f"warning: ceiling {args.ceiling} accepts worst-case branching of "
+            "3^edges middle assignments",
+            file=sys.stderr,
+        )
     verdict = is_metric_hypergraph(h, args.ceiling)
     _write(args, formats.dumps_verdict(verdict))
     return EXIT_OK if verdict.status == "metric" else EXIT_NEGATIVE
@@ -203,12 +207,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _at_least(flag: str, value: int, low: int, bound: str = "") -> None:
-    """Refuse a sweep flag whose value leaves the sweep nothing to do."""
-    if value < low:
-        raise OutOfRange(f"{flag} must be at least {bound or low}, got {value}")
-
-
 def _sweep_theorem2(args: argparse.Namespace) -> int:
     """At the size bound C(n,r)-n+k-1 every hypergraph saturates; one edge
     below, some hypergraph must fail."""
@@ -233,14 +231,19 @@ def _sweep_theorem3(args: argparse.Namespace) -> int:
     from .hypergraph import star_construction
     from .saturation import is_weakly_saturated
 
-    _at_least("--n-max", args.n_max, args.n_min, f"--n-min ({args.n_min})")
-    ok, lines = True, []
+    if args.n_max < args.n_min:
+        raise OutOfRange(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
+    ok = True
+    lines = []
     for n in range(args.n_min, args.n_max + 1):
         star = star_construction(n)
         expected = 3 * comb(n - 2, 2) + 1
         saturated = is_weakly_saturated(star, args.k)
         ok = ok and star.edge_count == expected and saturated
-        lines.append(f"n={n}: edges={star.edge_count} expected={expected} saturated={saturated}")
+        lines.append(
+            f"n={n}: edges={star.edge_count} expected={expected} "
+            f"saturated={saturated}"
+        )
     _write(args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -258,8 +261,10 @@ def _sweep_menger(args: argparse.Namespace) -> int:
 
     from .metric import check_menger, random_rational_metric
 
-    _at_least("--count", args.count, 1)
-    _at_least("--n-max", args.n_max, 3)
+    if args.count < 1:
+        raise OutOfRange(f"--count must be at least 1, got {args.count}")
+    if args.n_max < 3:
+        raise OutOfRange(f"--n-max must be at least 3, got {args.n_max}")
     rng = random.Random(args.seed)
     bad = 0
     for _ in range(args.count):
