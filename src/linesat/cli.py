@@ -22,7 +22,7 @@ import argparse
 import sys
 from math import comb
 
-from .errors import FormatError, LinesatError, OutOfRange
+from .errors import BudgetExceeded, FormatError, LinesatError, OutOfRange
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -210,9 +210,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _sweep_theorem2(args: argparse.Namespace) -> int:
     """At the size bound C(n,r)-n+k-1 every hypergraph saturates; one edge
     below, some hypergraph must fail."""
-    from .saturation import exhaustive_size_check
+    from .saturation import _check_scan, exhaustive_size_check
 
     n, r, k = args.n, args.r, args.k
+    _check_scan(n, r, k, 1)  # before C(n, r) is taken
     bound = comb(n, r) - n + k - 1
     at_bound = exhaustive_size_check(n, r, k, bound, args.budget)
     below = exhaustive_size_check(n, r, k, bound - 1, args.budget)
@@ -259,12 +260,16 @@ def _sweep_min_sat(args: argparse.Namespace) -> int:
 def _sweep_menger(args: argparse.Namespace) -> int:
     import random
 
+    from .hypergraph import DEFAULT_BUDGET
     from .metric import check_menger, random_rational_metric
 
     if args.count < 1:
         raise OutOfRange(f"--count must be at least 1, got {args.count}")
     if args.n_max < 3:
         raise OutOfRange(f"--n-max must be at least 3, got {args.n_max}")
+    triangles = args.count * comb(args.n_max, 3)  # the most the sweep may decide
+    if triangles > DEFAULT_BUDGET:
+        raise BudgetExceeded(triangles, DEFAULT_BUDGET, "triangles")
     rng = random.Random(args.seed)
     bad = 0
     for _ in range(args.count):

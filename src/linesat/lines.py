@@ -8,7 +8,7 @@ recovers the order.  A family of triples is certified as an anchor (its
 degeneracy forces such an order in every metric) through weak saturation
 at clique size six.
 
-The functions that take a metric import `metric` when called, so
+Only `verify_non_anchor_witness` imports `metric`, when called, so
 certifying an anchor loads neither it nor `fractions`.
 """
 
@@ -32,19 +32,17 @@ class LinearOrder(Record):
 
 
 def check_order(d: DistanceMatrix, o: LinearOrder) -> bool:
-    """True iff every position-ordered triple of the order is degenerate."""
-    from .metric import betweenness
+    """True iff every position-ordered triple of the order is degenerate.
 
+    With p first, the triples (p, x, y) say d(x, y) = d(p, y) - d(p, x), and these
+    make every other triple add up; no diagonal entry or symmetry is used.
+    """
     seq = tuple(o.order)
     if sorted(seq) != list(range(d.n)):
         raise NotAPermutation(seq, d.n)
-    n = d.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if not betweenness(d, seq[i], seq[j], seq[k]):
-                    return False
-    return True
+    m = d.d
+    first, rest = m[seq[0]], seq[1:]
+    return all(m[x][y] == first[y] - first[x] for i, x in enumerate(rest) for y in rest[i + 1 :])
 
 
 def reconstruct_line(d: DistanceMatrix) -> LinearOrder | None:

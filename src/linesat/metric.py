@@ -148,13 +148,9 @@ def middle_of(d: DistanceMatrix, triple) -> int | None:
     return mids[0] if mids else None
 
 
-def _degeneracy_test(d: DistanceMatrix):
-    """A test of whether the triple a < b < c is degenerate in d.
-
-    It tests the same three placements as :func:`middle_of`, and raises the
-    same error where two of them hold, but on integer numerators and
-    denominators instead of `Fraction` sums.
-    """
+def _between_test(d: DistanceMatrix):
+    """The equation of :func:`betweenness` on integer numerators and
+    denominators instead of `Fraction` sums, with no checks on the points."""
     num = [[x.numerator for x in row] for row in d.d]
     den = [[x.denominator for x in row] for row in d.d]
 
@@ -163,6 +159,14 @@ def _degeneracy_test(d: DistanceMatrix):
         return (num[r][s] * den[s][t] + num[s][t] * den[r][s]) * den[r][t] == (
             num[r][t] * den[r][s] * den[s][t]
         )
+
+    return between
+
+
+def _degeneracy_test(d: DistanceMatrix):
+    """A test of whether the triple a < b < c is degenerate in d: the three
+    placements of :func:`middle_of`, with its error where two of them hold."""
+    between = _between_test(d)
 
     def degenerate(a, b, c):
         mids = between(b, a, c) + between(a, b, c) + between(a, c, b)
@@ -299,29 +303,15 @@ def check_menger(d: DistanceMatrix) -> list[tuple[int, int, int, int]]:
     empty; a nonempty result witnesses a broken betweenness implementation
     or an invalid matrix.
     """
-    n = d.n
-    m = d.d
-    between = set()
-    for r, s, t in combinations(range(n), 3):
-        for mid, (lo, hi) in ((r, (s, t)), (s, (r, t)), (t, (r, s))):
-            if m[lo][mid] + m[mid][hi] == m[lo][hi]:
-                between.add((lo, mid, hi))
-                between.add((hi, mid, lo))
-    violations = []
-    for a in range(n):
-        for b in range(n):
-            if b == a:
-                continue
-            for c in range(n):
-                if c in (a, b):
-                    continue
-                if (a, b, c) not in between:
-                    continue
-                for e in range(n):
-                    if e in (a, b, c):
-                        continue
-                    if (a, c, e) in between and not (
-                        (a, b, e) in between and (b, c, e) in between
-                    ):
-                        violations.append((a, b, c, e))
-    return violations
+    between = _between_test(d)
+    facts = set()
+    for a, b, c in combinations(range(d.n), 3):
+        for lo, mid, hi in ((a, b, c), (b, a, c), (a, c, b)):
+            if between(lo, mid, hi):
+                facts.update(((lo, mid, hi), (hi, mid, lo)))
+    return [
+        (a, b, c, e)
+        for a, b, c in sorted(facts)
+        for e in range(d.n)
+        if e != b and (a, c, e) in facts and not ((a, b, e) in facts and (b, c, e) in facts)
+    ]

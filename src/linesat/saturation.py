@@ -197,9 +197,9 @@ def is_weakly_saturated(h: UniformHypergraph, k: int) -> bool:
     return h.edges == full or _close(h, k) == full
 
 
-def _scan_tops(args):
-    """(index, mask) of the first candidate with the wanted verdict among
-    those whose largest chosen rank is in `tops`; None when there is none.
+def _scan_tops(n, r, k, c, by_complement, tops, want_saturated, fixed):
+    """The mask of the first candidate with the wanted verdict among those
+    whose largest chosen rank is in `tops`; None when there is none.
     The candidates hold the ranks in `fixed` and c more, all above them;
     with c = 0 the one candidate is `fixed` itself and `tops` is unused.
 
@@ -216,7 +216,6 @@ def _scan_tops(args):
     wanted and no subset of P has one, or every later such leaf is skipped.
     Only proven misses are skipped, so the answer is unchanged.
     """
-    n, r, k, c, by_complement, tops, want_saturated, fixed = args
     kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
     full = full_edge_mask(n, r)
     base = full if by_complement else 0
@@ -262,13 +261,8 @@ def _scan_tops(args):
     for t in fixed:
         start ^= 1 << t
     if c:
-        mask = walk(c, tops, start)
-    else:
-        mask = start if hit(start) else None
-    if mask is None:
-        return None
-    chosen = mask ^ base
-    return rank([t for t in range(comb(n, r)) if chosen >> t & 1], comb(n, r)), mask
+        return walk(c, tops, start)
+    return start if hit(start) else None
 
 
 def _classes(n, r, c):
@@ -285,8 +279,8 @@ def _classes(n, r, c):
 
 
 def _scan_all(n, r, k, size, budget, want_saturated):
-    """(index, mask) of a candidate with the wanted saturation verdict among
-    all `size`-edge hypergraphs; None when there is none.
+    """The mask of a candidate with the wanted saturation verdict among all
+    `size`-edge hypergraphs; None when there is none.
 
     Every family relabels into one of the `_classes` and relabeling keeps
     saturation, so only they are scanned, one after another, each in colex
@@ -303,15 +297,20 @@ def _scan_all(n, r, k, size, budget, want_saturated):
         raise BudgetExceeded(count, budget)
     for fixed, w in _classes(n, r, c):
         tops = range(fixed[-1] + w if fixed else 0, n_ranks)  # unused when w = 0
-        hit = _scan_tops((n, r, k, w, by_complement, tops, want_saturated, fixed))
+        hit = _scan_tops(n, r, k, w, by_complement, tops, want_saturated, fixed)
         if hit is not None:
             return hit
     return None
 
 
-def _check_jobs(jobs: int) -> None:
-    """Refuse a job count outside 1..the CPU count.  The scans run in
-    process whatever it is."""
+def _check_scan(n: int, r: int, k: int, jobs: int) -> None:
+    """Refuse k < r, a negative n or r before any C(n, r) is taken, and a
+    job count outside 1..the CPU count.  The scans run in process whatever
+    the job count is."""
+    if k < r:
+        raise InvalidK(k, r)
+    if n < 0 or r < 0:
+        raise OutOfRange(f"n={n} and r={r} must be non-negative")
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise OutOfRange(f"jobs {jobs} outside 1..{cpus}, the CPU count")
@@ -329,11 +328,9 @@ def exhaustive_size_check(
     every shape the tests check, but that is not proven in general.  `jobs`
     must lie in 1..the CPU count and is otherwise ignored.
     """
-    if k < r:
-        raise InvalidK(k, r)
-    _check_jobs(jobs)
+    _check_scan(n, r, k, jobs)
     hit = _scan_all(n, r, k, size, budget, want_saturated=False)
-    return None if hit is None else UniformHypergraph(n, r, hit[1])
+    return None if hit is None else UniformHypergraph(n, r, hit)
 
 
 def min_saturation_search(
@@ -349,9 +346,7 @@ def min_saturation_search(
     (`_scan_all`).  `jobs` must lie in 1..the CPU count and is otherwise
     ignored.
     """
-    if k < r:
-        raise InvalidK(k, r)
-    _check_jobs(jobs)
+    _check_scan(n, r, k, jobs)
     upper = comb(n, r)  # the complete hypergraph always saturates
     if not upper or is_weakly_saturated(UniformHypergraph(n, r, 0), k):
         return 0  # the empty family is complete, or saturates (at k = r, say)

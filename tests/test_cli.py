@@ -220,6 +220,26 @@ def test_sweep_with_nothing_to_do_exits_2(capsys, monkeypatch, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["menger", "--count", "1", "--n-max", "100000"],
+         "enumeration needs 166661666700000 triangles, over the budget of 1000000"),
+        (["menger", "--count", "1", "--n-max", "183"],
+         "enumeration needs 1004731 triangles, over the budget of 1000000"),
+        (["menger", "--count", "17858"],
+         "enumeration needs 1000048 triangles, over the budget of 1000000"),
+        (["theorem2", "--n", "6", "--r", "-1"], "n=6 and r=-1 must be non-negative"),
+        (["min-sat", "--n", "-1"], "n=-1 and r=3 must be non-negative"),
+    ],
+)
+def test_sweep_refuses_oversized_or_negative_shapes_at_once(capsys, monkeypatch, argv, message):
+    # menger may decide count * C(n_max, 3) triangles, at most the default
+    # budget; a negative n or r is refused before C(n, r) is taken
+    code, out, err = run_cli(capsys, monkeypatch, ["sweep", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_menger(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["sweep", "menger", "--count", "30", "--n-max", "6"]

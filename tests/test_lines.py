@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from linesat.lines import (
 )
 from linesat.metric import (
     DistanceMatrix,
+    betweenness,
     degenerate_hypergraph,
     four_cycle_metric,
     graph_metric,
@@ -86,6 +87,42 @@ def test_check_order_reversal_invariant(n, seed):
     rng.shuffle(perm)
     order = LinearOrder(tuple(perm))
     assert check_order(d, order) == check_order(d, order.reversed())
+
+
+def random_square_matrix(rng, n):
+    """A line metric, a small-integer or small-rational matrix (mostly
+    asymmetric, with nonzero diagonals), or one whose entries above the
+    diagonal in some order are d(p, y) - d(p, x), p first, and the rest
+    random: no metric, yet every triple in that order adds up."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_collinear_metric(rng, n)
+    rows = [[Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        rows = [[x.numerator for x in row] for row in rows]
+    if kind == 3:
+        p, *rest = rng.sample(range(n), n)
+        for i, x in enumerate(rest):
+            for y in rest[i + 1 :]:
+                rows[x][y] = rows[p][y] - rows[p][x]
+    return DistanceMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_check_order_matches_the_triple_loop(seed):
+    # the definition: every position-ordered triple satisfies betweenness
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        d = random_square_matrix(rng, n)
+        found = reconstruct_line(d)
+        orders = [rng.sample(range(n), n) for _ in range(4)]
+        for order in orders + ([] if found is None else [list(found.order)]):
+            expected = all(betweenness(d, *t) for t in combinations(order, 3))
+            assert check_order(d, LinearOrder(tuple(order))) == expected, (d.d, order)
+            verdicts.add((expected, n))
+    assert {(True, 6), (False, 6)} <= verdicts
 
 
 # --- reconstruction -----------------------------------------------------------------

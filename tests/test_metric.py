@@ -382,3 +382,10 @@ def test_menger_on_random_metrics():
 @settings(max_examples=60)
 def test_menger_empty_on_valid_metrics(n, seed):
     assert check_menger(random_rational_metric(n, seed)) == []
+
+
+def test_menger_on_an_invalid_asymmetric_matrix():
+    # zero distances, a nonzero diagonal and d[0][1] != d[1][0]: the rule
+    # fails, listed in (a, b, c, e) order with four distinct points each
+    d = DistanceMatrix.from_rows([[0, 2, 2, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 2]])
+    assert check_menger(d) == [(0, 3, 1, 2), (1, 2, 3, 0), (1, 3, 2, 0), (2, 3, 1, 0)]

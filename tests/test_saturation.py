@@ -416,10 +416,6 @@ def test_budget_exceeded_reports_requirement():
     assert err.value.required == comb(comb(8, 3), 28)
 
 
-def no_pool(*args, **kwargs):
-    raise AssertionError("a pool was started")
-
-
 def test_parallel_scan_matches_sequential():
     seq = exhaustive_size_check(6, 3, 6, 18, jobs=1)
     par = exhaustive_size_check(6, 3, 6, 18, jobs=2)
@@ -430,50 +426,43 @@ def test_parallel_scan_takes_the_least_hit_over_chunks():
     # At 16 of the 20 triples the first unsaturated family removes rank 10,
     # past the 70 candidates whose removed ranks are all at most 7; the
     # class pass, which fixes ranks 0 and 1 first, returns the colex walk's
-    # hit, index and mask.
+    # hit.
     hit = _scan_all(6, 3, 4, 16, DEFAULT_BUDGET, False)
-    assert (full_edge_mask(6, 3) ^ hit[1]).bit_length() - 1 == 10
-    assert hit == _scan_tops((6, 3, 4, 4, True, range(3, 20), False, ()))
+    assert (full_edge_mask(6, 3) ^ hit).bit_length() - 1 == 10
+    assert hit == _scan_tops(6, 3, 4, 4, True, range(3, 20), False, ())
 
 
 @pytest.mark.parametrize("n, size", [(8, 52), (7, 32)])
-def test_parallel_scan_answers_early_without_a_pool(monkeypatch, n, size):
-    # No scan starts a pool, whatever `jobs` says, and the answer is jobs=1's.
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+def test_jobs_two_finds_the_counterexample_of_jobs_one(n, size):
     seq = exhaustive_size_check(n, 3, 6, size, jobs=1)
     assert exhaustive_size_check(n, 3, 6, size, jobs=2).edges == seq.edges
 
 
-def test_parallel_scan_without_a_hit(monkeypatch):
+def test_parallel_scan_without_a_hit():
     # with no counterexample the relabeling classes decide, in process
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert exhaustive_size_check(6, 2, 4, 12, jobs=2) is None
     assert exhaustive_size_check(8, 3, 6, 53, jobs=2) is None
 
 
 def enumerated(n, r, k, size):
-    """Every size-edge family as (index, largest chosen rank, mask,
-    saturated), closed with fresh counts, in colex order of the chosen
-    ranks (the complement's, when that is smaller)."""
+    """Every size-edge family as (largest chosen rank, mask, saturated),
+    closed with fresh counts, in colex order of the chosen ranks (the
+    complement's, when that is smaller)."""
     kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
     n_ranks, full = comb(n, r), full_edge_mask(n, r)
     by_complement = n_ranks - size < size
     chosen = combinations(range(n_ranks), n_ranks - size if by_complement else size)
-    for index, ranks in enumerate(sorted(chosen, key=lambda s: s[::-1])):
+    for ranks in sorted(chosen, key=lambda s: s[::-1]):
         mask = sum(1 << t for t in ranks) ^ (full if by_complement else 0)
         saturated = _close_mask(mask, kmasks, containing, comb(k, r) - 1) == full
-        yield index, ranks[-1] if ranks else None, mask, saturated
+        yield ranks[-1] if ranks else None, mask, saturated
 
 
 def enumeration_oracle(n, r, k, size):
-    """The first (index, mask) of each saturation verdict, keyed by it."""
+    """The first mask of each saturation verdict, keyed by it."""
     first = {}
-    for index, _, mask, saturated in enumerated(n, r, k, size):
-        first.setdefault(saturated, (index, mask))
+    for _, mask, saturated in enumerated(n, r, k, size):
+        first.setdefault(saturated, mask)
         if len(first) == 2:
             break
     return first
@@ -498,7 +487,7 @@ def test_scan_matches_enumeration_oracle(n, r, k, limit):
             hit = _scan_all(n, r, k, size, DEFAULT_BUDGET, want)
             assert (hit is None) == (want not in first), (n, r, k, size, want)
             if hit is not None:
-                h = UniformHypergraph(n, r, hit[1])
+                h = UniformHypergraph(n, r, hit)
                 assert h.edge_count == size and is_weakly_saturated(h, k) == want
 
 
@@ -512,8 +501,7 @@ def test_size_check_matches_enumeration_oracle(n, r, k):
     for size in range(n_ranks + 1):
         if comb(n_ranks, min(size, n_ranks - size)) > 20000:
             continue
-        first = enumeration_oracle(n, r, k, size).get(False)
-        expected = None if first is None else first[1]
+        expected = enumeration_oracle(n, r, k, size).get(False)
         found = exhaustive_size_check(n, r, k, size)
         assert (None if found is None else found.edges) == expected, (n, r, k, size)
 
@@ -538,9 +526,8 @@ def test_size_check_agrees_with_the_colex_walk(n_max, limit, sizes):
                     if comb(n_ranks, c) > limit:
                         continue
                     found = exhaustive_size_check(n, r, k, size, budget=limit)
-                    colex = _scan_tops((n, r, k, c, by_complement, range(c - 1, n_ranks), False, ()))
-                    expected = None if colex is None else colex[1]
-                    assert (None if found is None else found.edges) == expected, (n, r, k, size)
+                    colex = _scan_tops(n, r, k, c, by_complement, range(c - 1, n_ranks), False, ())
+                    assert (None if found is None else found.edges) == colex, (n, r, k, size)
                     hits += colex is not None
     assert hits == sizes
 
@@ -560,13 +547,13 @@ def test_scan_of_each_top_matches_enumeration_oracle():
                     if comb(n_ranks, c) > 6000:
                         continue
                     first = {}
-                    for index, top, mask, saturated in enumerated(n, r, k, size):
-                        first.setdefault((top, saturated), (index, mask))
+                    for top, mask, saturated in enumerated(n, r, k, size):
+                        first.setdefault((top, saturated), mask)
                     by_complement = n_ranks - size < size
                     for top in range(c - 1, n_ranks):
                         for want in (False, True):
                             args = (n, r, k, c, by_complement, [top], want, ())
-                            assert _scan_tops(args) == first.get((top, want)), (n, r, k, size, top, want)
+                            assert _scan_tops(*args) == first.get((top, want)), (n, r, k, size, top, want)
 
 
 def test_closure_bound_scan_skips_leaves_that_close_like_their_prefix(monkeypatch):
@@ -655,11 +642,11 @@ def test_scan_up_to_relabeling_matches_full_scan(limit):
                     if comb(n_ranks, c) > (limit or DEFAULT_BUDGET):
                         continue
                     for want in (True, False):
-                        full = _scan_tops((n, r, k, c, by_complement, range(c - 1, n_ranks), want, ()))
+                        full = _scan_tops(n, r, k, c, by_complement, range(c - 1, n_ranks), want, ())
                         reduced = _scan_all(n, r, k, size, DEFAULT_BUDGET, want)
                         assert (reduced is None) == (full is None), (n, r, k, size, want)
                         if reduced is not None:
-                            h = UniformHypergraph(n, r, reduced[1])
+                            h = UniformHypergraph(n, r, reduced)
                             assert h.edge_count == size and is_weakly_saturated(h, k) == want
 
 
@@ -681,16 +668,16 @@ def test_scan_of_each_class_top_matches_enumeration_oracle():
                     families = list(enumerated(n, r, k, size))
                     for fixed, w in _classes(n, r, c):
                         first = {}
-                        for index, top, mask, saturated in families:
+                        for top, mask, saturated in families:
                             chosen = mask ^ (full if by_complement else 0)
                             least = [t for t in range(n_ranks) if chosen >> t & 1][: len(fixed)]
                             if least == list(fixed):
-                                first.setdefault((top if w else None, saturated), (index, mask))
+                                first.setdefault((top if w else None, saturated), mask)
                         low = fixed[-1] + 1 if fixed else 0
                         for top in range(low + w - 1, n_ranks) if w else [None]:
                             for want in (False, True):
                                 args = (n, r, k, w, by_complement, [top], want, fixed)
-                                assert _scan_tops(args) == first.get((top, want)), (n, r, k, size, fixed, top)
+                                assert _scan_tops(*args) == first.get((top, want)), (n, r, k, size, fixed, top)
 
 
 @pytest.mark.parametrize(
@@ -701,17 +688,14 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
     # at jobs=2 as at jobs=1: min-sat(7,3,6) scans only size 30, below the
     # 31-edge star, for a saturated family, and size(8,3,6,53) for an
     # unsaturated one.
-    import multiprocessing
-
     from linesat import saturation
 
     scanned = []
 
-    def spied(args):
+    def spied(*args):
         scanned.append(args)
-        return _scan_tops(args)
+        return _scan_tops(*args)
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(saturation, "_scan_tops", spied)
     jobs = 2 if jobs2 else 1
     if want:
@@ -748,11 +732,9 @@ def test_min_saturation_budget_counts_every_candidate():
 
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (6, 2, 4), (6, 3, 5)])
-def test_min_saturation_in_a_pool_starts_one_pool_per_size(monkeypatch, n, r, k):
-    # jobs=2 starts no pool: each size is scanned once, in process, from
-    # the seed downward, and the answer is jobs=1's
-    import multiprocessing
-
+def test_min_saturation_at_jobs_two_scans_each_size_once(monkeypatch, n, r, k):
+    # each size is scanned once, in process, from the seed downward, and
+    # the answer at jobs=2 is jobs=1's
     from linesat import saturation
 
     sizes = []
@@ -761,7 +743,6 @@ def test_min_saturation_in_a_pool_starts_one_pool_per_size(monkeypatch, n, r, k)
         sizes.append(args[3])
         return _scan_all(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(saturation, "_scan_all", counted_scan)
     m = min_saturation_search(n, r, k, jobs=2)
     assert sizes == list(range(sizes[0], m - 2, -1))
@@ -839,14 +820,9 @@ def test_closure_on_twelve_vertices_under_a_second():
     assert time.perf_counter() - start < 1.0
 
 
-def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch, capsys):
-    # a huge --jobs must not reach Pool(jobs), which would try to start
-    # that many processes; the patched Pool fails if it is reached
-    import multiprocessing
-
+def test_jobs_beyond_the_cpus_are_refused(capsys):
     from linesat.cli import main
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     with pytest.raises(OutOfRange):
         exhaustive_size_check(8, 3, 6, 52, jobs=10**9)
     with pytest.raises(OutOfRange):
@@ -856,6 +832,15 @@ def test_jobs_beyond_the_cpus_are_refused_before_a_pool(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_:  # `sweep` has no --jobs
         main(["sweep", "theorem2", "--n", "8", "--jobs", "5000"])
     assert exit_.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_negative_shapes_are_refused_before_any_binomial():
+    # math.comb raised a bare ValueError naming neither n nor r
+    with pytest.raises(OutOfRange, match="n=-1 and r=3 must be non-negative"):
+        min_saturation_search(-1, 3, 3)
+    with pytest.raises(OutOfRange, match="n=6 and r=-1 must be non-negative"):
+        exhaustive_size_check(6, -1, 3, 4)
+    assert min_saturation_search(2, 3, 6) == 0  # n < r is no error
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
