@@ -22,7 +22,7 @@ import argparse
 import sys
 from math import comb
 
-from .errors import BudgetExceeded, FormatError, LinesatError, OutOfRange
+from .errors import BudgetExceeded, FormatError, InvalidK, LinesatError, OutOfRange
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -215,6 +215,11 @@ def _sweep_theorem2(args: argparse.Namespace) -> int:
     n, r, k = args.n, args.r, args.k
     _check_scan(n, r, k, 1)  # before C(n, r) is taken
     bound = comb(n, r) - n + k - 1
+    if not 1 <= bound <= comb(n, r):
+        raise OutOfRange(
+            f"--n {n} --r {r} --k {k}: the bound C(n,r)-n+k-1 = {bound}"
+            f" falls outside 1..C(n,r) = 1..{comb(n, r)}"
+        )
     at_bound = exhaustive_size_check(n, r, k, bound, args.budget)
     below = exhaustive_size_check(n, r, k, bound - 1, args.budget)
     lines = [f"n={n} r={r} k={k} bound={bound}"]
@@ -229,11 +234,19 @@ def _sweep_theorem2(args: argparse.Namespace) -> int:
 
 def _sweep_theorem3(args: argparse.Namespace) -> int:
     """The star family hits the size 3*C(n-2,2)+1 and saturates for each n."""
-    from .hypergraph import star_construction
+    from .hypergraph import DEFAULT_BUDGET, star_construction
     from .saturation import is_weakly_saturated
 
     if args.n_max < args.n_min:
         raise OutOfRange(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
+    if args.k < 3:
+        raise InvalidK(args.k, 3)
+    # each closure tests the C(n, k) k-subsets, none below n = k: sum them first
+    subsets = 0
+    for n in range(max(args.n_min, args.k), args.n_max + 1):
+        subsets += comb(n, args.k)
+        if subsets > DEFAULT_BUDGET:
+            raise BudgetExceeded(subsets, DEFAULT_BUDGET, f"{args.k}-subsets up to n={n}")
     ok = True
     lines = []
     for n in range(args.n_min, args.n_max + 1):

@@ -39,23 +39,6 @@ _ALL_FALSE = bytes((FALSE,) * 3)
 
 
 @lru_cache(maxsize=8)
-def _slots(n: int) -> list[list[list[int]]]:
-    """State index of every placement on n points.
-
-    `_slots(n)[m][x][y]` is 3 * rank({m, x, y}) plus m's position in the
-    sorted triple: the slot of "m between x and y", for x and y in either
-    order.  Entries with a repeated point are -1 and never read.
-    """
-    table = [[[-1] * n for _ in range(n)] for _ in range(n)]
-    for t in combinations(range(n), 3):
-        base = 3 * rank(t, n)
-        for pos, m in enumerate(t):
-            x, y = (v for v in t if v != m)
-            table[m][x][y] = table[m][y][x] = base + pos
-    return table
-
-
-@lru_cache(maxsize=8)
 def _placements(n: int) -> list[tuple[int, int, int]]:
     """Distance terms of every placement on n points.
 
@@ -74,20 +57,30 @@ def _placements(n: int) -> list[tuple[int, int, int]]:
 
 
 @lru_cache(maxsize=8)
-def _rules(n: int) -> list[tuple[tuple[int, int, int], ...]]:
-    """Every 4-point rule instance on n points, indexed by a premise slot.
+def _clauses(n: int) -> tuple[list, list]:
+    """Every 4-point rule instance on n points, by premise and by conclusion.
 
-    The rule: [p b q] and [p q d] force [p b d] and [b q d], where [x y z]
-    says y lies between x and z.  `_rules(n)[s]` lists, for the fact s =
-    (b; x, y), both orders (p, q) of its ends and every fourth point d,
-    (partner slot, conclusion slot, conclusion slot) for both roles of s:
-    as the first premise its partner is [p q d]; as the second premise,
+    A slot, 3 * rank({m, x, y}) plus m's position in the sorted triple,
+    says m lies between x and y; [x y z] says y lies between x and z.  The
+    rule: [p b q] and [p q d] force [p b d] and [b q d].  `rules[s]` lists,
+    for the fact s = (b; x, y), both orders (p, q) of its ends and every
+    fourth point d, the (partner, conclusion, conclusion) slots for both
+    roles of s: as the first premise its partner is [p q d]; as the second,
     read [p b q], its partner is [p d b] and the conclusions are [p d q]
-    and [d b q].  That is 4(n - 3) entries per slot.
+    and [d b q]: 4(n - 3) entries per slot.  `premises[c]` is (mask,
+    groups): mask has bit x set for each premise slot x of an instance in
+    `rules` concluding c, and the i-th group lists the partners y of its
+    i-th lowest set bit: 8(n - 3) pairs (x, y) per slot, in both orders.
+    Read as the clause "not x, or not y, or c", a false c and a true x
+    force y false.
     """
-    slot = _slots(n)
-    rules = [()] * (3 * comb(n, 3))
-    for t in combinations(range(n), 3):
+    triples = list(colex_combinations(n, 3))
+    slot = [[[-1] * n for _ in range(n)] for _ in range(n)]
+    for i, (a, b, c) in enumerate(triples):
+        for pos, (m, x, y) in enumerate(((a, b, c), (b, a, c), (c, a, b))):
+            slot[m][x][y] = slot[m][y][x] = 3 * i + pos
+    rules = []
+    for t in triples:
         for b in t:
             x, y = (v for v in t if v != b)
             entries = []
@@ -96,40 +89,18 @@ def _rules(n: int) -> list[tuple[tuple[int, int, int], ...]]:
                     if d not in t:
                         entries.append((slot[q][p][d], slot[b][p][d], slot[q][b][d]))
                         entries.append((slot[d][p][b], slot[d][p][q], slot[b][d][q]))
-            rules[slot[b][x][y]] = tuple(entries)
-    return rules
-
-
-@lru_cache(maxsize=8)
-def _premises(n: int) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Every 4-point rule instance on n points, grouped by conclusion slot.
-
-    `_premises(n)[c]` is (mask, groups): mask has bit x set for each
-    premise slot x of an instance in `_rules(n)` that concludes c, and the
-    i-th group lists the partners y of its i-th lowest set bit.  Expanded,
-    these are the premise pairs (x, y) in both orders, 8(n - 3) per slot.
-    Read as the clause "not x, or not y, or c", a false c and a true x
-    force y false.
-    """
-    size = 3 * comb(n, 3)
-    masks, last = [0] * size, [-1] * size
-    groups = [[] for _ in range(size)]
-    # slots s come in ascending order, so each c's groups follow its bits;
-    # unrolled over the two conclusions to keep the cold build short
-    for s, entries in enumerate(_rules(n)):
-        bit = 1 << s
+            rules.append(tuple(entries))
+    # premise slots s come in ascending order, so each c's groups follow its bits
+    masks, groups = [0] * len(rules), [[] for _ in rules]
+    for s, entries in enumerate(rules):
+        by_conclusion = {}
         for partner, c1, c2 in entries:
-            if last[c1] == s:
-                groups[c1][-1] += (partner,)
-            else:
-                last[c1], masks[c1] = s, masks[c1] | bit
-                groups[c1].append((partner,))
-            if last[c2] == s:
-                groups[c2][-1] += (partner,)
-            else:
-                last[c2], masks[c2] = s, masks[c2] | bit
-                groups[c2].append((partner,))
-    return [(mask, tuple(g)) for mask, g in zip(masks, groups)]
+            by_conclusion.setdefault(c1, []).append(partner)
+            by_conclusion.setdefault(c2, []).append(partner)
+        for c, ys in by_conclusion.items():
+            masks[c] |= 1 << s
+            groups[c].append(tuple(ys))
+    return rules, list(zip(masks, map(tuple, groups)))
 
 
 # The edge-unit check by an edge's states a, b, c at index 9a + 3b + c: the
@@ -145,9 +116,9 @@ def _set_true(state: bytearray, queue: list[int], s: int) -> bool:
 
     Returns False, changing nothing, when s is already false; a true s is
     left alone.  The siblings need no events of their own: for a rule
-    instance (A, B) concluding C and a sibling C' of C, `_rules(n)[C']`
-    holds an instance with partner B concluding a sibling of A, or one
-    with partner A concluding a sibling of B.  So whichever of A and C' is
+    instance (A, B) concluding C and a sibling C' of C, `_clauses(n)` has
+    C' as a premise with partner B concluding a sibling of A, or with
+    partner A concluding a sibling of B.  So whichever of A and C' is
     handled last sets B false, as an event for C' would have.  Their edge
     has a true placement, so the edge-unit check has nothing to do either.
     """
@@ -163,17 +134,17 @@ def _set_true(state: bytearray, queue: list[int], s: int) -> bool:
 class MiddleAssignment:
     """Choice of middles for hyperedges plus the derived betweenness state.
 
-    For every triple T and candidate middle s, `state[_slots(n)[s][x][y]]`
-    records whether the placement "s between the other two points x, y of
-    T" is forced true, forced false, or open; the slots of T are
-    3 * rank(T) and the two after it.  Non-edges start with all three
-    placements false.  Later changes are queued as events until
-    `propagate` has handled them: a slot s set true as s, whose premise
-    rules in `_rules(n)` are then scanned, and a slot set false by a rule
-    as ~s, whose edge and whose conclusion rules in `_premises(n)` are then
-    checked.  The siblings of a slot set true go false silently (see
-    `_set_true`).  `_true` has bit s set for each true slot s whose event
-    has been handled, so it equals the true slots once the queue is empty.
+    For every triple T and candidate middle s, `state[3 * rank(T) + i]`,
+    s being the i-th point of sorted T, records whether the placement "s
+    between the other two points of T" is forced true, forced false, or
+    open.  Non-edges start with all three placements false.  Later changes
+    are queued as events until `propagate` has handled them: a slot s set
+    true as s, whose premise rules in `_clauses(n)` are then scanned, and a
+    slot set false by a rule as ~s, whose edge and whose conclusion rules
+    in `_clauses(n)` are then checked.  The siblings of a slot set true go
+    false silently (see `_set_true`).  `_true` has bit s set for each true
+    slot s whose event has been handled, so it equals the true slots once
+    the queue is empty.
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -209,10 +180,10 @@ class MiddleAssignment:
         t = tuple(sorted(triple))
         if m not in t:
             raise ValueError(f"{m} is not a member of {t}")
-        if not self.hypergraph.has_edge(t):
+        t_rank = rank(t, self.n)
+        if len(t) != 3 or not self.hypergraph.edges >> t_rank & 1:
             raise ValueError(f"{t} is not a hyperedge")
-        x, y = (v for v in t if v != m)
-        if not _set_true(self.state, self._queue, _slots(self.n)[m][x][y]):
+        if not _set_true(self.state, self._queue, 3 * t_rank + t.index(m)):
             self.contradiction = True
 
     def chosen_middles(self) -> dict[tuple[int, ...], int]:
@@ -232,13 +203,14 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     The clauses hold in every metric, because a false placement is a strict
     inequality there: each 4-point rule instance (x, y) concluding c reads
     "not x, or not y, or c", a triple has at most one middle, and an edge
-    has at least one.  Pops queued events until none is left:
-    - s, set true: s joins `a._true`; for each instance in `_rules(n)[s]`,
+    has at least one.  With `rules, premises = _clauses(n)`, pops queued
+    events until none is left:
+    - s, set true: s joins `a._true`; for each instance in `rules[s]`,
       a true partner forces both conclusions true, and an open partner
       beside a false conclusion is set false.
     - ~s, set false: `_UNIT` reads off whether its edge has one open
       placement left and none true, which is forced true, or none left, a
-      contradiction; each premise slot in `_premises(n)[s]` that is in
+      contradiction; each premise slot in `premises[s]` that is in
       `a._true` sets its partners false.
     A true slot whose event is still queued is not yet in `a._true`, so a
     false event skips its clauses; its own event reaches each of them
@@ -256,7 +228,7 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     if a.contradiction:
         return False
     state, queue, true_bits = a.state, a._queue, a._true
-    rules, premises = _rules(a.n), _premises(a.n)
+    rules, premises = _clauses(a.n)
     a.contradiction = True  # until the closure is reached
     while queue:
         s = queue.pop()

@@ -240,6 +240,47 @@ def test_sweep_refuses_oversized_or_negative_shapes_at_once(capsys, monkeypatch,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n-max", "27"],
+         "enumeration needs 1184040 6-subsets up to n=27, over the budget of 1000000"),
+        (["--n-max", "200"],
+         "enumeration needs 1184040 6-subsets up to n=27, over the budget of 1000000"),
+        (["--n-max", "1000000000", "--k", "100"],
+         "enumeration needs 4780230 100-subsets up to n=104, over the budget of 1000000"),
+        (["--k", "-1"], "clique size k=-1 must be at least the uniformity r=3"),
+    ],
+)
+def test_sweep_theorem3_refuses_before_any_closure(capsys, monkeypatch, argv, message):
+    # the closures test the C(n, k) k-subsets for each n, at most the default
+    # budget in all: 5..26 sums to 888,030 and 5..27 to 1,184,040
+    def no_closure(*_):
+        raise AssertionError("a closure ran")
+
+    monkeypatch.setattr("linesat.saturation.is_weakly_saturated", no_closure)
+    code, out, err = run_cli(capsys, monkeypatch, ["sweep", "theorem3", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3"],
+         "--n 3 --r 3 --k 6: the bound C(n,r)-n+k-1 = 3 falls outside 1..C(n,r) = 1..1"),
+        (["--n", "6", "--k", "100"],
+         "--n 6 --r 3 --k 100: the bound C(n,r)-n+k-1 = 113 falls outside 1..C(n,r) = 1..20"),
+        (["--n", "1", "--r", "0", "--k", "0"],
+         "--n 1 --r 0 --k 0: the bound C(n,r)-n+k-1 = -1 falls outside 1..C(n,r) = 1..1"),
+    ],
+)
+def test_sweep_theorem2_names_the_flags_of_an_unreachable_bound(
+    capsys, monkeypatch, argv, message
+):
+    code, out, err = run_cli(capsys, monkeypatch, ["sweep", "theorem2", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_menger(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["sweep", "menger", "--count", "30", "--n-max", "6"]

@@ -247,3 +247,50 @@ def test_loaders_raise_only_typed_errors(value):
             loads(text)
         except LinesatError:
             pass
+
+
+_STEP = st.fixed_dictionaries({"T": st.lists(_INT, max_size=4), "S": st.lists(_INT, max_size=7)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _JSON,
+        st.fixed_dictionaries(
+            {"n": _INT, "r": _INT, "k": _INT, "base": st.just([]) | _EDGES,
+             "steps": st.lists(_STEP | _JSON, max_size=4)}
+        ),
+        st.fixed_dictionaries(
+            {"n": _INT | _JSON, "r": _INT | _JSON, "k": _INT | _JSON, "base": _JSON,
+             "steps": _JSON}
+        ),
+    )
+)
+def test_certificate_loader_and_verifier_raise_only_typed_errors(value):
+    # whatever parses is replayed: a bad step is a False verdict, not a crash
+    try:
+        cert = formats.loads_certificate(json.dumps(value))
+    except LinesatError:
+        return
+    try:
+        assert verify_certificate(cert) in (True, False)
+    except LinesatError:
+        pass
+
+
+_CSV_CHARS = "0123456789,/-+ex. \t\n\r\x0b\x0c"
+_CELL = st.sampled_from(["0", "1", "2", "1/2", "-1"]) | st.text(_CSV_CHARS[:-5], max_size=5)
+_SHAPED_CSV = st.integers(0, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(_CELL, min_size=n, max_size=n).map(",".join), min_size=n, max_size=n
+    ).map(lambda rows: "\n".join([str(n), *rows]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_CSV_CHARS, max_size=40) | _SHAPED_CSV, st.booleans())
+def test_csv_loader_raises_only_typed_errors(text, validate):
+    try:
+        formats.loads_matrix_csv(text, validate)
+    except LinesatError:
+        pass

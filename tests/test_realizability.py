@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -25,8 +26,7 @@ from linesat.metric import (
 )
 from linesat.realizability import (
     MiddleAssignment,
-    _premises,
-    _rules,
+    _clauses,
     is_metric_hypergraph,
     lp_max_slack,
     minimal_nonmetric_audit,
@@ -108,6 +108,33 @@ def test_contradicted_assignment_stays_contradicted():
         assert not propagate(a, h)
         assert not propagate(a, h)
         assert a.contradiction
+
+
+@pytest.mark.parametrize(
+    "triple, m, message",
+    [
+        ((0, 1), 0, "(0, 1) is not a hyperedge"),
+        ((0, 1, 2, 3), 0, "(0, 1, 2, 3) is not a hyperedge"),
+        ((3, 2, 1), 1, "(1, 2, 3) is not a hyperedge"),
+        ((2, 1, 0), 5, "5 is not a member of (0, 1, 2)"),
+    ],
+)
+def test_choose_refuses_a_middle_outside_the_edges(triple, m, message):
+    # the slot is 3 * rank(t) + t.index(m), so only a member of an edge has one
+    a = MiddleAssignment(UniformHypergraph.from_edges(4, 3, [(0, 1, 2), (0, 1, 3)]))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        a.choose(triple, m)
+    assert a.state == MiddleAssignment(a.hypergraph).state and not a._queue
+
+
+def test_chosen_middle_sets_the_slot_of_its_position():
+    # slots run through the triples in colex order, three to a triple
+    h = complete_hypergraph(5, 3)
+    colex = sorted(combinations(range(5), 3), key=lambda t: t[::-1])
+    for i, t in enumerate(colex):
+        for pos, m in enumerate(t):
+            a = MiddleAssignment(h, {t[::-1]: m})
+            assert a._queue == [3 * i + pos] and a.state[3 * i + pos] == 1
 
 
 def test_contradiction_dooms_every_completion():
@@ -223,7 +250,7 @@ def test_sibling_events_are_redundant(n):
     # C' of C, C' has an instance that reaches B from A's side: (i) partner
     # B concluding a sibling of A, or (ii) partner A concluding a sibling of
     # B.  Every instance spans 4 points, so n = 4 covers all shapes.
-    rules = _rules(n)
+    rules = _clauses(n)[0]
 
     def siblings(s):
         base = s - s % 3
@@ -282,11 +309,11 @@ def test_premise_table_matches_the_rules(n):
     # Expanding each conclusion slot's groups gives the (premise, partner)
     # pairs of every rule instance concluding it, in both orders.
     expected = [[] for _ in range(3 * comb(n, 3))]
-    for x, entries in enumerate(_rules(n)):
+    for x, entries in enumerate(_clauses(n)[0]):
         for y, c1, c2 in entries:
             expected[c1].append((x, y))
             expected[c2].append((x, y))
-    table = _premises(n)
+    table = _clauses(n)[1]
     assert len(table) == len(expected)
     for c, (mask, groups) in enumerate(table):
         xs = [x for x in range(mask.bit_length()) if mask >> x & 1]
