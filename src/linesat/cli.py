@@ -22,7 +22,7 @@ import argparse
 import sys
 from math import comb
 
-from .errors import BudgetExceeded, FormatError, InvalidK, LinesatError, OutOfRange
+from .errors import BudgetExceeded, FormatError, LinesatError, OutOfRange
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -64,20 +64,20 @@ def _answer(args: argparse.Namespace, key: str, ok: bool) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _load_matrix(args: argparse.Namespace, path: str):
+def _load_matrix(path: str):
     from . import io as formats
 
     text = _read(path)
     json_text = text.lstrip().startswith("{")
     loads = formats.loads_matrix if json_text else formats.loads_matrix_csv
-    return loads(text, validate=not args.no_validate)
+    return loads(text)
 
 
 def _cmd_degenerate(args: argparse.Namespace) -> int:
     from . import io as formats
     from .metric import degenerate_hypergraph
 
-    d = _load_matrix(args, args.input)
+    d = _load_matrix(args.input)
     _write(args, formats.dumps_hypergraph(degenerate_hypergraph(d)))
     return EXIT_OK
 
@@ -123,7 +123,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     from . import io as formats
     from .lines import reconstruct_line
 
-    d = _load_matrix(args, args.input)
+    d = _load_matrix(args.input)
     order = reconstruct_line(d)
     if order is None:
         _write(args, '{"order":null}')
@@ -138,7 +138,7 @@ def _cmd_witness_check(args: argparse.Namespace) -> int:
     from .lines import verify_non_anchor_witness
 
     h = formats.loads_hypergraph(_read(args.hypergraph))
-    d = _load_matrix(args, args.metric)
+    d = _load_matrix(args.metric)
     return _answer(args, "non_anchor_witness", verify_non_anchor_witness(h, d))
 
 
@@ -233,26 +233,24 @@ def _sweep_theorem2(args: argparse.Namespace) -> int:
 
 
 def _sweep_theorem3(args: argparse.Namespace) -> int:
-    """The star family hits the size 3*C(n-2,2)+1 and saturates for each n."""
+    """The star family hits the size 3*C(n-2,2)+1 and K6^3-saturates for each n."""
     from .hypergraph import DEFAULT_BUDGET, star_construction
     from .saturation import is_weakly_saturated
 
     if args.n_max < args.n_min:
         raise OutOfRange(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
-    if args.k < 3:
-        raise InvalidK(args.k, 3)
-    # each closure tests the C(n, k) k-subsets, none below n = k: sum them first
+    # each closure tests the C(n, 6) 6-subsets, none below n = 6: sum them first
     subsets = 0
-    for n in range(max(args.n_min, args.k), args.n_max + 1):
-        subsets += comb(n, args.k)
+    for n in range(max(args.n_min, 6), args.n_max + 1):
+        subsets += comb(n, 6)
         if subsets > DEFAULT_BUDGET:
-            raise BudgetExceeded(subsets, DEFAULT_BUDGET, f"{args.k}-subsets up to n={n}")
+            raise BudgetExceeded(subsets, DEFAULT_BUDGET, f"6-subsets up to n={n}")
     ok = True
     lines = []
     for n in range(args.n_min, args.n_max + 1):
         star = star_construction(n)
         expected = 3 * comb(n - 2, 2) + 1
-        saturated = is_weakly_saturated(star, args.k)
+        saturated = is_weakly_saturated(star, 6)
         ok = ok and star.edge_count == expected and saturated
         lines.append(
             f"n={n}: edges={star.edge_count} expected={expected} "
@@ -324,11 +322,10 @@ def _build_parser(words=()) -> argparse.ArgumentParser:
 
     out = opt("-o", "--output", default=None, help="output file (default: stdout)")
     io_args = (opt("input", nargs="?", default="-", help="input file (default: stdin)"), out)
-    no_validate = opt("--no-validate", action="store_true", help="skip metric axiom checks")
     clique = opt("--k", type=int, default=6, help="clique size (default 6)")
     size_args = (out, *ints(("--n", 6), ("--r", 3)), clique, *ints(("--budget", DEFAULT_BUDGET)))
     branching = "max vertex count; raising it accepts exponential branching"
-    kinds = " | ".join(_GEN_USAGE.values())
+    kinds = " | ".join(_GEN_USAGE.values()) + "; write -- before KIND if a coordinate is -p/q"
     sweeps = {  # sweep -> its handler, help line and arguments, in listing order
         "audit": (_sweep_audit, "minimality audit of the 19-edge non-metric family", out),
         "menger": (_sweep_menger, "4-point rule on random metrics", out,
@@ -336,21 +333,19 @@ def _build_parser(words=()) -> argparse.ArgumentParser:
         "min-sat": (_sweep_min_sat, "minimum weakly saturated size", *size_args),
         "theorem2": (_sweep_theorem2, "exhaustive check of the bound C(n,r)-n+k-1", *size_args),
         "theorem3": (_sweep_theorem3, "size 3*C(n-2,2)+1 and saturation of the star family",
-                     out, *ints(("--n-min", 5), ("--n-max", 10)), clique),
+                     out, *ints(("--n-min", 5), ("--n-max", 10))),
     }
     table = {  # subcommand -> its handler, help line and arguments, in listing order
-        "degenerate": (_cmd_degenerate, "degenerate-triangle hypergraph of a metric",
-                       *io_args, no_validate),
+        "degenerate": (_cmd_degenerate, "degenerate-triangle hypergraph of a metric", *io_args),
         "close": (_cmd_close, "weak saturation closure with certificate", *io_args, clique,
                   opt("--closure-out", default=None, help="also write the closure hypergraph")),
         "verify-cert": (_cmd_verify_cert, "replay and check a closure certificate", *io_args),
         "saturated": (_cmd_saturated, "test weak saturation", *io_args, clique),
         "anchor": (_cmd_anchor, "certify an anchor via closure (sufficient only)", *io_args),
-        "reconstruct": (_cmd_reconstruct, "reconstruct a linear order from a metric",
-                        *io_args, no_validate),
+        "reconstruct": (_cmd_reconstruct, "reconstruct a linear order from a metric", *io_args),
         "witness-check": (_cmd_witness_check,
                           "verify a metric disproving anchorhood of a hypergraph",
-                          opt("hypergraph"), opt("metric"), out, no_validate),
+                          opt("hypergraph"), opt("metric"), out),
         "realize": (_cmd_realize, "decide metric realizability of a hypergraph", *io_args,
                     opt("--ceiling", type=int, default=DEFAULT_CEILING, help=branching)),
         "gen": (_cmd_gen, "generate example inputs",

@@ -4,8 +4,7 @@ and verdicts.
 Writers are deterministic (fixed key order, edges in colex order), so
 identical inputs produce byte-identical files.  Parsers are strict: rational
 entries must be integers or "p/q" strings, and matrices are rejected unless
-they satisfy the metric axioms, except when validation is explicitly turned
-off.
+they satisfy the metric axioms.
 
 Writers take their objects ready-made, so only the matrix loaders and the
 certificate parser import the modules that define their objects, and only
@@ -94,12 +93,11 @@ def _matrix_object(d: DistanceMatrix | None) -> dict | None:
     return {"n": d.n, "dist": [[_emit_rational(x) for x in row] for row in d.d]}
 
 
-def _matrix(n: int, rows, validate: bool) -> DistanceMatrix:
+def _matrix(n: int, rows) -> DistanceMatrix:
     from .metric import DistanceMatrix, validate_metric
 
     d = DistanceMatrix(n, tuple(rows))
-    if validate:
-        validate_metric(d)
+    validate_metric(d)
     return d
 
 
@@ -107,7 +105,7 @@ def dumps_matrix(d: DistanceMatrix) -> str:
     return json.dumps(_matrix_object(d), separators=(",", ":"))
 
 
-def loads_matrix(text: str, validate: bool = True) -> DistanceMatrix:
+def loads_matrix(text: str) -> DistanceMatrix:
     obj = _load_object(text, ("n", "dist"), "matrix")
     (n,) = _ints([obj["n"]], '"n" must be an int')
     rows = obj["dist"]
@@ -115,7 +113,7 @@ def loads_matrix(text: str, validate: bool = True) -> DistanceMatrix:
         raise FormatError('"dist" must be an n-row matrix')
     if any(not isinstance(row, list) or len(row) != n for row in rows):
         raise FormatError('"dist" must be square')
-    return _matrix(n, (_parse_rationals(row) for row in rows), validate)
+    return _matrix(n, (_parse_rationals(row) for row in rows))
 
 
 def dumps_matrix_csv(d: DistanceMatrix) -> str:
@@ -124,7 +122,7 @@ def dumps_matrix_csv(d: DistanceMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_matrix_csv(text: str, validate: bool = True) -> DistanceMatrix:
+def loads_matrix_csv(text: str) -> DistanceMatrix:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise FormatError("empty CSV matrix")
@@ -139,7 +137,7 @@ def loads_matrix_csv(text: str, validate: bool = True) -> DistanceMatrix:
         if len(cells) != n:
             raise FormatError(f"row {line!r} does not have {n} entries")
         rows.append(_parse_rationals(cells))
-    return _matrix(n, rows, validate)
+    return _matrix(n, rows)
 
 
 def dumps_hypergraph(h: UniformHypergraph) -> str:

@@ -35,7 +35,8 @@ def check_order(d: DistanceMatrix, o: LinearOrder) -> bool:
     """True iff every position-ordered triple of the order is degenerate.
 
     With p first, the triples (p, x, y) say d(x, y) = d(p, y) - d(p, x), and these
-    make every other triple add up; no diagonal entry or symmetry is used.
+    make every other triple add up; no diagonal entry or symmetry is used,
+    yet d must be a validated metric, as every matrix the CLI loads is.
     """
     seq = tuple(o.order)
     if sorted(seq) != list(range(d.n)):
@@ -85,7 +86,8 @@ def verify_non_anchor_witness(h: UniformHypergraph, d: DistanceMatrix) -> bool:
 
     True iff every edge of h is degenerate in d and yet no linear order
     passes check_order.  The order search is complete (first-point
-    enumeration), so True is a proof of non-anchorhood.  Each edge is tested
+    enumeration), so True is a proof of non-anchorhood only when d is a
+    validated metric, as every matrix the CLI loads is.  Each edge is tested
     as by `middle_of`, on integers; triples outside h are not looked at.
     """
     from .metric import _degeneracy_test

@@ -197,7 +197,7 @@ class MiddleAssignment:
         return out
 
 
-def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
+def propagate(a: MiddleAssignment) -> bool:
     """Close the assignment by unit propagation; True iff still consistent.
 
     The clauses hold in every metric, because a false placement is a strict
@@ -223,8 +223,6 @@ def propagate(a: MiddleAssignment, h: UniformHypergraph | None = None) -> bool:
     closure is a monotone fixpoint, so the order events are taken in does
     not matter.
     """
-    if h is not None and h != a.hypergraph:
-        raise ValueError("assignment belongs to a different hypergraph")
     if a.contradiction:
         return False
     state, queue, true_bits = a.state, a._queue, a._true
@@ -282,7 +280,7 @@ class RealizabilityVerdict(Record):
     explored: int
 
 
-def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | None:
+def lp_max_slack(a: MiddleAssignment) -> DistanceMatrix | None:
     """Maximize the uniform slack over metrics realizing a total assignment.
 
     Equalities pin each edge's middle; every placement of every non-edge,
@@ -297,7 +295,8 @@ def lp_max_slack(a: MiddleAssignment, h: UniformHypergraph) -> DistanceMatrix | 
     nullspace coordinates.  Rows are read off `_placements(n)` by slot:
     each edge's true slot, then each non-edge's three slots in slot order.
     """
-    n, state = h.n, a.state
+    h, state = a.hypergraph, a.state
+    n = h.n
     if a.contradiction or state.count(TRUE) != h.edge_count:
         raise ValueError("assignment must be total and propagation-consistent")
     place = _placements(n)
@@ -386,7 +385,7 @@ def is_metric_hypergraph(
         while i < len(bases) and TRUE in state[bases[i] : bases[i] + 3]:
             i += 1
         if i == len(bases):
-            return lp_max_slack(a, h)
+            return lp_max_slack(a)
         base = bases[i]
         for s in range(base, base + 3):
             if state[s] == FALSE:

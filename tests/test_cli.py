@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -143,10 +144,45 @@ def test_invalid_metric_is_rejected_without_flag(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["degenerate"], stdin_text=bad)
     assert code == 2
     assert "d[0][2]" in err
-    code, out, _ = run_cli(
-        capsys, monkeypatch, ["degenerate", "--no-validate"], stdin_text=bad
-    )
-    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "words, flags",
+    [
+        (["degenerate"], ["--no-validate"]),
+        (["reconstruct"], ["--no-validate"]),
+        (["witness-check", "h.json", "m.json"], ["--no-validate"]),
+        (["sweep", "theorem3"], ["--k", "6"]),
+    ],
+    ids=lambda words: " ".join(words),
+)
+def test_no_option_skips_or_contradicts_a_check(capsys, words, flags):
+    code, out, err = _refused(capsys, [*words, *flags])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"linesat: error: unrecognized arguments: {' '.join(flags)}\n")
+
+
+_K5 = json.dumps({"n": 5, "r": 3, "edges": [list(t) for t in combinations(range(5), 3)]})
+# asymmetric (d[0][3] = 2, d[3][0] = 1), with a zero distance d[1][2]
+_ASYMMETRIC = json.dumps(
+    {"n": 5, "dist": [[0, 1, 1, 2, 3], [1, 0, 0, 1, 2], [1, 1, 0, 1, 2], [1, 1, 1, 0, 1],
+                      [1, 1, 1, 1, 0]]}
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-validate"]], ids=["plain", "no-validate"])
+def test_witness_check_never_disproves_an_anchor(tmp_path, capsys, monkeypatch, flags):
+    # Every triangle of K5^3 degenerate forces a line (Richmond & Richmond),
+    # so no input may pass as a metric that disproves its anchorhood.
+    h, m = tmp_path / "k5.json", tmp_path / "bad.json"
+    h.write_text(_K5)
+    m.write_text(_ASYMMETRIC)
+    anchor = run_cli(capsys, monkeypatch, ["anchor", str(h)])
+    assert anchor == (0, '{"anchor_certified":true}\n', "")
+    argv = ["witness-check", str(h), str(m), *flags]
+    code, out, err = _refused(capsys, argv) if flags else run_cli(capsys, monkeypatch, argv)
+    assert code == 2 and out == ""
+    assert flags or err == "error: d[0][3] != d[3][0]\n"
 
 
 def test_sweep_theorem2(capsys, monkeypatch):
@@ -247,9 +283,8 @@ def test_sweep_refuses_oversized_or_negative_shapes_at_once(capsys, monkeypatch,
          "enumeration needs 1184040 6-subsets up to n=27, over the budget of 1000000"),
         (["--n-max", "200"],
          "enumeration needs 1184040 6-subsets up to n=27, over the budget of 1000000"),
-        (["--n-max", "1000000000", "--k", "100"],
-         "enumeration needs 4780230 100-subsets up to n=104, over the budget of 1000000"),
-        (["--k", "-1"], "clique size k=-1 must be at least the uniformity r=3"),
+        (["--n-min", "180", "--n-max", "182"],
+         "enumeration needs 43424719800 6-subsets up to n=180, over the budget of 1000000"),
     ],
 )
 def test_sweep_theorem3_refuses_before_any_closure(capsys, monkeypatch, argv, message):
@@ -309,6 +344,18 @@ def test_gen_line_takes_integers_and_fractions(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["gen", "line", "0", "1/2", "3"])
     assert code == 0
     assert json.loads(out)["dist"][0] == [0, "1/2", 3]
+
+
+def test_gen_line_takes_a_negative_fraction_after_a_double_dash(capsys, monkeypatch):
+    # argparse reads -1/2 as a flag, not as a negative number as it does -1
+    code, out, err = _refused(capsys, ["gen", "line", "0", "-1/2", "3"])
+    assert code == 2 and out == ""
+    assert err.endswith("linesat: error: unrecognized arguments: -1/2 3\n")
+    line = '{"n":3,"dist":[[0,"1/2",3],["1/2",0,"7/2"],[3,"7/2",0]]}\n'
+    for argv in (["gen", "--", "line", "0", "-1/2", "3"], ["gen", "line", "--", "0", "-1/2", "3"]):
+        assert run_cli(capsys, monkeypatch, argv) == (0, line, "")
+    csv = run_cli(capsys, monkeypatch, ["gen", "--format", "csv", "--", "line", "0", "-1/2", "3"])
+    assert csv == (0, "3\n0,1/2,3\n1/2,0,7/2\n3,7/2,0\n", "")
 
 
 @pytest.mark.parametrize("coord", ["1e9", "1.5", "0x10", "\uff11"])
@@ -381,7 +428,7 @@ _SWEEP_FLAGS = {
     "menger": ["-o", "--count", "--n-max", "--seed"],
     "min-sat": ["-o", "--n", "--r", "--k", "--budget"],
     "theorem2": ["-o", "--n", "--r", "--k", "--budget"],
-    "theorem3": ["-o", "--n-min", "--n-max", "--k"],
+    "theorem3": ["-o", "--n-min", "--n-max"],
 }
 _RUNS = [[command] for command in _CHOICES[1:-1].split(",")]
 _RUNS += [["sweep", name] for name in _SWEEP_FLAGS]
@@ -709,7 +756,6 @@ def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
     "argv, subsets",
     [
         (["degenerate"], "3-subsets of 200 vertices"),
-        (["degenerate", "--no-validate"], "3-subsets of 200 vertices"),
         (["reconstruct"], "3-subsets of 200 vertices"),
         (["gen", "theta", "2000"], "2-subsets of 2000 vertices"),
         (["gen", "random", "2000", "1"], "2-subsets of 2000 vertices"),

@@ -56,7 +56,7 @@ def test_matrix_writer_is_deterministic():
 def test_matrix_rejects_floats(loads, text, entry):
     # only integers and "p/q", as the writers emit them, are rational entries
     with pytest.raises(FormatError):
-        loads(text(entry), validate=False)
+        loads(text(entry))
 
 
 @pytest.mark.parametrize(
@@ -70,8 +70,8 @@ def test_matrix_rejects_floats(loads, text, entry):
 def test_matrix_rejects_non_metric(loads, text):
     with pytest.raises(TriangleViolation):
         loads(text)
-    d = loads(text, validate=False)
-    assert d.dist(0, 2) == 3
+    with pytest.raises(TypeError):  # validation cannot be switched off
+        loads(text, validate=False)
 
 
 def test_matrix_rejects_asymmetric_shape():
@@ -288,9 +288,9 @@ _SHAPED_CSV = st.integers(0, 4).flatmap(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(_CSV_CHARS, max_size=40) | _SHAPED_CSV, st.booleans())
-def test_csv_loader_raises_only_typed_errors(text, validate):
+@given(st.text(_CSV_CHARS, max_size=40) | _SHAPED_CSV)
+def test_csv_loader_raises_only_typed_errors(text):
     try:
-        formats.loads_matrix_csv(text, validate)
+        formats.loads_matrix_csv(text)
     except LinesatError:
         pass

@@ -41,7 +41,7 @@ def brute_force_witness(h):
     edges = h.edge_list()
     for choice in product(*edges):
         a = MiddleAssignment(h, dict(zip(edges, choice)))
-        witness = lp_max_slack(a, h)
+        witness = lp_max_slack(a)
         if witness is not None:
             return witness
     return None
@@ -60,19 +60,19 @@ def test_collinear_assignment_is_consistent():
     h = complete_hypergraph(5, 3)
     middles = {t: t[1] for t in combinations(range(5), 3)}
     a = MiddleAssignment(h, middles)
-    assert propagate(a, h)
+    assert propagate(a)
 
 
 def test_rule_forces_non_edge_degenerate():
     # [0 1 2] and [0 2 3] force [0 1 3]; that triple is not an edge
     h = UniformHypergraph.from_edges(4, 3, [(0, 1, 2), (0, 2, 3)])
     a = MiddleAssignment(h, {(0, 1, 2): 1, (0, 2, 3): 2})
-    assert not propagate(a, h)
+    assert not propagate(a)
 
 
 def test_empty_assignment_is_consistent():
     h = UniformHypergraph(4, 3, 0)
-    assert propagate(MiddleAssignment(h), h)
+    assert propagate(MiddleAssignment(h))
 
 
 def test_rule_chains_through_edges():
@@ -80,7 +80,7 @@ def test_rule_chains_through_edges():
     # both remaining triples, pinning the collinear order 0 1 2 3
     h = complete_hypergraph(4, 3)
     a = MiddleAssignment(h, {(0, 1, 2): 1, (0, 2, 3): 2})
-    assert propagate(a, h)
+    assert propagate(a)
     assert a.chosen_middles() == {
         (0, 1, 2): 1,
         (0, 1, 3): 1,
@@ -92,9 +92,9 @@ def test_rule_chains_through_edges():
 def test_contradiction_when_forced_middle_is_contested():
     h = complete_hypergraph(4, 3)
     a = MiddleAssignment(h, {(0, 1, 2): 1, (0, 2, 3): 2})
-    propagate(a, h)
+    propagate(a)
     a.choose((0, 1, 3), 0)  # but 1 is already forced as the middle
-    assert not propagate(a, h)
+    assert not propagate(a)
 
 
 def test_contradicted_assignment_stays_contradicted():
@@ -105,8 +105,8 @@ def test_contradicted_assignment_stays_contradicted():
     twice.choose((0, 1, 2), 0)
     forced = MiddleAssignment(h, {(0, 1, 2): 1, (0, 2, 3): 2})
     for a in (twice, forced):
-        assert not propagate(a, h)
-        assert not propagate(a, h)
+        assert not propagate(a)
+        assert not propagate(a)
         assert a.contradiction
 
 
@@ -142,12 +142,12 @@ def test_contradiction_dooms_every_completion():
     h = UniformHypergraph.from_edges(4, 3, [(0, 1, 2), (0, 2, 3), (1, 2, 3)])
     partial = {(0, 1, 2): 1, (0, 2, 3): 2}
     a = MiddleAssignment(h, partial)
-    assert not propagate(a, h)
+    assert not propagate(a)
     for third in (1, 2, 3):
         total = dict(partial)
         total[(1, 2, 3)] = third
         b = MiddleAssignment(h, total)
-        assert lp_max_slack(b, h) is None
+        assert lp_max_slack(b) is None
 
 
 def test_contradiction_soundness_on_five_points():
@@ -158,7 +158,7 @@ def test_contradiction_soundness_on_five_points():
     )
     partial = {(0, 1, 2): 1, (0, 2, 4): 2}
     a = MiddleAssignment(h, partial)
-    assert not propagate(a, h)
+    assert not propagate(a)
     free_edges = [(1, 2, 3), (2, 3, 4)]
     for m1 in free_edges[0]:
         for m2 in free_edges[1]:
@@ -166,7 +166,7 @@ def test_contradiction_soundness_on_five_points():
             total[free_edges[0]] = m1
             total[free_edges[1]] = m2
             b = MiddleAssignment(h, total)
-            assert lp_max_slack(b, h) is None
+            assert lp_max_slack(b) is None
 
 
 def _naive_closure(n, edges, middles):
@@ -228,7 +228,7 @@ def test_propagate_matches_naive_fixpoint():
         chosen = rng.sample(edges, min(len(edges), rng.randint(0, 6)))
         middles = {t: rng.choice(t) for t in chosen}
         a = MiddleAssignment(h, middles)
-        consistent = propagate(a, h)
+        consistent = propagate(a)
         expected, true, false = _naive_closure(n, edges, middles)
         assert consistent == expected, (n, edges, middles)
         outcomes.append(consistent)
@@ -288,7 +288,7 @@ def test_propagate_matches_naive_fixpoint_on_eight_points():
         chosen = rng.sample(edges, min(len(edges), rng.randint(0, 6)))
         middles = {t: rng.choice(t) for t in chosen}
         a = MiddleAssignment(h, middles)
-        consistent = propagate(a, h)
+        consistent = propagate(a)
         expected, true, false = _naive_closure(n, edges, middles)
         assert consistent == expected, (edges, middles)
         outcomes.append(consistent)
@@ -328,8 +328,8 @@ def test_true_mask_tracks_the_true_slots(monkeypatch):
     # `_true` equal to the true slots of the state.
     checks = []
 
-    def checked_propagate(a, h=None):
-        consistent = propagate(a, h)
+    def checked_propagate(a):
+        consistent = propagate(a)
         if consistent:
             assert a._true == _true_bits(a.state)
             checks.append(a)
@@ -371,7 +371,7 @@ def test_propagation_is_sound_on_real_metrics():
         edges = h.edge_list()
         chosen = rng.sample(edges, rng.randint(0, len(edges)))
         a = MiddleAssignment(h, {t: middle_of(d, t) for t in chosen})
-        assert propagate(a, h), (trial, chosen)
+        assert propagate(a), (trial, chosen)
         inferred += len(a.chosen_middles()) - len(chosen)
         slot = 0
         for t in sorted(combinations(range(n), 3), key=lambda t: t[::-1]):
@@ -389,8 +389,8 @@ def test_propagation_is_sound_on_real_metrics():
 def test_collinear_assignment_yields_line_witness():
     h = complete_hypergraph(5, 3)
     a = MiddleAssignment(h, {t: t[1] for t in combinations(range(5), 3)})
-    propagate(a, h)
-    witness = lp_max_slack(a, h)
+    propagate(a)
+    witness = lp_max_slack(a)
     assert witness is not None
     assert degenerate_hypergraph(witness).is_complete()
 
@@ -400,8 +400,8 @@ def test_theta_five_assignment_yields_witness():
     h = degenerate_hypergraph(d)
     middles = {e: middle_of(d, e) for e in h.edge_list()}
     a = MiddleAssignment(h, middles)
-    assert propagate(a, h)
-    witness = lp_max_slack(a, h)
+    assert propagate(a)
+    witness = lp_max_slack(a)
     assert witness is not None
     assert degenerate_hypergraph(witness).edges == h.edges
 
@@ -410,6 +410,16 @@ def test_lp_rejects_partial_assignment():
     h = complete_hypergraph(5, 3)
     a = MiddleAssignment(h, {(0, 1, 2): 1})
     with pytest.raises(ValueError):
+        lp_max_slack(a)
+
+
+def test_an_assignment_is_the_one_source_of_its_hypergraph():
+    # no second hypergraph rides beside the assignment, to agree with it or not
+    h = complete_hypergraph(5, 3)
+    a = MiddleAssignment(h)
+    with pytest.raises(TypeError):
+        propagate(a, h)
+    with pytest.raises(TypeError):
         lp_max_slack(a, h)
 
 
@@ -520,9 +530,9 @@ def test_zero_row_refutes_without_the_simplex(monkeypatch):
     ])
     lp_calls = []
 
-    def counted(a, g):
+    def counted(a):
         lp_calls.append(a)
-        return lp_max_slack(a, g)
+        return lp_max_slack(a)
 
     def refuse(rows, rhs):
         raise AssertionError("the simplex ran on a zero-row program")
@@ -793,7 +803,7 @@ def test_slack_program_matches_floating_oracle():
         edges = [t for t in combinations(range(6), 3) if rng.random() < 0.7]
         h = UniformHypergraph.from_edges(6, 3, edges)
         for a in _surviving_total_assignments(h):
-            witness = lp_max_slack(a, h)
+            witness = lp_max_slack(a)
             opt = _float_max_slack(linprog, h, a.chosen_middles())
             assert (witness is not None) == (opt is not None and opt > 1e-9)
             if witness is not None:
@@ -855,7 +865,7 @@ def test_slack_program_matches_its_definition(monkeypatch):
     for n, middles in cases:
         h = UniformHypergraph.from_edges(n, 3, middles)
         programs.clear()
-        lp_max_slack(MiddleAssignment(h, middles), h)
+        lp_max_slack(MiddleAssignment(h, middles))
         expected = _slack_program_by_definition(h, middles)
         assert programs == ([] if expected is None else [expected]), (n, middles)
         solved += expected is not None
