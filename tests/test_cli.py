@@ -756,6 +756,7 @@ def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
     "argv, subsets",
     [
         (["degenerate"], "3-subsets of 200 vertices"),
+        (["degenerate", "-"], "3-subsets of 200 vertices"),
         (["reconstruct"], "3-subsets of 200 vertices"),
         (["gen", "theta", "2000"], "2-subsets of 2000 vertices"),
         (["gen", "random", "2000", "1"], "2-subsets of 2000 vertices"),
