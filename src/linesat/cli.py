@@ -192,8 +192,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if kind == "star":
         _write(args, formats.dumps_hypergraph(star_construction(int(params[0]))))
         return EXIT_OK
-    if kind in ("theta", "random"):
-        check_budget(int(params[0]), 2)  # the matrix holds C(N, 2) distances
+    if kind != "cycle4":  # the matrix holds C(N, 2) distances
+        check_budget(len(params) if kind == "line" else int(params[0]), 2)
     if kind == "theta":
         d = graph_metric(theta_graph(int(params[0])))
     elif kind == "cycle4":

@@ -34,7 +34,7 @@ def _load_object(text: str, keys, what: str) -> dict:
     """Decode a JSON object that has exactly the given keys."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != set(keys):
         names = ", ".join(f'"{key}"' for key in keys)
@@ -128,7 +128,10 @@ def loads_matrix_csv(text: str) -> DistanceMatrix:
         raise FormatError("empty CSV matrix")
     if not _COUNT.fullmatch(lines[0]):
         raise FormatError(f"CSV header must be the point count, got {lines[0]!r}")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"CSV header: {exc}") from exc
     if len(lines) != n + 1:
         raise FormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []

@@ -10,8 +10,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
-from operator import add
+from math import comb
 
 from .errors import (
     AsymmetryError,
@@ -89,28 +88,28 @@ def validate_metric(d: DistanceMatrix) -> None:
     Scan order is deterministic: diagonal, then symmetry, positivity and the
     triangle inequality over pairs i < j in ascending order.  The scan is
     cubic, so a matrix with more triangles than the default budget is
-    refused before it starts.  It runs on integers: the matrix scaled once
-    by the common denominator of its entries.
+    refused before it starts.  It runs on integers: each inequality is
+    cross-multiplied by the positive denominators of its three entries.
     """
     n = d.n
     check_budget(n, 3)
-    scale = lcm(*(x.denominator for row in d.d for x in row))
-    m = [[x.numerator * (scale // x.denominator) for x in row] for row in d.d]
-    cols = [list(c) for c in zip(*m)]  # cols[j][k] == m[k][j]
+    num = [[x.numerator for x in row] for row in d.d]
+    den = [[x.denominator for x in row] for row in d.d]
     for i in range(n):
-        if m[i][i] != 0:
+        if num[i][i] != 0:
             raise NonzeroDiagonal(i)
     for i in range(n):
+        ni, di = num[i], den[i]
         for j in range(i + 1, n):
-            dij = m[i][j]
-            if dij != m[j][i]:
+            nij, dij = ni[j], di[j]
+            if nij != num[j][i] or dij != den[j][i]:
                 raise AsymmetryError(i, j)
-            if dij <= 0:
+            if nij <= 0:
                 raise NonpositiveDistance(i, j)
-            # With a zero diagonal, k == i and k == j can never violate.
-            if dij > min(map(add, m[i], cols[j])):
-                k = next(k for k in range(n) if dij > m[i][k] + m[k][j])
-                raise TriangleViolation(i, j, k)
+            # d(i,j) > d(i,k) + d(k,j); with a zero diagonal, k == i or j never holds
+            for k in range(n):
+                if nij * di[k] * den[k][j] > (ni[k] * den[k][j] + num[k][j] * di[k]) * dij:
+                    raise TriangleViolation(i, j, k)
 
 
 def betweenness(d: DistanceMatrix, r: int, s: int, t: int) -> bool:

@@ -8,9 +8,11 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import linesat
-from linesat.cli import _build_parser, main
+from linesat.cli import _GEN_USAGE, _build_parser, main
 from linesat.hypergraph import star_construction
 from linesat.io import dumps_certificate
 from linesat.saturation import weak_saturation_closure
@@ -528,6 +530,73 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+_FUZZ_FILES = {  # name -> text, written beside the fuzzed runs
+    "theta.json": '{"n":6,"dist":[[0,2,1,1,2,3],[2,0,1,1,2,3],[1,1,0,2,3,4],'
+    '[1,1,2,0,1,2],[2,2,3,1,0,1],[3,3,4,2,1,0]]}',
+    "cycle4.csv": "4\n0,1,2,1\n1,0,1,2\n2,1,0,1\n1,2,1,0\n",
+    "bad.json": '{"n":3,"dist":[[0,1,5],[1,0,1],[5,1,0]]}',
+    "star.json": '{"n":6,"r":3,"edges":[[0,1,2],[0,1,3],[0,2,3],[1,2,3],[0,1,4]]}',
+    "theta_h.json": '{"n":6,"r":3,"edges":[[0,1,2],[0,1,3],[0,2,3],[1,2,3],[0,2,4],[1,2,4],'
+    '[0,3,4],[1,3,4],[2,3,4],[0,2,5],[1,2,5],[0,3,5],[1,3,5],[2,3,5],[0,4,5],[1,4,5],'
+    '[2,4,5],[3,4,5]]}',
+    "empty.json": '{"n":5,"r":3,"edges":[]}',
+    "cert.json": '{"n":6,"r":3,"k":6,"base":[],"steps":[{"T":[0,1,2],"S":[0,1,2,3,4,5]}]}',
+    "broken.json": '{"n":',
+}
+_INT = st.integers(-2, 6).map(str)
+_PATH = st.sampled_from([*_FUZZ_FILES, "missing.json", ".", "-"]).map(lambda path: [path])
+_FUZZ_RUNS = {  # words -> the positionals after them, and their flags with values
+    "degenerate": (_PATH, {}),
+    "close": (_PATH, {"--k": _INT, "--closure-out": st.just("closure.json")}),
+    "verify-cert": (_PATH, {}),
+    "saturated": (_PATH, {"--k": _INT}),
+    "anchor": (_PATH, {}),
+    "reconstruct": (_PATH, {}),
+    "witness-check": (st.tuples(_PATH, _PATH).map(lambda pair: pair[0] + pair[1]), {}),
+    "realize": (_PATH, {"--ceiling": _INT}),
+    "gen": (
+        st.tuples(
+            st.sampled_from([*_GEN_USAGE, "pentagon"]),
+            st.lists(_INT | st.sampled_from(["1/2", "-1/2", "1.5"]), max_size=4),
+        ).map(lambda params: [params[0], *params[1]]),
+        {"--format": st.sampled_from(["json", "csv", "xml"])},
+    ),
+    **{f"sweep {name}": (st.just([]), dict.fromkeys(flags[1:], _INT))
+       for name, flags in _SWEEP_FLAGS.items()},
+}
+# a stray word, so that usage errors are drawn too
+_STRAY = st.sampled_from(["--help", "--", "-", "--k", "--n", "sweep", "gen", "audit", "extra"])
+_STDIN = st.sampled_from(list(_FUZZ_FILES.values()))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_main_on_drawn_argv_exits_0_1_or_2_without_a_traceback(
+    tmp_path, capsys, monkeypatch, data
+):
+    # every value is small, so each run takes milliseconds
+    monkeypatch.chdir(tmp_path)
+    for name, text in _FUZZ_FILES.items():
+        Path(name).write_text(text)
+    words = data.draw(st.sampled_from(sorted(_FUZZ_RUNS)))
+    positionals, flags = _FUZZ_RUNS[words]
+    argv = [*words.split(), *data.draw(positionals)]
+    names = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)) if flags else []
+    for flag in names:
+        argv += [flag, data.draw(flags[flag])]
+    argv += data.draw(st.lists(_STRAY, max_size=1))
+    monkeypatch.setattr(sys, "stdin", stdio.StringIO(data.draw(_STDIN)))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:  # a negative verdict, never an error
+        assert out and "error" not in err
+
+
 def _fresh_env():
     src = str(Path(linesat.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -760,6 +829,7 @@ def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
         (["reconstruct"], "3-subsets of 200 vertices"),
         (["gen", "theta", "2000"], "2-subsets of 2000 vertices"),
         (["gen", "random", "2000", "1"], "2-subsets of 2000 vertices"),
+        (["gen", "line", *map(str, range(2000))], "2-subsets of 2000 vertices"),
     ],
 )
 def test_oversized_matrices_exit_2_promptly(argv, subsets):
@@ -803,3 +873,23 @@ def test_largest_admitted_line_finishes_within_a_minute(tmp_path, command):
         assert len(json.loads(done.stdout)["edges"]) == comb(n, 3)
     else:
         assert json.loads(done.stdout) == {"order": list(range(n))}
+
+
+@pytest.mark.slow
+def test_many_denominators_finish_within_seconds(tmp_path):
+    # 1 + 1/p in each entry, a distinct prime p for each of the C(182, 2)
+    # pairs: each triangle inequality meets three new denominators
+    n = 182
+    sieve = bytearray([1]) * 200_000
+    for q in range(2, 448):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, len(sieve), q)))
+    primes = iter([p for p in range(2, len(sieve)) if sieve[p]])
+    rows = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        p = next(primes)
+        rows[i][j] = rows[j][i] = f"{p + 1}/{p}"
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps({"n": n, "dist": rows}))
+    done = _cli_child("degenerate", str(path), timeout=60)
+    assert done.returncode == 0 and done.stdout == '{"n":182,"r":3,"edges":[]}\n'

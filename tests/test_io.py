@@ -158,6 +158,7 @@ def _parsed(loads, text, command, error=FormatError):
 
 
 _STAR6 = formats.dumps_hypergraph(star_construction(6))
+_LONG = "9" * 5000  # past the digit limit of int(), so json.loads raises a plain ValueError
 
 
 @pytest.mark.parametrize(
@@ -187,13 +188,22 @@ _STAR6 = formats.dumps_hypergraph(star_construction(6))
         (partial(is_weakly_saturated, star_construction(6), 2), InvalidK,
          ["saturated", "--k", "2"], _STAR6),
         (partial(delete_vertex, star_construction(6), 6), OutOfRange, None, None),
+        _parsed(formats.loads_matrix, '{"n":%s,"dist":[]}' % _LONG, "degenerate"),
+        _parsed(formats.loads_hypergraph, '{"n":%s,"r":3,"edges":[]}' % _LONG, "saturated"),
+        _parsed(
+            formats.loads_certificate,
+            '{"n":6,"r":3,"k":%s,"base":[],"steps":[]}' % _LONG,
+            "verify-cert",
+        ),
+        _parsed(formats.loads_matrix_csv, "9" + _LONG + "\n", "degenerate"),
     ],
     ids=[
         "invalid-json", "wrong-keys", "matrix-extra-key", "non-square-dist", "empty-csv",
         "csv-row-count", "csv-row-width", "zero-denominator", "edges-not-a-list",
         "duplicate-edges", "step-extra-key", "negative-r", "negative-n-and-r",
         "size-check-k-below-r", "min-sat-k-below-r", "saturated-k-below-r",
-        "delete-vertex-out-of-range",
+        "delete-vertex-out-of-range", "matrix-long-int", "hypergraph-long-int",
+        "certificate-long-int", "csv-long-header",
     ],
 )
 def test_rejected_inputs_raise_typed_errors_and_exit_2(

@@ -107,11 +107,11 @@ def fraction_violation(d):
     return None
 
 
-def planted(n, seed, faults):
-    """A random rational metric with `faults` random entries overwritten,
-    each by a kind of value that breaks one axiom."""
+def planted(n, seed, faults, base=random_rational_metric):
+    """A random rational metric, `base(n, seed)`, with `faults` random entries
+    overwritten, each by a kind of value that breaks one axiom."""
     rng = random.Random(seed)
-    rows = [list(row) for row in random_rational_metric(n, seed).d]
+    rows = [list(row) for row in base(n, seed).d]
     for _ in range(faults):
         i, j = rng.sample(range(n), 2)
         kind = rng.choice(["diagonal", "asymmetry", "nonpositive", "triangle"])
@@ -142,6 +142,53 @@ def test_validate_metric_matches_fraction_oracle():
         names = ("i", "j", "k")[: len(where)]
         assert tuple(getattr(err.value, a) for a in names) == where
     assert kinds == {NonzeroDiagonal, AsymmetryError, NonpositiveDistance, TriangleViolation}
+
+
+def prime_metric(n, seed):
+    """1 + 1/p in each entry, a distinct prime p per pair in a seeded order:
+    a metric, as every distance lies in (1, 3/2], with C(n, 2) denominators."""
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    random.Random(seed).shuffle(primes)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), p in zip(combinations(range(n), 2), primes):
+        rows[i][j] = rows[j][i] = 1 + Fraction(1, p)
+    return DistanceMatrix(n, tuple(map(tuple, rows)))
+
+
+def oracle_class(d):
+    """The class of what `validate_metric` raises on d, None if nothing,
+    after checking that the oracle finds the same class at the same indices."""
+    want = fraction_violation(d)
+    if want is None:
+        validate_metric(d)
+        return None
+    cls, where = want
+    with pytest.raises(cls) as err:
+        validate_metric(d)
+    assert tuple(getattr(err.value, a) for a in ("i", "j", "k")[: len(where)]) == where
+    return cls
+
+
+def test_validate_metric_matches_the_oracle_on_many_denominators():
+    kinds = {
+        oracle_class(planted(seed % 5 + 8, seed, seed % 3, prime_metric)) for seed in range(200)
+    }
+    assert kinds == {None, NonzeroDiagonal, AsymmetryError, NonpositiveDistance, TriangleViolation}
+
+
+def test_validate_metric_matches_the_oracle_at_the_triangle_boundary():
+    # d(i,j) = d(i,k) + d(k,j) + e with e in {-1/q, 0, 1/q}, q a prime far
+    # above the entries' own: a margin of 1/q among C(n, 2) denominators
+    kinds = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = seed % 5 + 8
+        rows = [list(row) for row in prime_metric(n, seed).d]
+        i, j, k = rng.sample(range(n), 3)
+        e = Fraction(rng.choice([-1, 0, 1]), rng.choice([10007, 65537, 999983]))
+        rows[i][j] = rows[j][i] = rows[i][k] + rows[k][j] + e
+        kinds.add(oracle_class(DistanceMatrix(n, tuple(map(tuple, rows)))))
+    assert kinds == {None, TriangleViolation}
 
 
 # --- betweenness and middles -------------------------------------------------
