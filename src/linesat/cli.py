@@ -237,11 +237,13 @@ def _sweep_theorem3(args: argparse.Namespace) -> int:
     from .hypergraph import DEFAULT_BUDGET, star_construction
     from .saturation import is_weakly_saturated
 
+    if args.n_min < 5:
+        raise OutOfRange(f"--n-min must be at least 5, got {args.n_min}")
     if args.n_max < args.n_min:
         raise OutOfRange(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
-    # each closure tests the C(n, 6) 6-subsets, none below n = 6: sum them first
+    # each closure tests the C(n, 6) 6-subsets, none at n = 5: sum them first
     subsets = 0
-    for n in range(max(args.n_min, 6), args.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         subsets += comb(n, 6)
         if subsets > DEFAULT_BUDGET:
             raise BudgetExceeded(subsets, DEFAULT_BUDGET, f"6-subsets up to n={n}")

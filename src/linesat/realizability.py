@@ -39,46 +39,37 @@ _ALL_FALSE = bytes((FALSE,) * 3)
 
 
 @lru_cache(maxsize=8)
-def _placements(n: int) -> list[tuple[int, int, int]]:
-    """Distance terms of every placement on n points.
+def _tables(n: int) -> tuple[list, list, list]:
+    """Every placement on n points and every 4-point rule instance on them,
+    laid out in one colex walk of the triples: (placements, rules, premises).
 
-    `_placements(n)[s]`, for the slot s of "m between lo and hi" (lo < hi),
+    A slot, 3 * rank({m, x, y}) plus m's position in the sorted triple,
+    says m lies between x and y; [x y z] says y lies between x and z.
+    `placements[s]`, for the slot s of "m between lo and hi" (lo < hi),
     indexes the pairs lo-m, m-hi and lo-hi among the pairs of points in
     lexicographic order: d(lo, m) + d(m, hi) - d(lo, hi) is its defect.
+    The rule: [p b q] and [p q d] force [p b d] and [b q d].  `rules[s]`
+    lists, for the fact s = (b; x, y), both orders (p, q) of its ends and
+    every fourth point d, the (partner, conclusion, conclusion) slots for
+    both roles of s: as the first premise its partner is [p q d]; as the
+    second, read [p b q], its partner is [p d b] and the conclusions are
+    [p d q] and [d b q]: 4(n - 3) entries per slot.  `premises[c]` is
+    (mask, groups): mask has bit x set for each premise slot x of an
+    instance in `rules` concluding c, and the i-th group lists the partners
+    y of its i-th lowest set bit: 8(n - 3) pairs (x, y) per slot, in both
+    orders.  Read as the clause "not x, or not y, or c", a false c and a
+    true x force y false.
     """
     pair = {}
     for i, p in enumerate(combinations(range(n), 2)):
         pair[p] = pair[p[::-1]] = i
-    return [
-        (pair[lo, m], pair[m, hi], pair[lo, hi])
-        for a, b, c in colex_combinations(n, 3)
-        for m, lo, hi in ((a, b, c), (b, a, c), (c, a, b))
-    ]
-
-
-@lru_cache(maxsize=8)
-def _clauses(n: int) -> tuple[list, list]:
-    """Every 4-point rule instance on n points, by premise and by conclusion.
-
-    A slot, 3 * rank({m, x, y}) plus m's position in the sorted triple,
-    says m lies between x and y; [x y z] says y lies between x and z.  The
-    rule: [p b q] and [p q d] force [p b d] and [b q d].  `rules[s]` lists,
-    for the fact s = (b; x, y), both orders (p, q) of its ends and every
-    fourth point d, the (partner, conclusion, conclusion) slots for both
-    roles of s: as the first premise its partner is [p q d]; as the second,
-    read [p b q], its partner is [p d b] and the conclusions are [p d q]
-    and [d b q]: 4(n - 3) entries per slot.  `premises[c]` is (mask,
-    groups): mask has bit x set for each premise slot x of an instance in
-    `rules` concluding c, and the i-th group lists the partners y of its
-    i-th lowest set bit: 8(n - 3) pairs (x, y) per slot, in both orders.
-    Read as the clause "not x, or not y, or c", a false c and a true x
-    force y false.
-    """
     triples = list(colex_combinations(n, 3))
     slot = [[[-1] * n for _ in range(n)] for _ in range(n)]
+    placements = []
     for i, (a, b, c) in enumerate(triples):
-        for pos, (m, x, y) in enumerate(((a, b, c), (b, a, c), (c, a, b))):
-            slot[m][x][y] = slot[m][y][x] = 3 * i + pos
+        for pos, (m, lo, hi) in enumerate(((a, b, c), (b, a, c), (c, a, b))):
+            slot[m][lo][hi] = slot[m][hi][lo] = 3 * i + pos
+            placements.append((pair[lo, m], pair[m, hi], pair[lo, hi]))
     rules = []
     for t in triples:
         for b in t:
@@ -100,7 +91,7 @@ def _clauses(n: int) -> tuple[list, list]:
         for c, ys in by_conclusion.items():
             masks[c] |= 1 << s
             groups[c].append(tuple(ys))
-    return rules, list(zip(masks, map(tuple, groups)))
+    return placements, rules, list(zip(masks, map(tuple, groups)))
 
 
 # The edge-unit check by an edge's states a, b, c at index 9a + 3b + c: the
@@ -116,11 +107,12 @@ def _set_true(state: bytearray, queue: list[int], s: int) -> bool:
 
     Returns False, changing nothing, when s is already false; a true s is
     left alone.  The siblings need no events of their own: for a rule
-    instance (A, B) concluding C and a sibling C' of C, `_clauses(n)` has
-    C' as a premise with partner B concluding a sibling of A, or with
-    partner A concluding a sibling of B.  So whichever of A and C' is
-    handled last sets B false, as an event for C' would have.  Their edge
-    has a true placement, so the edge-unit check has nothing to do either.
+    instance (A, B) concluding C and a sibling C' of C, the one per-n
+    table `_tables(n)` has C' as a premise with partner B concluding a
+    sibling of A, or with partner A concluding a sibling of B.  So
+    whichever of A and C' is handled last sets B false, as an event for C'
+    would have.  Their edge has a true placement, so the edge-unit check
+    has nothing to do either.
     """
     cur = state[s]
     if cur == OPEN:
@@ -139,12 +131,12 @@ class MiddleAssignment:
     between the other two points of T" is forced true, forced false, or
     open.  Non-edges start with all three placements false.  Later changes
     are queued as events until `propagate` has handled them: a slot s set
-    true as s, whose premise rules in `_clauses(n)` are then scanned, and a
-    slot set false by a rule as ~s, whose edge and whose conclusion rules
-    in `_clauses(n)` are then checked.  The siblings of a slot set true go
-    false silently (see `_set_true`).  `_true` has bit s set for each true
-    slot s whose event has been handled, so it equals the true slots once
-    the queue is empty.
+    true as s, whose premise rules in the one per-n table `_tables(n)` are
+    then scanned, and a slot set false by a rule as ~s, whose edge and
+    whose conclusion rules in that table are then checked.  The siblings
+    of a slot set true go false silently (see `_set_true`).  `_true` has
+    bit s set for each true slot s whose event has been handled, so it
+    equals the true slots once the queue is empty.
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -203,8 +195,8 @@ def propagate(a: MiddleAssignment) -> bool:
     The clauses hold in every metric, because a false placement is a strict
     inequality there: each 4-point rule instance (x, y) concluding c reads
     "not x, or not y, or c", a triple has at most one middle, and an edge
-    has at least one.  With `rules, premises = _clauses(n)`, pops queued
-    events until none is left:
+    has at least one.  With `_, rules, premises = _tables(n)`, the one
+    per-n table, pops queued events until none is left:
     - s, set true: s joins `a._true`; for each instance in `rules[s]`,
       a true partner forces both conclusions true, and an open partner
       beside a false conclusion is set false.
@@ -226,7 +218,7 @@ def propagate(a: MiddleAssignment) -> bool:
     if a.contradiction:
         return False
     state, queue, true_bits = a.state, a._queue, a._true
-    rules, premises = _clauses(a.n)
+    _, rules, premises = _tables(a.n)
     a.contradiction = True  # until the closure is reached
     while queue:
         s = queue.pop()
@@ -292,14 +284,15 @@ def lp_max_slack(a: MiddleAssignment) -> DistanceMatrix | None:
     when the optimum slack is positive, None otherwise: at once, without
     the simplex, when the equalities zero out a strict row.  The witness's
     distances are summed as integers over the common denominator of the
-    nullspace coordinates.  Rows are read off `_placements(n)` by slot:
-    each edge's true slot, then each non-edge's three slots in slot order.
+    nullspace coordinates.  Rows are read off the placements of the one
+    per-n table `_tables(n)` by slot: each edge's true slot, then each
+    non-edge's three slots in slot order.
     """
     h, state = a.hypergraph, a.state
     n = h.n
     if a.contradiction or state.count(TRUE) != h.edge_count:
         raise ValueError("assignment must be total and propagation-consistent")
-    place = _placements(n)
+    place = _tables(n)[0]
     nvars = comb(n, 2)
     eq_rows, strict = [], []
     for t in range(comb(n, 3)):
@@ -353,7 +346,7 @@ def _edge_order(h: UniformHypergraph) -> list[int]:
     when the propagation rule can chain their middles, so high-interaction
     edges first makes pruning bite early.
     """
-    place = _placements(h.n)
+    place = _tables(h.n)[0]
     ranks = [t for t in range(comb(h.n, 3)) if h.edges >> t & 1]
     pair_count = [0] * comb(h.n, 2)
     for t in ranks:

@@ -50,7 +50,6 @@ from .hypergraph import (
     check_budget,
     full_edge_mask,
     rank,
-    star_construction,
     unrank,
 )
 
@@ -147,8 +146,6 @@ def _close(h: UniformHypergraph, k: int, steps=None) -> int:
     """Closure mask of h.  An input where no k-subset lacks exactly one
     r-subset is returned at once, without building the reverse index."""
     n, r = h.n, h.r
-    if k > n:  # no k-subset exists, so no step is ever possible
-        return h.edges
     kmasks, threshold = _kmasks(n, r, k), comb(k, r) - 1
     counts = [(h.edges & km).bit_count() for km in kmasks]
     if threshold not in counts:
@@ -340,20 +337,15 @@ def min_saturation_search(
 
     Saturation survives adding edges, so the property "some m-edge
     hypergraph saturates" is monotone in m.  The empty family is closed
-    first; unless it saturates, the search walks m downward from a known
-    saturated seed until a full scan finds no saturated set, and returns
-    the last size that had one.  Each size is scanned up to relabeling
-    (`_scan_all`).  `jobs` must lie in 1..the CPU count and is otherwise
-    ignored.
+    first; unless it saturates, the search walks m downward from C(n, r) - 1
+    until a full scan finds no saturated set, and returns the last size
+    that had one.  Each size is scanned up to relabeling (`_scan_all`).
+    `jobs` must lie in 1..the CPU count and is otherwise ignored.
     """
     _check_scan(n, r, k, jobs)
     upper = comb(n, r)  # the complete hypergraph always saturates
     if not upper or is_weakly_saturated(UniformHypergraph(n, r, 0), k):
         return 0  # the empty family is complete, or saturates (at k = r, say)
-    if r == 3 and k == 6 and n >= 5:
-        star = star_construction(n)
-        if is_weakly_saturated(star, k):
-            upper = star.edge_count
     for m in range(upper - 1, 0, -1):
         if _scan_all(n, r, k, m, budget, want_saturated=True) is None:
             return m + 1

@@ -269,11 +269,13 @@ def test_sweep_with_nothing_to_do_exits_2(capsys, monkeypatch, argv, message):
          "enumeration needs 1000048 triangles, over the budget of 1000000"),
         (["theorem2", "--n", "6", "--r", "-1"], "n=6 and r=-1 must be non-negative"),
         (["min-sat", "--n", "-1"], "n=-1 and r=3 must be non-negative"),
+        (["theorem3", "--n-min", "3"], "--n-min must be at least 5, got 3"),
     ],
 )
 def test_sweep_refuses_oversized_or_negative_shapes_at_once(capsys, monkeypatch, argv, message):
     # menger may decide count * C(n_max, 3) triangles, at most the default
-    # budget; a negative n or r is refused before C(n, r) is taken
+    # budget; a negative n or r is refused before C(n, r) is taken, and a
+    # star family below 5 vertices by its flag
     code, out, err = run_cli(capsys, monkeypatch, ["sweep", *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

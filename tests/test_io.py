@@ -10,10 +10,27 @@ from hypothesis import strategies as st
 
 from linesat import io as formats
 from linesat.cli import main
-from linesat.errors import FormatError, InvalidK, LinesatError, OutOfRange, TriangleViolation
-from linesat.hypergraph import delete_vertex, star_construction
-from linesat.metric import four_cycle_metric, random_rational_metric
-from linesat.realizability import is_metric_hypergraph, nineteen_edge_hypergraph
+from linesat.errors import (
+    BudgetExceeded,
+    FormatError,
+    IndexOutOfRange,
+    InvalidK,
+    LinesatError,
+    OutOfRange,
+    TooFewPoints,
+    TriangleViolation,
+)
+from linesat.hypergraph import UniformHypergraph, check_budget, delete_vertex, star_construction
+from linesat.metric import (
+    DistanceMatrix,
+    Graph,
+    four_cycle_metric,
+    graph_metric,
+    line_metric,
+    middle_of,
+    random_rational_metric,
+)
+from linesat.realizability import MiddleAssignment, is_metric_hypergraph, nineteen_edge_hypergraph
 from linesat.saturation import (
     ClosureCertificate,
     exhaustive_size_check,
@@ -217,6 +234,39 @@ def test_rejected_inputs_raise_typed_errors_and_exit_2(
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+
+
+_GRAPH_PAIRS = UniformHypergraph(4, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (partial(is_metric_hypergraph, _GRAPH_PAIRS), ValueError),
+        (partial(MiddleAssignment, _GRAPH_PAIRS), ValueError),
+        (partial(formats.loads_matrix, '{"n":1,"dist":[[true]]}'), FormatError),
+        (partial(DistanceMatrix.from_rows, [[0, 1]]), ValueError),
+        (partial(DistanceMatrix.from_rows, []), ValueError),
+        (partial(Graph.from_edges, 3, [(0, 3)]), IndexOutOfRange),
+        (partial(Graph.from_edges, 3, [(1, 1)]), ValueError),
+        (partial(middle_of, line_metric([0, 1, 3]), (0, 0, 1)), ValueError),
+        (partial(graph_metric, Graph.from_edges(0, [])), TooFewPoints),
+        (partial(random_rational_metric, 0, 1), TooFewPoints),
+        (partial(exhaustive_size_check, 6, 3, 6, 21), OutOfRange),
+        (partial(check_budget, 2000, 3), BudgetExceeded),
+    ],
+    ids=[
+        "realize-2-uniform", "assignment-2-uniform", "matrix-boolean-entry",
+        "non-square-rows", "no-rows", "graph-vertex-out-of-range", "graph-loop",
+        "middle-of-repeated-point", "empty-graph-metric", "no-random-points",
+        "size-above-c-n-r", "budget-2000-points",
+    ],
+)
+def test_rejections_keep_their_exact_types(call, error):
+    # raises that no other tier-1 test reaches in process
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
 
 
 def test_step_with_a_wrong_size_t_is_an_invalid_certificate(capsys, monkeypatch):

@@ -26,7 +26,7 @@ from linesat.metric import (
 )
 from linesat.realizability import (
     MiddleAssignment,
-    _clauses,
+    _tables,
     is_metric_hypergraph,
     lp_max_slack,
     minimal_nonmetric_audit,
@@ -250,7 +250,7 @@ def test_sibling_events_are_redundant(n):
     # C' of C, C' has an instance that reaches B from A's side: (i) partner
     # B concluding a sibling of A, or (ii) partner A concluding a sibling of
     # B.  Every instance spans 4 points, so n = 4 covers all shapes.
-    rules = _clauses(n)[0]
+    rules = _tables(n)[1]
 
     def siblings(s):
         base = s - s % 3
@@ -309,11 +309,11 @@ def test_premise_table_matches_the_rules(n):
     # Expanding each conclusion slot's groups gives the (premise, partner)
     # pairs of every rule instance concluding it, in both orders.
     expected = [[] for _ in range(3 * comb(n, 3))]
-    for x, entries in enumerate(_clauses(n)[0]):
+    for x, entries in enumerate(_tables(n)[1]):
         for y, c1, c2 in entries:
             expected[c1].append((x, y))
             expected[c2].append((x, y))
-    table = _clauses(n)[1]
+    table = _tables(n)[2]
     assert len(table) == len(expected)
     for c, (mask, groups) in enumerate(table):
         xs = [x for x in range(mask.bit_length()) if mask >> x & 1]

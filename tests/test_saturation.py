@@ -685,9 +685,10 @@ def test_scan_of_each_class_top_matches_enumeration_oracle():
 )
 def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size, want, jobs2):
     # With nothing to find, each class's tops are scanned once, in process,
-    # at jobs=2 as at jobs=1: min-sat(7,3,6) scans only size 30, below the
-    # 31-edge star, for a saturated family, and size(8,3,6,53) for an
-    # unsaturated one.
+    # at jobs=2 as at jobs=1: min-sat(7,3,6) finds a saturated family at
+    # sizes 34..31 and none at size 30, and size(8,3,6,53) no unsaturated
+    # one.  Only the scans of `size` itself, whose candidates hold c ranks,
+    # are compared.
     from linesat import saturation
 
     scanned = []
@@ -704,7 +705,7 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
         assert exhaustive_size_check(n, r, k, size, jobs=jobs) is None
     n_ranks = comb(n, r)
     c = min(size, n_ranks - size)
-    tops = [(args[7], args[3], list(args[5])) for args in scanned]
+    tops = [(args[7], args[3], list(args[5])) for args in scanned if len(args[7]) + args[3] == c]
     assert tops == [(fixed, w, list(range(fixed[-1] + w, n_ranks))) for fixed, w in _classes(n, r, c)]
 
 
@@ -725,15 +726,16 @@ def test_min_saturation_at_seven_scans_one_class_per_overlap(monkeypatch):
 
 
 def test_min_saturation_budget_counts_every_candidate():
-    # the first size below the 46-edge star leaves 11 of 56 triples out
+    # sizes 55..52 each find a saturated family; size 51 leaves 5 of 56
+    # triples out, over the budget
     with pytest.raises(BudgetExceeded) as err:
         min_saturation_search(8, 3, 6)
-    assert err.value.required == comb(56, 11)
+    assert err.value.required == comb(56, 5)
 
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (6, 2, 4), (6, 3, 5)])
 def test_min_saturation_at_jobs_two_scans_each_size_once(monkeypatch, n, r, k):
-    # each size is scanned once, in process, from the seed downward, and
+    # each size is scanned once, in process, from C(n, r) - 1 downward, and
     # the answer at jobs=2 is jobs=1's
     from linesat import saturation
 
@@ -745,7 +747,7 @@ def test_min_saturation_at_jobs_two_scans_each_size_once(monkeypatch, n, r, k):
 
     monkeypatch.setattr(saturation, "_scan_all", counted_scan)
     m = min_saturation_search(n, r, k, jobs=2)
-    assert sizes == list(range(sizes[0], m - 2, -1))
+    assert sizes == list(range(comb(n, r) - 1, m - 2, -1))
     assert min_saturation_search(n, r, k, jobs=1) == m
 
 
