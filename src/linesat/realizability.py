@@ -107,12 +107,11 @@ def _set_true(state: bytearray, queue: list[int], s: int) -> bool:
 
     Returns False, changing nothing, when s is already false; a true s is
     left alone.  The siblings need no events of their own: for a rule
-    instance (A, B) concluding C and a sibling C' of C, the one per-n
-    table `_tables(n)` has C' as a premise with partner B concluding a
-    sibling of A, or with partner A concluding a sibling of B.  So
-    whichever of A and C' is handled last sets B false, as an event for C'
-    would have.  Their edge has a true placement, so the edge-unit check
-    has nothing to do either.
+    instance (A, B) concluding C and a sibling C' of C, `_tables(n)` has
+    C' as a premise with partner B concluding a sibling of A, or with
+    partner A concluding a sibling of B.  So whichever of A and C' is
+    handled last sets B false, as an event for C' would have.  Their edge
+    has a true placement, so the edge-unit check has nothing to do either.
     """
     cur = state[s]
     if cur == OPEN:
@@ -131,12 +130,12 @@ class MiddleAssignment:
     between the other two points of T" is forced true, forced false, or
     open.  Non-edges start with all three placements false.  Later changes
     are queued as events until `propagate` has handled them: a slot s set
-    true as s, whose premise rules in the one per-n table `_tables(n)` are
-    then scanned, and a slot set false by a rule as ~s, whose edge and
-    whose conclusion rules in that table are then checked.  The siblings
-    of a slot set true go false silently (see `_set_true`).  `_true` has
-    bit s set for each true slot s whose event has been handled, so it
-    equals the true slots once the queue is empty.
+    true as s, whose premise rules in `_tables(n)` are then scanned, and a
+    slot set false by a rule as ~s, whose edge and whose conclusion rules
+    in `_tables(n)` are then checked.  The siblings of a slot set true go
+    false silently (see `_set_true`).  `_true` has bit s set for each true
+    slot s whose event has been handled, so it equals the true slots once
+    the queue is empty.
     """
 
     def __init__(self, h: UniformHypergraph, middles=None):
@@ -195,8 +194,8 @@ def propagate(a: MiddleAssignment) -> bool:
     The clauses hold in every metric, because a false placement is a strict
     inequality there: each 4-point rule instance (x, y) concluding c reads
     "not x, or not y, or c", a triple has at most one middle, and an edge
-    has at least one.  With `_, rules, premises = _tables(n)`, the one
-    per-n table, pops queued events until none is left:
+    has at least one.  With `_, rules, premises = _tables(n)`, pops queued
+    events until none is left:
     - s, set true: s joins `a._true`; for each instance in `rules[s]`,
       a true partner forces both conclusions true, and an open partner
       beside a false conclusion is set false.
@@ -284,9 +283,9 @@ def lp_max_slack(a: MiddleAssignment) -> DistanceMatrix | None:
     when the optimum slack is positive, None otherwise: at once, without
     the simplex, when the equalities zero out a strict row.  The witness's
     distances are summed as integers over the common denominator of the
-    nullspace coordinates.  Rows are read off the placements of the one
-    per-n table `_tables(n)` by slot: each edge's true slot, then each
-    non-edge's three slots in slot order.
+    nullspace coordinates.  Rows are read off `_tables(n)`'s placements by
+    slot: each edge's true slot, then each non-edge's three slots in slot
+    order.
     """
     h, state = a.hypergraph, a.state
     n = h.n

@@ -84,6 +84,8 @@ def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
     subsets that leave room for the larger vertices are kept.
     """
     check_budget(n, r, k)
+    if k > n:
+        return ()  # no k-subsets; building up to size k would cost O(k) passes
     # masks[i][j]: the i-subsets of the j-th subset of the current size
     masks = [[1]] + [[0] for _ in range(r)]
     for size in range(1, k + 1):

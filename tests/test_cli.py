@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import linesat
 from linesat.cli import _GEN_USAGE, _build_parser, main
 from linesat.hypergraph import star_construction
-from linesat.io import dumps_certificate
+from linesat.io import dumps_certificate, dumps_hypergraph
 from linesat.saturation import weak_saturation_closure
 
 
@@ -838,6 +838,21 @@ def test_oversized_matrices_exit_2_promptly(argv, subsets):
     # a valid 200-point line metric, about 100 KB of JSON; gen ignores it
     line = json.dumps({"n": 200, "dist": [[abs(i - j) for j in range(200)] for i in range(200)]})
     _assert_refused_promptly(argv, line, subsets)
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["saturated", "--k", "1000000000"], '{"weakly_saturated":false}\n'),
+        (["close", "--k", "1000000000000"], '"steps":[]}\n'),
+        (["sweep", "min-sat", "--n", "6", "--k", "1000000000000"], ": 20\n"),
+    ],
+    ids=["saturated", "close", "min-sat"],
+)
+def test_k_above_n_answers_promptly(argv, stdout):
+    # no k-subsets at all, so nothing closes: no work may grow with k
+    done = _cli_child(*argv, stdin_text=dumps_hypergraph(star_construction(6)), timeout=10)
+    assert done.stderr == "" and done.stdout.endswith(stdout)
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,7 @@ def _parsed(loads, text, command, error=FormatError):
 
 _STAR6 = formats.dumps_hypergraph(star_construction(6))
 _LONG = "9" * 5000  # past the digit limit of int(), so json.loads raises a plain ValueError
+_PAIRS = UniformHypergraph(4, 2, 0)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +214,18 @@ _LONG = "9" * 5000  # past the digit limit of int(), so json.loads raises a plai
             "verify-cert",
         ),
         _parsed(formats.loads_matrix_csv, "9" + _LONG + "\n", "degenerate"),
+        _parsed(formats.loads_matrix, '{"n":1,"dist":[[true]]}', "degenerate"),
+        (partial(is_metric_hypergraph, _PAIRS), ValueError, None, None),
+        (partial(MiddleAssignment, _PAIRS), ValueError, None, None),
+        (partial(DistanceMatrix.from_rows, [[0, 1]]), ValueError, None, None),
+        (partial(DistanceMatrix.from_rows, []), ValueError, None, None),
+        (partial(Graph.from_edges, 3, [(0, 3)]), IndexOutOfRange, None, None),
+        (partial(Graph.from_edges, 3, [(1, 1)]), ValueError, None, None),
+        (partial(middle_of, line_metric([0, 1, 3]), (0, 0, 1)), ValueError, None, None),
+        (partial(graph_metric, Graph.from_edges(0, [])), TooFewPoints, None, None),
+        (partial(random_rational_metric, 0, 1), TooFewPoints, None, None),
+        (partial(exhaustive_size_check, 6, 3, 6, 21), OutOfRange, None, None),
+        (partial(check_budget, 2000, 3), BudgetExceeded, None, None),
     ],
     ids=[
         "invalid-json", "wrong-keys", "matrix-extra-key", "non-square-dist", "empty-csv",
@@ -220,53 +233,24 @@ _LONG = "9" * 5000  # past the digit limit of int(), so json.loads raises a plai
         "duplicate-edges", "step-extra-key", "negative-r", "negative-n-and-r",
         "size-check-k-below-r", "min-sat-k-below-r", "saturated-k-below-r",
         "delete-vertex-out-of-range", "matrix-long-int", "hypergraph-long-int",
-        "certificate-long-int", "csv-long-header",
+        "certificate-long-int", "csv-long-header", "matrix-boolean-entry",
+        "realize-2-uniform", "assignment-2-uniform", "non-square-rows", "no-rows",
+        "graph-vertex-out-of-range", "graph-loop", "middle-of-repeated-point",
+        "empty-graph-metric", "no-random-points", "size-above-c-n-r", "budget-2000-points",
     ],
 )
 def test_rejected_inputs_raise_typed_errors_and_exit_2(
     capsys, monkeypatch, call, error, argv, stdin_text
 ):
-    with pytest.raises(error):
+    with pytest.raises(error) as err:
         call()
+    assert type(err.value) is error
     if argv is None:  # no subcommand takes this input
         return
     monkeypatch.setattr(sys, "stdin", stdio.StringIO(stdin_text))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
-
-
-_GRAPH_PAIRS = UniformHypergraph(4, 2, 0)
-
-
-@pytest.mark.parametrize(
-    "call, error",
-    [
-        (partial(is_metric_hypergraph, _GRAPH_PAIRS), ValueError),
-        (partial(MiddleAssignment, _GRAPH_PAIRS), ValueError),
-        (partial(formats.loads_matrix, '{"n":1,"dist":[[true]]}'), FormatError),
-        (partial(DistanceMatrix.from_rows, [[0, 1]]), ValueError),
-        (partial(DistanceMatrix.from_rows, []), ValueError),
-        (partial(Graph.from_edges, 3, [(0, 3)]), IndexOutOfRange),
-        (partial(Graph.from_edges, 3, [(1, 1)]), ValueError),
-        (partial(middle_of, line_metric([0, 1, 3]), (0, 0, 1)), ValueError),
-        (partial(graph_metric, Graph.from_edges(0, [])), TooFewPoints),
-        (partial(random_rational_metric, 0, 1), TooFewPoints),
-        (partial(exhaustive_size_check, 6, 3, 6, 21), OutOfRange),
-        (partial(check_budget, 2000, 3), BudgetExceeded),
-    ],
-    ids=[
-        "realize-2-uniform", "assignment-2-uniform", "matrix-boolean-entry",
-        "non-square-rows", "no-rows", "graph-vertex-out-of-range", "graph-loop",
-        "middle-of-repeated-point", "empty-graph-metric", "no-random-points",
-        "size-above-c-n-r", "budget-2000-points",
-    ],
-)
-def test_rejections_keep_their_exact_types(call, error):
-    # raises that no other tier-1 test reaches in process
-    with pytest.raises(error) as err:
-        call()
-    assert type(err.value) is error
 
 
 def test_step_with_a_wrong_size_t_is_an_invalid_certificate(capsys, monkeypatch):
