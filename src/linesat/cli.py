@@ -190,6 +190,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if bad:
         raise FormatError(f"usage: gen {usage}")
     if kind == "star":
+        if args.fmt == "csv":
+            raise FormatError("--format csv applies to matrix kinds only, not gen star")
         _write(args, formats.dumps_hypergraph(star_construction(int(params[0]))))
         return EXIT_OK
     if kind != "cycle4":  # the matrix holds C(N, 2) distances

@@ -1,12 +1,12 @@
 """Linear orders realizing betweenness, and anchor certification.
 
 A metric space is "line-like" when some ordering of its points makes every
-position-ordered triple degenerate.  Reconstruction searches candidate
-first points: along any valid order, distances from the first point are
-strictly increasing, so sorting by distance from the true first point
-recovers the order.  A family of triples is certified as an anchor (its
-degeneracy forces such an order in every metric) through weak saturation
-at clique size six.
+position-ordered triple degenerate.  Reconstruction reads the order off
+the line's two ends: along a valid order, distances from the first point
+are strictly increasing, so sorting by distance from an end recovers the
+order.  A family of triples is certified as an anchor (its degeneracy
+forces such an order in every metric) through weak saturation at clique
+size six.
 
 Only `verify_non_anchor_witness` imports `metric`, when called, so
 certifying an anchor loads neither it nor `fractions`.
@@ -49,22 +49,20 @@ def check_order(d: DistanceMatrix, o: LinearOrder) -> bool:
 def reconstruct_line(d: DistanceMatrix) -> LinearOrder | None:
     """Find a linear order realizing all betweenness, or None if none exists.
 
-    For each candidate first point p (ascending), the other points are
-    sorted by distance from p; a tie only disqualifies p, not the other
-    candidates.  Any valid order is found when p is its first element, so
-    exhausting all p decides existence completely.
+    On a line the point farthest from any point is an end, and the point
+    farthest from an end is the other end, so the one candidate starts at
+    the lower-index end of those two and sorts all points by distance from
+    it.  A line metric has exactly two valid orders, one from each end, so
+    `check_order` on that candidate decides existence; a tie between two
+    points fails it, as distances between points are positive.
     """
-    n = d.n
-    if n <= 2:
-        return LinearOrder(tuple(range(n)))
-    for p in range(n):
-        dists = sorted((d.dist(p, q), q) for q in range(n) if q != p)
-        if any(a[0] == b[0] for a, b in zip(dists, dists[1:])):
-            continue
-        candidate = LinearOrder((p,) + tuple(q for _, q in dists))
-        if check_order(d, candidate):
-            return candidate
-    return None
+    m, points = d.d, range(d.n)
+    if not m:
+        return LinearOrder(())
+    end = max(points, key=m[0].__getitem__)
+    first = min(end, max(points, key=m[end].__getitem__))
+    candidate = LinearOrder(tuple(sorted(points, key=m[first].__getitem__)))
+    return candidate if check_order(d, candidate) else None
 
 
 def anchor_via_closure(h: UniformHypergraph) -> bool:
@@ -76,6 +74,8 @@ def anchor_via_closure(h: UniformHypergraph) -> bool:
     """
     from .saturation import is_weakly_saturated
 
+    if h.r != 3:
+        raise ValueError("anchors are defined for 3-uniform hypergraphs")
     if h.n < 5:
         raise TooFewVertices(h.n, 5)
     return is_weakly_saturated(h, 6)
@@ -85,10 +85,11 @@ def verify_non_anchor_witness(h: UniformHypergraph, d: DistanceMatrix) -> bool:
     """Check that a metric proves the triple family is not an anchor.
 
     True iff every edge of h is degenerate in d and yet no linear order
-    passes check_order.  The order search is complete (first-point
-    enumeration), so True is a proof of non-anchorhood only when d is a
-    validated metric, as every matrix the CLI loads is.  Each edge is tested
-    as by `middle_of`, on integers; triples outside h are not looked at.
+    passes check_order.  The order search is complete (one candidate, read
+    off the line's two ends), so True is a proof of non-anchorhood only when
+    d is a validated metric, as every matrix the CLI loads is.  Each edge is
+    tested as by `middle_of`, on integers; triples outside h are not looked
+    at.
     """
     from .metric import _degeneracy_test
 

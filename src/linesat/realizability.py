@@ -207,12 +207,12 @@ def propagate(a: MiddleAssignment) -> bool:
     false event skips its clauses; its own event reaches each of them
     later from the other premise, where the false conclusion sets an open
     partner false and makes a true partner a contradiction, as the skipped
-    visit would have.  Forcing follows `_set_true`, whose siblings set
-    false are no events.  Setting a false slot true or a true slot false
-    is a contradiction, which stops the closure at once and is remembered,
-    so a contradicted assignment stays False.  Without a contradiction the
-    closure is a monotone fixpoint, so the order events are taken in does
-    not matter.
+    visit would have.  Conclusions are forced through `_set_true`, whose
+    siblings set false are no events.  Setting a false slot true or a true
+    slot false is a contradiction, which stops the closure at once and is
+    remembered, so a contradicted assignment stays False.  Without a
+    contradiction the closure is a monotone fixpoint, so the order events
+    are taken in does not matter.
     """
     if a.contradiction:
         return False
@@ -226,15 +226,8 @@ def propagate(a: MiddleAssignment) -> bool:
             for partner, c1, c2 in rules[s]:
                 p = state[partner]
                 if p == TRUE:
-                    for c in (c1, c2):
-                        cur = state[c]
-                        if cur == OPEN:  # as `_set_true` does
-                            base = c - c % 3
-                            state[base : base + 3] = _ALL_FALSE
-                            state[c] = TRUE
-                            queue.append(c)
-                        elif cur == FALSE:
-                            return False
+                    if not (_set_true(state, queue, c1) and _set_true(state, queue, c2)):
+                        return False
                 elif p == OPEN and (state[c1] == FALSE or state[c2] == FALSE):
                     state[partner] = FALSE
                     queue.append(~partner)

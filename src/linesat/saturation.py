@@ -170,6 +170,8 @@ def verify_certificate(cert: ClosureCertificate) -> bool:
     """Replay a certificate, checking the all-but-one condition at each step."""
     h = cert.base
     n, r, k = h.n, h.r, cert.k
+    if k < r:
+        raise InvalidK(k, r)
     current = {tuple(e) for e in h.edge_list()}
     for t, s in cert.steps:
         t = tuple(sorted(t))

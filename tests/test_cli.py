@@ -389,6 +389,13 @@ def test_gen_arguments_outside_the_usage_exit_2(capsys, monkeypatch, params, usa
     assert err.startswith(f"error: usage: gen {usage}")
 
 
+def test_gen_star_refuses_the_csv_format(capsys, monkeypatch):
+    # a hypergraph has no CSV layout, so the option is refused, not ignored
+    code, out, err = run_cli(capsys, monkeypatch, ["gen", "star", "6", "--format", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --format csv")
+
+
 def test_unknown_generator_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["gen", "pentagon"])
     assert code == 2

@@ -20,7 +20,14 @@ from linesat.errors import (
     TooFewPoints,
     TriangleViolation,
 )
-from linesat.hypergraph import UniformHypergraph, check_budget, delete_vertex, star_construction
+from linesat.hypergraph import (
+    UniformHypergraph,
+    check_budget,
+    complete_hypergraph,
+    delete_vertex,
+    star_construction,
+)
+from linesat.lines import anchor_via_closure
 from linesat.metric import (
     DistanceMatrix,
     Graph,
@@ -177,6 +184,8 @@ def _parsed(loads, text, command, error=FormatError):
 _STAR6 = formats.dumps_hypergraph(star_construction(6))
 _LONG = "9" * 5000  # past the digit limit of int(), so json.loads raises a plain ValueError
 _PAIRS = UniformHypergraph(4, 2, 0)
+_K6_PAIRS = formats.dumps_hypergraph(complete_hypergraph(6, 2))
+_K_BELOW_R = '{"n":6,"r":3,"k":2,"base":[],"steps":[]}'
 
 
 @pytest.mark.parametrize(
@@ -226,6 +235,10 @@ _PAIRS = UniformHypergraph(4, 2, 0)
         (partial(random_rational_metric, 0, 1), TooFewPoints, None, None),
         (partial(exhaustive_size_check, 6, 3, 6, 21), OutOfRange, None, None),
         (partial(check_budget, 2000, 3), BudgetExceeded, None, None),
+        (partial(anchor_via_closure, complete_hypergraph(6, 2)), ValueError,
+         ["anchor"], _K6_PAIRS),
+        (lambda: verify_certificate(formats.loads_certificate(_K_BELOW_R)), InvalidK,
+         ["verify-cert"], _K_BELOW_R),
     ],
     ids=[
         "invalid-json", "wrong-keys", "matrix-extra-key", "non-square-dist", "empty-csv",
@@ -237,6 +250,7 @@ _PAIRS = UniformHypergraph(4, 2, 0)
         "realize-2-uniform", "assignment-2-uniform", "non-square-rows", "no-rows",
         "graph-vertex-out-of-range", "graph-loop", "middle-of-repeated-point",
         "empty-graph-metric", "no-random-points", "size-above-c-n-r", "budget-2000-points",
+        "anchor-2-uniform", "certificate-k-below-r",
     ],
 )
 def test_rejected_inputs_raise_typed_errors_and_exit_2(

@@ -34,6 +34,7 @@ from linesat.metric import (
     middle_of,
     random_rational_metric,
     theta_graph,
+    validate_metric,
 )
 
 
@@ -177,6 +178,46 @@ def test_ties_only_disqualify_the_first_point():
     order = reconstruct_line(d)
     assert order is not None
     assert check_order(d, order)
+
+
+def _first_valid_permutation(d):
+    for perm in permutations(range(d.n)):
+        if all(betweenness(d, *t) for t in combinations(perm, 3)):
+            return perm
+    return None
+
+
+def _order_cases(rng):
+    """Shuffled lines, lines whose point 0 is the midpoint of the ends,
+    relabeled theta metrics and L1 metrics of grid points, n = 1..6, then
+    the four-cycle."""
+    for n in range(1, 7):
+        for _ in range(15):
+            labels = rng.sample(range(n), n)
+            yield restrict(random_collinear_metric(rng, n), labels)
+            if n >= 3:  # the two ends tie as farthest from point 0
+                a = rng.randint(3, 20)
+                inner = rng.sample([c for c in range(1 - a, a) if c], n - 3)
+                yield line_metric([0, *rng.sample([-a, a, *inner], n - 1)])
+            if n >= 5:
+                yield restrict(graph_metric(theta_graph(n)), labels)
+            grid = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
+            yield DistanceMatrix.from_rows(
+                [[abs(x - u) + abs(y - v) for u, v in grid] for x, y in grid]
+            )
+    yield four_cycle_metric()
+
+
+def test_reconstruction_returns_the_first_valid_permutation():
+    # of a line's two orders, the one starting at its lower-index end
+    verdicts = set()
+    for d in _order_cases(random.Random(11)):
+        validate_metric(d)
+        order = reconstruct_line(d)
+        expected = _first_valid_permutation(d)
+        assert (None if order is None else order.order) == expected, d.d
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
 
 
 def test_theta_without_a_branch_vertex_reconstructs():
