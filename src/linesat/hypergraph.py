@@ -6,6 +6,7 @@ closure certificates stable across vertex deletions.  Bitsets are plain
 Python ints, one bit per r-subset rank.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -64,6 +65,33 @@ def colex_combinations(n: int, r: int):
     for top in range(r - 1, n):
         for rest in colex_combinations(top, r - 1):
             yield rest + (top,)
+
+
+# Bounded: tables reach megabytes by n = 16, and a run uses few (n, r, k).
+@lru_cache(maxsize=8)
+def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
+    """Each k-subset's r-subset mask, in colex rank order.
+
+    Built up by size: the size-subsets with largest vertex x are the
+    (size-1)-subsets below x, a colex prefix, with x added, which keeps the
+    ranks of their i-subsets and adds C(x, i) to those that gain x.  Only
+    subsets that leave room for the larger vertices are kept.
+    """
+    check_budget(n, r, k)
+    if k > n:
+        return ()  # no k-subsets; building up to size k would cost O(k) passes
+    # masks[i][j]: the i-subsets of the j-th subset of the current size
+    masks = [[1]] + [[0] for _ in range(r)]
+    for size in range(1, k + 1):
+        grown = [[] for _ in range(r + 1)]
+        for x in range(size - 1, n - k + size):
+            below = comb(x, size - 1)
+            grown[0] += masks[0][:below]
+            for i in range(1, r + 1):
+                shift = comb(x, i)
+                grown[i] += [a | b << shift for a, b in zip(masks[i][:below], masks[i - 1])]
+        masks = grown
+    return tuple(masks[r])
 
 
 class Record:

@@ -14,6 +14,13 @@ gets two middles, or an edge loses all three.  Surviving total assignments
 go to an exact LP that maximizes a uniform slack: distances are feasible
 with positive slack exactly when a metric with the required degeneracy
 pattern exists, because the pattern is scale-invariant.
+
+A metric realizing h restricts to one realizing h's triples inside any
+6-set, and no 6-point metric has exactly 19 degenerate triangles (each
+such family relabels onto the audit root).  So from n = 7 on, a 6-set
+holding 19 of h's triples refutes h before any search, with `explored` 0.
+That verdict rests on the audit root's n = 6 search, as every closure
+answer does; at n = 6 the 6-set is the root itself, so the pass never runs.
 """
 
 from fractions import Fraction
@@ -26,6 +33,7 @@ from .hypergraph import (
     DEFAULT_CEILING,
     Record,
     UniformHypergraph,
+    _kmasks,
     colex_combinations,
     delete_vertex,
     full_edge_mask,
@@ -352,14 +360,23 @@ def is_metric_hypergraph(
 ) -> RealizabilityVerdict:
     """Decide whether some metric has exactly h as its degenerate triangles.
 
-    Depth-first search over middle assignments with propagation after every
-    choice; a surviving total assignment is decided by the exact slack LP.
-    `explored` counts the middle choices tried.
+    From n = 7 on, a 6-set holding exactly 19 of h's triples refutes h by
+    restriction, with `explored` 0, resting on the audit root's n = 6
+    search (the pass would be circular at n = 6); else `_search` decides.
     """
     if h.r != 3:
         raise ValueError("realizability is defined for 3-uniform hypergraphs")
     if h.n > ceiling:
         raise CeilingExceeded(h.n, ceiling)
+    if h.n >= 7 and any((h.edges & km).bit_count() == 19 for km in _kmasks(h.n, 3, 6)):
+        return RealizabilityVerdict("non-metric", None, 0)
+    return _search(h)
+
+
+def _search(h: UniformHypergraph) -> RealizabilityVerdict:
+    """Depth-first search over middle assignments, propagating after every
+    choice; the exact slack LP decides a surviving total assignment.
+    `explored` counts the middle choices tried."""
     bases = [3 * t for t in _edge_order(h)]
     explored = 0
 

@@ -10,13 +10,10 @@ One loop computes every closure.  It keeps a per-k-subset count of present
 r-subsets and updates the C(n-r, k-r) affected counts on every insertion,
 so closures on desk-scale inputs (n around 12) run in milliseconds instead
 of rescanning all k-subsets after each step.  Its tables are built without
-ranking.  Each k-subset's r-subset mask comes from one recurrence over
-sizes: putting a vertex x above every member of a subset s keeps the ranks
-of s's subsets and turns each (i-1)-subset u of s into the i-subset
-u + (x,), of rank rank(u) + C(x, i).  The reverse index (the k-subsets
-containing each r-subset) is read off those masks, and only when some
-k-subset lacks exactly one r-subset, so an input that is already closed
-costs one count per k-subset.
+ranking: `hypergraph._kmasks` gives each k-subset's r-subset mask, and the
+reverse index (the k-subsets containing each r-subset) is read off those
+masks only when some k-subset lacks exactly one r-subset, so an input that
+is already closed costs one count per k-subset.
 
 An exhaustive scan closes every family of a given size, enumerating the
 chosen ranks (the edges, or the non-edges when fewer) in colex order.  One
@@ -47,7 +44,7 @@ from .hypergraph import (
     DEFAULT_BUDGET,
     Record,
     UniformHypergraph,
-    check_budget,
+    _kmasks,
     full_edge_mask,
     rank,
     unrank,
@@ -71,33 +68,6 @@ class ClosureResult(Record):
     __slots__ = ("closure", "certificate")
     closure: UniformHypergraph
     certificate: ClosureCertificate
-
-
-# Bounded: tables reach megabytes by n = 16, and a run uses few (n, r, k).
-@lru_cache(maxsize=8)
-def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
-    """Each k-subset's r-subset mask, in colex rank order.
-
-    Built up by size: the size-subsets with largest vertex x are the
-    (size-1)-subsets below x, a colex prefix, with x added, which keeps the
-    ranks of their i-subsets and adds C(x, i) to those that gain x.  Only
-    subsets that leave room for the larger vertices are kept.
-    """
-    check_budget(n, r, k)
-    if k > n:
-        return ()  # no k-subsets; building up to size k would cost O(k) passes
-    # masks[i][j]: the i-subsets of the j-th subset of the current size
-    masks = [[1]] + [[0] for _ in range(r)]
-    for size in range(1, k + 1):
-        grown = [[] for _ in range(r + 1)]
-        for x in range(size - 1, n - k + size):
-            below = comb(x, size - 1)
-            grown[0] += masks[0][:below]
-            for i in range(1, r + 1):
-                shift = comb(x, i)
-                grown[i] += [a | b << shift for a, b in zip(masks[i][:below], masks[i - 1])]
-        masks = grown
-    return tuple(masks[r])
 
 
 @lru_cache(maxsize=8)

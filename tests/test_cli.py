@@ -830,6 +830,17 @@ def test_oversized_inputs_exit_2_promptly(argv, stdin_text, subsets):
     _assert_refused_promptly(argv, stdin_text, subsets)
 
 
+def test_realize_over_the_six_subset_budget_exits_2_promptly():
+    # C(33, 6) 6-subsets are over the budget, so the restriction pass
+    # refuses the input before any search table is built; the ceiling
+    # warning comes first.
+    done = _cli_child("realize", "--ceiling", "40", stdin_text='{"n":33,"r":3,"edges":[]}')
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines()[1:] == [
+        "error: enumeration needs 1107568 6-subsets of 33 vertices, over the budget of 1000000"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, subsets",
     [

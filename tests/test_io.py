@@ -239,6 +239,8 @@ _K_BELOW_R = '{"n":6,"r":3,"k":2,"base":[],"steps":[]}'
          ["anchor"], _K6_PAIRS),
         (lambda: verify_certificate(formats.loads_certificate(_K_BELOW_R)), InvalidK,
          ["verify-cert"], _K_BELOW_R),
+        (partial(is_metric_hypergraph, UniformHypergraph(33, 3, 0), 40), BudgetExceeded,
+         None, None),
     ],
     ids=[
         "invalid-json", "wrong-keys", "matrix-extra-key", "non-square-dist", "empty-csv",
@@ -250,7 +252,7 @@ _K_BELOW_R = '{"n":6,"r":3,"k":2,"base":[],"steps":[]}'
         "realize-2-uniform", "assignment-2-uniform", "non-square-rows", "no-rows",
         "graph-vertex-out-of-range", "graph-loop", "middle-of-repeated-point",
         "empty-graph-metric", "no-random-points", "size-above-c-n-r", "budget-2000-points",
-        "anchor-2-uniform", "certificate-k-below-r",
+        "anchor-2-uniform", "certificate-k-below-r", "realize-33-vertices",
     ],
 )
 def test_rejected_inputs_raise_typed_errors_and_exit_2(

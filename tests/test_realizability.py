@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -11,6 +12,7 @@ from linesat import io, realizability
 from linesat.errors import CeilingExceeded
 from linesat.hypergraph import (
     UniformHypergraph,
+    _kmasks,
     complete_hypergraph,
     delete_vertex,
     star_construction,
@@ -26,6 +28,8 @@ from linesat.metric import (
 )
 from linesat.realizability import (
     MiddleAssignment,
+    RealizabilityVerdict,
+    _search,
     _tables,
     is_metric_hypergraph,
     lp_max_slack,
@@ -345,7 +349,7 @@ def test_true_mask_tracks_the_true_slots(monkeypatch):
     monkeypatch.setattr(realizability, "propagate", checked_propagate)
     monkeypatch.setattr(MiddleAssignment, "clone", checked_clone)
     minimal_nonmetric_audit()
-    is_metric_hypergraph(star_construction(7), ceiling=7)
+    _search(star_construction(7))
     assert len(checks) > 1000
 
 
@@ -471,26 +475,28 @@ def test_verdicts_invariant_under_relabeling():
 
 def test_search_tree_sizes_are_pinned():
     # Any change to what propagation prunes changes these branch counts.
+    # The stars hold 19-triple 6-sets, so they go to the search directly.
     report = minimal_nonmetric_audit()
     assert report.root.verdict.explored == 289
     assert [e.verdict.explored for e in report.deletions] == [19, 19, 19, 8, 8, 8]
-    star = is_metric_hypergraph(star_construction(7), ceiling=7)
+    star = _search(star_construction(7))
     assert (star.status, star.explored) == ("non-metric", 379)
-    star = is_metric_hypergraph(star_construction(8), ceiling=8)
+    star = _search(star_construction(8))
     assert (star.status, star.explored) == ("non-metric", 469)
 
 
 def test_verdict_bytes_are_pinned():
     # Statuses, branch counts and witness matrices of 60 seeded random
-    # hypergraphs (30 metric, 30 non-metric), as `linesat realize` prints
-    # them.  A change that should not alter any verdict must keep this.
+    # hypergraphs (30 metric, 30 non-metric), as the search behind
+    # `linesat realize` finds them and `io.dumps_verdict` prints them.  A
+    # change that should not alter the search must keep this.
     rng = random.Random(9)
     digest = hashlib.sha256()
     for _ in range(60):
         n = rng.choice((6, 7))
         p = rng.choice((0.2, 0.4, 0.6, 0.8))
         edges = [t for t in combinations(range(n), 3) if rng.random() < p]
-        verdict = is_metric_hypergraph(UniformHypergraph.from_edges(n, 3, edges), 7)
+        verdict = _search(UniformHypergraph.from_edges(n, 3, edges))
         digest.update(io.dumps_verdict(verdict).encode() + b"\n")
     assert digest.hexdigest() == (
         "f477dcdd1053bfea4cd3e10b3cf91f407ef7fa2f9291f937de76d604e5631347"
@@ -501,7 +507,7 @@ def test_extension_verdict_bytes_are_pinned():
     # Non-metric 7-vertex extensions of the 19-edge family, the shape whose
     # search propagation dominates: the core relabeled at random, plus a
     # seeded 2 to 7 of the 15 triples through the seventh vertex.  Statuses
-    # and branch counts as `linesat realize` prints them.
+    # and branch counts of the search, as `io.dumps_verdict` prints them.
     rng = random.Random(5)
     core = [t for t in combinations(range(6), 3) if t != (3, 4, 5)]
     through6 = [t for t in combinations(range(7), 3) if 6 in t]
@@ -511,12 +517,47 @@ def test_extension_verdict_bytes_are_pinned():
         perm = list(range(7))
         rng.shuffle(perm)
         edges = [tuple(perm[v] for v in t) for t in core + extra]
-        verdict = is_metric_hypergraph(UniformHypergraph.from_edges(7, 3, edges), 7)
+        verdict = _search(UniformHypergraph.from_edges(7, 3, edges))
         assert verdict.status == "non-metric"
         digest.update(io.dumps_verdict(verdict).encode() + b"\n")
     assert digest.hexdigest() == (
         "1bb6e624399c71453a0a1ef91da495f6e46d3c70442f084c58bccd24511dde72"
     )
+
+
+def test_restriction_pass_agrees_with_the_search():
+    # From n = 7 on, a 6-set holding 19 of h's triples refutes h with no
+    # branch; every other input gets the search's verdict unchanged.
+    rng = random.Random(31)
+    refuted = 0
+    for _ in range(400):
+        n = rng.choice((7, 8))
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        edges = {t for t in combinations(range(n), 3) if rng.random() < p}
+        h = UniformHypergraph.from_edges(n, 3, edges)
+        verdict, searched = is_metric_hypergraph(h, 8), _search(h)
+        assert verdict.status == searched.status
+        if any(
+            sum(t in edges for t in combinations(s, 3)) == 19
+            for s in combinations(range(n), 6)
+        ):
+            assert verdict == RealizabilityVerdict("non-metric", None, 0)
+            refuted += 1
+        else:
+            assert verdict == searched
+    assert 0 < refuted < 400
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_complete_minus_one_is_refuted_without_a_branch(n):
+    # Each answers from the restriction pass, its 6-subset table built cold.
+    for missing in (0, comb(n, 3) - 1):
+        _kmasks.cache_clear()
+        h = UniformHypergraph(n, 3, complete_hypergraph(n, 3).edges ^ 1 << missing)
+        start = time.perf_counter()
+        verdict = is_metric_hypergraph(h, 16)
+        assert time.perf_counter() - start < 0.1
+        assert verdict == RealizabilityVerdict("non-metric", None, 0)
 
 
 def test_zero_row_refutes_without_the_simplex(monkeypatch):
@@ -652,6 +693,24 @@ def test_degenerate_sets_of_known_metrics_are_metric():
         assert verdict.status == "metric"
         validate_metric(verdict.witness)
         assert degenerate_hypergraph(verdict.witness).edges == h.edges
+
+
+def test_degenerate_sets_on_seven_to_ten_points_stay_metric():
+    # The restriction pass never refutes a realizable input: the search
+    # runs and its witness reproduces the input exactly.
+    rng = random.Random(11)
+    for n in range(7, 11):
+        hs = [degenerate_hypergraph(random_rational_metric(n, seed)) for seed in range(3)]
+        hs.append(degenerate_hypergraph(graph_metric(theta_graph(n))))
+        hs += [
+            UniformHypergraph.from_edges(n, 3, _degenerate_triples(_random_l1_distances(rng, n)))
+            for _ in range(3)
+        ]
+        for h in hs:
+            verdict = is_metric_hypergraph(h, n)
+            assert verdict.status == "metric" and verdict.explored > 0
+            validate_metric(verdict.witness)
+            assert degenerate_hypergraph(verdict.witness).edges == h.edges
 
 
 # random_rational_metric(7, 3) as first generated, frozen with its nine
