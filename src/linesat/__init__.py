@@ -17,8 +17,7 @@ _HOME = {
         "errors": "LinesatError",
         "hypergraph": "UniformHypergraph complement complete_hypergraph delete_vertex rank "
         "star_construction unrank",
-        "lines": "LinearOrder anchor_via_closure check_order reconstruct_line "
-        "verify_non_anchor_witness",
+        "lines": "anchor_via_closure check_order reconstruct_line verify_non_anchor_witness",
         "metric": "DistanceMatrix Graph betweenness check_menger degenerate_hypergraph "
         "four_cycle_metric graph_metric line_metric middle_of random_rational_metric "
         "theta_graph validate_metric",

@@ -13,6 +13,8 @@ from math import comb
 from .errors import BudgetExceeded, OutOfRange, TooFewVertices
 
 DEFAULT_BUDGET = 10**6
+TABLE_BITS = 2**32  # closure tables: C(n, k) k-subset masks of C(n, r) bits
+TABLE_ENTRIES = 2 * 10**7  # and C(n, k) * C(k, r) reverse-index entries
 DEFAULT_CEILING = 6  # vertex limit of a realizability search unless raised
 
 
@@ -20,7 +22,8 @@ def check_budget(n: int, *sizes: int) -> None:
     """Refuse a ground set whose s-subsets outnumber the default budget.
 
     Runs before any bitset or table over those subsets is built, so an
-    oversized input fails at once instead of exhausting time or memory.
+    oversized input fails at once; a closure table's size is bounded
+    separately, by TABLE_BITS and TABLE_ENTRIES in `_kmasks`.
     """
     for s in sizes:
         j = min(s, n - s)
@@ -67,6 +70,14 @@ def colex_combinations(n: int, r: int):
             yield rest + (top,)
 
 
+def _bitset(ranks, size: int) -> int:
+    """A size-bit mask set in a byte buffer, not by copying a growing int per bit."""
+    bits = bytearray((size + 7) // 8)
+    for t in ranks:
+        bits[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(bits, "little")
+
+
 # Bounded: tables reach megabytes by n = 16, and a run uses few (n, r, k).
 @lru_cache(maxsize=8)
 def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
@@ -78,6 +89,12 @@ def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
     subsets that leave room for the larger vertices are kept.
     """
     check_budget(n, r, k)
+    for size, bound, what in (
+        (comb(n, k) * comb(n, r), TABLE_BITS, "closure-table bits"),
+        (comb(n, k) * comb(k, r), TABLE_ENTRIES, "closure-table entries"),
+    ):
+        if size > bound:
+            raise BudgetExceeded(size, bound, f"{what} for {k}-subsets of {n} vertices")
     if k > n:
         return ()  # no k-subsets; building up to size k would cost O(k) passes
     # masks[i][j]: the i-subsets of the j-th subset of the current size
@@ -157,13 +174,14 @@ class UniformHypergraph(Record):
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges) -> "UniformHypergraph":
-        mask = 0
-        for e in edges:
+        def ranked(e):
             e = tuple(sorted(e))
             if len(e) != r or len(set(e)) != r:
                 raise OutOfRange(f"{e} is not a {r}-subset")
-            mask |= 1 << rank(e, n)
-        return cls(n, r, mask)
+            return rank(e, n)
+
+        # a negative n or r admits no edge, and __init__ refuses it
+        return cls(n, r, _bitset(map(ranked, edges), comb(max(n, 0), max(r, 0))))
 
     @property
     def edge_count(self) -> int:

@@ -24,7 +24,6 @@ from .hypergraph import UniformHypergraph, check_budget
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .lines import LinearOrder
     from .metric import DistanceMatrix
     from .realizability import AuditReport, RealizabilityVerdict
     from .saturation import ClosureCertificate
@@ -153,13 +152,11 @@ def _hypergraph(n, r, edges) -> UniformHypergraph:
     if not isinstance(edges, list):
         raise FormatError("edges must be a list")
     check_budget(n, r)
-    keys = [
-        tuple(sorted(_ints(e, f"edge {e!r} must be a list of {r} vertex indices", r)))
-        for e in edges
-    ]
-    if len(set(keys)) != len(keys):
+    keys = [_ints(e, f"edge {e!r} must be a list of {r} vertex indices", r) for e in edges]
+    h = UniformHypergraph.from_edges(n, r, keys)  # sorts and checks each edge
+    if h.edge_count != len(keys):
         raise FormatError("duplicate edges")
-    return UniformHypergraph.from_edges(n, r, keys)
+    return h
 
 
 def loads_hypergraph(text: str) -> UniformHypergraph:
@@ -196,8 +193,8 @@ def loads_certificate(text: str) -> ClosureCertificate:
     return ClosureCertificate(base, k, tuple(steps))
 
 
-def dumps_order(o: LinearOrder) -> str:
-    return json.dumps({"order": list(o.order)}, separators=(",", ":"))
+def dumps_order(order: tuple[int, ...]) -> str:
+    return json.dumps({"order": list(order)}, separators=(",", ":"))
 
 
 def dumps_verdict(v: RealizabilityVerdict) -> str:

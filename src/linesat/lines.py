@@ -17,28 +17,20 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import NotAPermutation, SizeMismatch, TooFewVertices
-from .hypergraph import Record, UniformHypergraph
+from .hypergraph import UniformHypergraph
 
 if TYPE_CHECKING:
     from .metric import DistanceMatrix
 
 
-class LinearOrder(Record):
-    __slots__ = ("order",)
-    order: tuple[int, ...]
-
-    def reversed(self) -> "LinearOrder":
-        return LinearOrder(tuple(reversed(self.order)))
-
-
-def check_order(d: DistanceMatrix, o: LinearOrder) -> bool:
+def check_order(d: DistanceMatrix, order) -> bool:
     """True iff every position-ordered triple of the order is degenerate.
 
     With p first, the triples (p, x, y) say d(x, y) = d(p, y) - d(p, x), and these
     make every other triple add up; no diagonal entry or symmetry is used,
     yet d must be a validated metric, as every matrix the CLI loads is.
     """
-    seq = tuple(o.order)
+    seq = tuple(order)
     if sorted(seq) != list(range(d.n)):
         raise NotAPermutation(seq, d.n)
     m = d.d
@@ -46,7 +38,7 @@ def check_order(d: DistanceMatrix, o: LinearOrder) -> bool:
     return all(m[x][y] == first[y] - first[x] for i, x in enumerate(rest) for y in rest[i + 1 :])
 
 
-def reconstruct_line(d: DistanceMatrix) -> LinearOrder | None:
+def reconstruct_line(d: DistanceMatrix) -> tuple[int, ...] | None:
     """Find a linear order realizing all betweenness, or None if none exists.
 
     On a line the point farthest from any point is an end, and the point
@@ -58,10 +50,10 @@ def reconstruct_line(d: DistanceMatrix) -> LinearOrder | None:
     """
     m, points = d.d, range(d.n)
     if not m:
-        return LinearOrder(())
+        return ()
     end = max(points, key=m[0].__getitem__)
     first = min(end, max(points, key=m[end].__getitem__))
-    candidate = LinearOrder(tuple(sorted(points, key=m[first].__getitem__)))
+    candidate = tuple(sorted(points, key=m[first].__getitem__))
     return candidate if check_order(d, candidate) else None
 
 
@@ -95,10 +87,10 @@ def verify_non_anchor_witness(h: UniformHypergraph, d: DistanceMatrix) -> bool:
 
     if h.n != d.n:
         raise SizeMismatch(h.n, d.n)
+    if h.r != 3:
+        raise ValueError("anchors are defined for 3-uniform hypergraphs")
     degenerate = _degeneracy_test(d)
     for edge in h.edge_list():
-        if len(edge) != 3:
-            raise ValueError(f"{edge} is not a 3-subset")
         if not degenerate(*edge):
             return False
     return reconstruct_line(d) is None

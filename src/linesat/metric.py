@@ -9,7 +9,7 @@ destroy.  Points are 0-based integer indices.
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     TooFewVertices,
     TriangleViolation,
 )
-from .hypergraph import Record, UniformHypergraph, check_budget
+from .hypergraph import Record, UniformHypergraph, _bitset, check_budget
 
 
 class DistanceMatrix(Record):
@@ -181,24 +181,17 @@ def _degeneracy_test(d: DistanceMatrix):
 def degenerate_hypergraph(d: DistanceMatrix) -> UniformHypergraph:
     """The 3-uniform hypergraph of all degenerate triangles of the metric.
 
-    Each triple is decided by :func:`_degeneracy_test`, and the edge bits
-    are set in a byte buffer: OR-ing each bit into a growing int would copy
-    the whole mask once per edge.
+    Each triple is decided by :func:`_degeneracy_test`, in colex order (by
+    largest point, then the next), and the ranks of the degenerate ones
+    are set by the hypergraph module's one bitset builder.
     """
     n = d.n
     if n < 3:
         raise TooFewPoints(n, 3)
     check_budget(n, 3)
     degenerate = _degeneracy_test(d)
-    bits = bytearray((comb(n, 3) + 7) // 8)
-    t_rank = 0
-    for c in range(2, n):  # colex order: by largest point, then the next
-        for b in range(1, c):
-            for a in range(b):
-                if degenerate(a, b, c):
-                    bits[t_rank >> 3] |= 1 << (t_rank & 7)
-                t_rank += 1
-    return UniformHypergraph(n, 3, int.from_bytes(bits, "little"))
+    flags = (degenerate(a, b, c) for c in range(2, n) for b in range(1, c) for a in range(b))
+    return UniformHypergraph(n, 3, _bitset(compress(count(), flags), comb(n, 3)))
 
 
 def graph_metric(g: Graph) -> DistanceMatrix:

@@ -707,7 +707,7 @@ def test_star_import_binds_every_public_name():
         " and ns[name].__module__.startswith('linesat.') for name in linesat.__all__))"
     )
     done = _fresh_python(code)
-    assert done.returncode == 0 and done.stdout == "39 True\n"
+    assert done.returncode == 0 and done.stdout == "38 True\n"
 
 
 def _cli_child(*argv, stdin_text="", timeout=30, **options):
@@ -839,6 +839,56 @@ def test_realize_over_the_six_subset_budget_exits_2_promptly():
     assert done.stderr.splitlines()[1:] == [
         "error: enumeration needs 1107568 6-subsets of 33 vertices, over the budget of 1000000"
     ]
+
+
+def _one_edge(n, r=3):
+    return json.dumps({"n": n, "r": r, "edges": [list(range(r))]})
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, table",
+    [
+        (["saturated", "--k", "3"], _one_edge(140), "bits for 3-subsets of 140 vertices"),
+        (["saturated", "--k", "3"], _one_edge(75), "bits for 3-subsets of 75 vertices"),
+        (["close", "--k", "4"], _one_edge(50), "bits for 4-subsets of 50 vertices"),
+        (["saturated", "--k", "2"], _one_edge(363, 2), "bits for 2-subsets of 363 vertices"),
+        (["close", "--k", "9"], _one_edge(21), "entries for 9-subsets of 21 vertices"),
+        (["sweep", "min-sat", "--n", "140", "--k", "3"], "", "bits for 3-subsets of 140"),
+        (["realize", "--ceiling", "40"], '{"n":32,"r":3,"edges":[]}',
+         "bits for 6-subsets of 32 vertices"),
+    ],
+    ids=["k3-n140", "k3-n75", "k4-n50", "r2-k2-n363", "k9-n21", "min-sat-n140", "realize-n32"],
+)
+def test_oversized_closure_tables_exit_2_promptly(argv, stdin_text, table):
+    # Each count is under the budget, but the k-subset masks or the reverse
+    # index would not be: the child's address space is capped at 512 MiB,
+    # so a table built anyway fails with MemoryError instead of filling the
+    # machine, and its error line names no table budget.
+    import resource
+
+    cap = 512 << 20
+    done = _cli_child(
+        *argv,
+        stdin_text=stdin_text,
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert done.returncode == 2 and done.stdout == "" and len(errors) == 1
+    budget = 2**32 if "bits" in table else 2 * 10**7
+    assert f"closure-table {table}" in errors[0] and errors[0].endswith(f"budget of {budget}")
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_witness_check_refuses_families_that_are_not_triples(tmp_path, capsys, r):
+    # an edgeless family has no edge to fail a per-edge check
+    (tmp_path / "h.json").write_text(json.dumps({"n": 5, "r": r, "edges": []}))
+    _, metric, _ = run_cli(capsys, None, ["gen", "theta", "5"])
+    (tmp_path / "d.json").write_text(metric)
+    argv = ["witness-check", str(tmp_path / "h.json"), str(tmp_path / "d.json")]
+    code, out, err = run_cli(capsys, None, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: anchors are defined for 3-uniform hypergraphs\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linesat.errors import OutOfRange, TooFewVertices
@@ -18,7 +18,6 @@ from linesat.hypergraph import (
     star_construction,
     unrank,
 )
-from linesat.lines import LinearOrder
 from linesat.metric import DistanceMatrix, Graph, degenerate_hypergraph, graph_metric, theta_graph
 from linesat.realizability import RealizabilityVerdict, is_metric_hypergraph
 from linesat.saturation import weak_saturation_closure
@@ -141,6 +140,29 @@ def test_complement_counts(n, bits):
     assert h.edge_count + complement(h).edge_count == comb(n, 3)
 
 
+@st.composite
+def _rank_sets(draw):
+    """n, and ranks of C(n, 3) with the empty set, rank 0, the top rank
+    and repeats all likely."""
+    n = draw(st.integers(3, 12))
+    top = comb(n, 3) - 1
+    rank_ = st.sampled_from([0, top]) | st.integers(0, top)
+    return n, draw(st.lists(rank_, max_size=3 * n))
+
+
+@given(_rank_sets(), st.randoms(use_true_random=False))
+@example((3, []), random.Random(0))
+@example((9, [0, 83, 0, 83, 5]), random.Random(1))
+def test_from_edges_matches_or_ing_one_bit_at_a_time(case, rng):
+    n, ranks = case
+    mask = 0
+    for t in ranks:
+        mask |= 1 << t
+    edges = [rng.sample(unrank(t, n, 3), 3) for t in ranks]  # vertices shuffled
+    h = UniformHypergraph.from_edges(n, 3, edges)
+    assert h.edges == mask and h.edge_count == len(set(ranks))
+
+
 def test_delete_vertex_relabels():
     h = UniformHypergraph.from_edges(5, 3, [(0, 1, 4), (1, 2, 3), (2, 3, 4)])
     assert delete_vertex(h, 1).edge_list() == [(1, 2, 3)]
@@ -154,7 +176,7 @@ def test_records_equal_only_records_of_their_type():
     h = UniformHypergraph(5, 3, 7)
     assert h == UniformHypergraph(5, 3, 7) and h != UniformHypergraph(5, 3, 6)
     assert h != (5, 3, 7) and h.__eq__((5, 3, 7)) is NotImplemented
-    assert LinearOrder((0, 1, 2)) != ((0, 1, 2),)
+    assert Graph(3, frozenset()) != (3, frozenset())
     # same field count and values, different record types
     assert Graph(3, ()) != DistanceMatrix(3, ())
 
@@ -181,9 +203,9 @@ def test_wrong_field_count_is_a_type_error():
     with pytest.raises(TypeError):
         UniformHypergraph(5, 3)
     with pytest.raises(TypeError):
-        LinearOrder()
+        Graph()
     with pytest.raises(TypeError):
-        LinearOrder((0, 1), (1, 0))
+        Graph(3, frozenset(), 0)
     with pytest.raises(TypeError):
         RealizabilityVerdict("metric", None)
 
@@ -196,7 +218,6 @@ def test_hypergraph_rejects_bad_shape_or_mask(n, r, edges):
 
 def test_record_repr_is_pinned():
     assert repr(star_construction(6)) == "UniformHypergraph(n=6, r=3, edges=524287)"
-    assert repr(LinearOrder((2, 0, 1))) == "LinearOrder(order=(2, 0, 1))"
 
 
 def test_records_pickle_round_trip():

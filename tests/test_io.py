@@ -27,7 +27,7 @@ from linesat.hypergraph import (
     delete_vertex,
     star_construction,
 )
-from linesat.lines import anchor_via_closure
+from linesat.lines import anchor_via_closure, verify_non_anchor_witness
 from linesat.metric import (
     DistanceMatrix,
     Graph,
@@ -36,6 +36,7 @@ from linesat.metric import (
     line_metric,
     middle_of,
     random_rational_metric,
+    theta_graph,
 )
 from linesat.realizability import MiddleAssignment, is_metric_hypergraph, nineteen_edge_hypergraph
 from linesat.saturation import (
@@ -129,6 +130,18 @@ def test_hypergraph_roundtrip_in_colex_order():
 def test_hypergraph_rejects_wrong_arity():
     with pytest.raises(FormatError):
         formats.loads_hypergraph('{"n":5,"r":3,"edges":[[0,1]]}')
+
+
+@pytest.mark.parametrize("edges", [[[0, 1, 2], [2, 1, 0]], [[3, 4, 0], [0, 1, 2], [4, 0, 3]]])
+def test_hypergraph_rejects_an_edge_listed_twice_in_any_vertex_order(edges):
+    with pytest.raises(FormatError, match="^duplicate edges$"):
+        formats.loads_hypergraph(json.dumps({"n": 5, "r": 3, "edges": edges}))
+
+
+def test_hypergraph_checks_every_edge_list_before_any_vertex():
+    # a malformed edge is a format error even after an out-of-range one
+    with pytest.raises(FormatError, match=r"edge \[0, 1\] must be a list of 3"):
+        formats.loads_hypergraph('{"n":5,"r":3,"edges":[[0,1,9],[0,1]]}')
 
 
 def test_certificate_roundtrip():
@@ -241,6 +254,8 @@ _K_BELOW_R = '{"n":6,"r":3,"k":2,"base":[],"steps":[]}'
          ["verify-cert"], _K_BELOW_R),
         (partial(is_metric_hypergraph, UniformHypergraph(33, 3, 0), 40), BudgetExceeded,
          None, None),
+        (partial(verify_non_anchor_witness, UniformHypergraph(5, 2, 0),
+                 graph_metric(theta_graph(5))), ValueError, None, None),
     ],
     ids=[
         "invalid-json", "wrong-keys", "matrix-extra-key", "non-square-dist", "empty-csv",
@@ -253,6 +268,7 @@ _K_BELOW_R = '{"n":6,"r":3,"k":2,"base":[],"steps":[]}'
         "graph-vertex-out-of-range", "graph-loop", "middle-of-repeated-point",
         "empty-graph-metric", "no-random-points", "size-above-c-n-r", "budget-2000-points",
         "anchor-2-uniform", "certificate-k-below-r", "realize-33-vertices",
+        "witness-check-edgeless-pairs",
     ],
 )
 def test_rejected_inputs_raise_typed_errors_and_exit_2(
