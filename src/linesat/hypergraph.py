@@ -178,7 +178,9 @@ class UniformHypergraph(Record):
             e = tuple(sorted(e))
             if len(e) != r or len(set(e)) != r:
                 raise OutOfRange(f"{e} is not a {r}-subset")
-            return rank(e, n)
+            if e and not (0 <= e[0] and e[-1] < n):
+                raise OutOfRange(f"{e} is not inside 0..{n - 1}")
+            return sum(map(comb, e, range(1, r + 1)))  # rank(e, n), checked once
 
         # a negative n or r admits no edge, and __init__ refuses it
         return cls(n, r, _bitset(map(ranked, edges), comb(max(n, 0), max(r, 0))))

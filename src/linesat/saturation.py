@@ -304,6 +304,24 @@ def exhaustive_size_check(
     return None if hit is None else UniformHypergraph(n, r, hit)
 
 
+def _certified_fruitless(n: int, r: int, k: int, m: int, budget: int) -> bool:
+    """Whether the rank certificate proves that no m-edge family saturates.
+    It is asked for only when the budget admits the scan of m and checking
+    it costs less than that scan: a checker term (C(n, k-r) determinants of
+    order k-r, and C(k, r) sums of r(k-r) entries per k-subset) weighs about
+    four scan terms (C(n, k) counts per candidate), as timed in CPython."""
+    n_ranks, d = comb(n, r), k - r
+    c = min(m, n_ranks - m)
+    if comb(n_ranks, c) > budget:
+        return False  # the scan raises BudgetExceeded
+    candidates = sum(comb(n_ranks - 1 - fixed[-1], w) for fixed, w in _classes(n, r, c))
+    if 4 * (comb(n, d) * d**3 + comb(n, k) * comb(k, r) * r * d) > candidates * comb(n, k):
+        return False
+    from .certify import lower_bound  # here: only a walk that reaches m compiles it
+
+    return (lower_bound(n, r, k) or 0) > m
+
+
 def min_saturation_search(
     n: int, r: int, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> int:
@@ -311,16 +329,22 @@ def min_saturation_search(
 
     Saturation survives adding edges, so the property "some m-edge
     hypergraph saturates" is monotone in m.  The empty family is closed
-    first; unless it saturates, the search walks m downward from C(n, r) - 1
-    until a full scan finds no saturated set, and returns the last size
-    that had one.  Each size is scanned up to relabeling (`_scan_all`).
-    `jobs` must lie in 1..the CPU count and is otherwise ignored.
+    first; unless it saturates, the search walks m downward from C(n, r) - 1,
+    scanning each size up to relabeling (`_scan_all`), until a scan finds no
+    saturated set, and returns the last size that had one.  The size one
+    below the closed form C(n, r) - C(n-k+r, r) (Frankl 1982; Kalai 1985)
+    is not scanned when the rank certificate proves it fruitless; the
+    closed form only picks that size.  `jobs` must lie in 1..the CPU
+    count and is otherwise ignored.
     """
     _check_scan(n, r, k, jobs)
     upper = comb(n, r)  # the complete hypergraph always saturates
     if not upper or is_weakly_saturated(UniformHypergraph(n, r, 0), k):
         return 0  # the empty family is complete, or saturates (at k = r, say)
+    fruitless = upper - comb(n - k + r, r) - 1 if k <= n else 0
     for m in range(upper - 1, 0, -1):
+        if m == fruitless and _certified_fruitless(n, r, k, m, budget):
+            return m + 1
         if _scan_all(n, r, k, m, budget, want_saturated=True) is None:
             return m + 1
     return 1

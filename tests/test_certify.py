@@ -1,0 +1,139 @@
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
+import pytest
+
+import linesat
+from linesat import certify, saturation
+from linesat.hypergraph import DEFAULT_BUDGET, UniformHypergraph
+from linesat.saturation import _scan_all, is_weakly_saturated, min_saturation_search
+
+SHAPES = [(n, r, k) for n in range(2, 8) for k in range(2, n + 1) for r in range(1, k)]
+
+
+def wsat(n, r, k):
+    # Frankl 1982; Kalai 1985
+    return comb(n, r) - comb(n - k + r, r)
+
+
+@pytest.mark.parametrize("n, r, k", SHAPES)
+def test_certified_bound_is_the_closed_form(n, r, k):
+    assert certify.lower_bound(n, r, k) == wsat(n, r, k)
+
+
+def test_scan_agrees_with_the_certified_bound_wherever_the_budget_admits():
+    # the scan stays the oracle: a saturated family at the bound, none below
+    scanned = 0
+    for n, r, k in SHAPES:
+        bound, n_ranks = certify.lower_bound(n, r, k), comb(n, r)
+        if comb(n_ranks, min(bound - 1, n_ranks - bound + 1)) > DEFAULT_BUDGET:
+            continue
+        assert _scan_all(n, r, k, bound - 1, DEFAULT_BUDGET, True) is None, (n, r, k)
+        hit = _scan_all(n, r, k, bound, DEFAULT_BUDGET, True)
+        assert is_weakly_saturated(UniformHypergraph(n, r, hit), k), (n, r, k)
+        scanned += 1
+    assert scanned == len(SHAPES) - 4  # (7, 3, 4), (7, 3, 5), (7, 4, 5), (7, 4, 6) are over it
+
+
+def _equal_points(cert):
+    points = list(cert.points)
+    points[1] = points[0]
+    return certify.RankCertificate(cert.p, tuple(points), cert.vectors)
+
+
+def _flipped_sign(cert):
+    vectors = list(cert.vectors)
+    (j, a), *rest = vectors[5]
+    vectors[5] = ((j, -a % cert.p), *rest)
+    return certify.RankCertificate(cert.p, cert.points, tuple(vectors))
+
+
+def _composite(p):
+    return lambda cert: certify.RankCertificate(p, cert.points, cert.vectors)
+
+
+MUTANTS = {
+    "equal-points": _equal_points,
+    "flipped-sign": _flipped_sign,
+    # 2**31 + 1 = 3 * 715827883; 3215031751 passes Miller-Rabin to bases 2, 3, 5 and 7
+    "p-even": _composite(2**31),
+    "p-three": _composite(2**31 + 1),
+    "p-pseudoprime": _composite(3215031751),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)
+def test_mutant_certificates_are_refused_and_min_sat_scans(monkeypatch, mutate):
+    mutant = mutate(certify.moment_curve(7, 3, 6))
+    assert certify.check(mutant, 7, 3, 6) is None
+    sizes = []
+
+    def counted_scan(*args, **kwargs):
+        sizes.append(args[3])
+        return _scan_all(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "moment_curve", lambda n, r, k: mutant)
+    monkeypatch.setattr(saturation, "_scan_all", counted_scan)
+    assert min_saturation_search(7, 3, 6) == 31
+    assert sizes == [34, 33, 32, 31, 30]
+
+
+def test_checker_refuses_malformed_shapes():
+    cert = certify.moment_curve(6, 2, 4)
+    assert certify.check(cert, 6, 2, 4) == wsat(6, 2, 4)
+    assert certify.check(cert, 7, 2, 4) is None  # one point and five vectors short
+    assert certify.check(cert, 6, 2, 5) is None  # points of the wrong dimension
+    assert certify.check(cert, 6, 2, 2) is None  # k = r
+    width = (4 - 2) * comb(6, 1)  # (k - r) * C(n, r - 1) columns
+    far = (((width, 1),) + cert.vectors[0][1:],) + cert.vectors[1:]
+    assert certify.check(certify.RankCertificate(cert.p, cert.points, far), 6, 2, 4) is None
+
+
+def test_min_saturation_asks_for_the_certificate_only_where_it_pays(monkeypatch):
+    # once at (7, 3, 6) and (7, 2, 4); never where the fruitless scan is a
+    # few candidates, as at (6, 3, 6), or the checker would take
+    # C(30, 27) determinants of order 27, as at (30, 1, 28)
+    asked = []
+    bound = certify.lower_bound
+
+    def counted(*args):
+        asked.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(certify, "lower_bound", counted)
+    for shape in [(7, 3, 6), (7, 2, 4), (6, 3, 6), (30, 1, 28)]:
+        assert min_saturation_search(*shape) == wsat(*shape)
+    assert asked == [(7, 3, 6), (7, 2, 4)]
+
+
+def test_certify_loads_with_the_engines_blocked():
+    engines = ["saturation", "realizability", "simplex", "lines"]
+    code = (
+        "import sys\n"
+        f"for name in {engines!r}:\n"
+        "    sys.modules['linesat.' + name] = None\n"
+        "from linesat.certify import lower_bound\n"
+        "print(lower_bound(7, 3, 6), sorted(m for m, v in sys.modules.items() if v and m.startswith('linesat.')))"
+    )
+    src = str(Path(linesat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "31 ['linesat.certify', 'linesat.errors', 'linesat.hypergraph']\n"
+
+
+def test_primality_matches_trial_division():
+    def prime(p):
+        return p > 1 and all(p % a for a in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(3000) if certify._is_prime(p)] == [p for p in range(3000) if prime(p)]
+    assert certify._is_prime(certify.P)
+    # strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7 and 9 prime bases
+    for q in [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051]:
+        assert not certify._is_prime(q), q

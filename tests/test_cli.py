@@ -218,6 +218,12 @@ def test_sweep_min_sat(capsys, monkeypatch):
     assert out.strip().endswith("19")
 
 
+def test_sweep_min_sat_pairs_at_seven(capsys, monkeypatch):
+    # the rank certificate settles size 10; scanning it took about 0.7 s
+    code, out, _ = run_cli(capsys, monkeypatch, ["sweep", "min-sat", "--n", "7", "--r", "2", "--k", "4"])
+    assert code == 0 and out == "minimum weakly saturated size at n=7 r=2 k=4: 11\n"
+
+
 def _refused(capsys, argv):
     """(exit code, stdout, stderr) of `main` refusing argv in its parser."""
     with pytest.raises(SystemExit) as exit_:
@@ -674,7 +680,7 @@ def test_hypergraph_only_modules_leave_out_fractions():
 
 # what `close` writes for star7, the input of the `verify-cert` row below
 _STAR7_CERT = dumps_certificate(weak_saturation_closure(star_construction(7), 6).certificate)
-_NO_METRIC = {"fractions", "lines", "metric", "realizability", "simplex"}
+_NO_METRIC = {"certify", "fractions", "lines", "metric", "realizability", "simplex"}
 
 
 @pytest.mark.parametrize(

@@ -685,10 +685,10 @@ def test_scan_of_each_class_top_matches_enumeration_oracle():
 )
 def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size, want, jobs2):
     # With nothing to find, each class's tops are scanned once, in process,
-    # at jobs=2 as at jobs=1: min-sat(7,3,6) finds a saturated family at
-    # sizes 34..31 and none at size 30, and size(8,3,6,53) no unsaturated
-    # one.  Only the scans of `size` itself, whose candidates hold c ranks,
-    # are compared.
+    # at jobs=2 as at jobs=1: no 30-edge family saturates at (7,3,6), a size
+    # min-sat settles by its rank certificate and so is scanned here
+    # directly, and size(8,3,6,53) finds no unsaturated family.  Only the
+    # scans of `size` itself, whose candidates hold c ranks, are compared.
     from linesat import saturation
 
     scanned = []
@@ -700,7 +700,7 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
     monkeypatch.setattr(saturation, "_scan_tops", spied)
     jobs = 2 if jobs2 else 1
     if want:
-        assert min_saturation_search(n, r, k, jobs=jobs) == size + 1
+        assert _scan_all(n, r, k, size, DEFAULT_BUDGET, True) is None
     else:
         assert exhaustive_size_check(n, r, k, size, jobs=jobs) is None
     n_ranks = comb(n, r)
@@ -711,7 +711,8 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
 
 def test_min_saturation_at_seven_scans_one_class_per_overlap(monkeypatch):
     # 324,633 closures at most without relabeling, 261,915 with the leaf
-    # rule; the last size scans 5,456 + 2,925 + 455 = 8,836 candidates
+    # rule; the last size's scan visits 5,456 + 2,925 + 455 = 8,836
+    # candidates, and with the rank certificate settling it, 4 closures run
     from linesat import saturation
 
     calls = []
@@ -735,8 +736,9 @@ def test_min_saturation_budget_counts_every_candidate():
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (6, 2, 4), (6, 3, 5)])
 def test_min_saturation_at_jobs_two_scans_each_size_once(monkeypatch, n, r, k):
-    # each size is scanned once, in process, from C(n, r) - 1 downward, and
-    # the answer at jobs=2 is jobs=1's
+    # each size is scanned once, in process, from C(n, r) - 1 down to the
+    # answer m; the rank certificate settles m - 1 unscanned, and the answer
+    # at jobs=2 is jobs=1's
     from linesat import saturation
 
     sizes = []
@@ -747,7 +749,7 @@ def test_min_saturation_at_jobs_two_scans_each_size_once(monkeypatch, n, r, k):
 
     monkeypatch.setattr(saturation, "_scan_all", counted_scan)
     m = min_saturation_search(n, r, k, jobs=2)
-    assert sizes == list(range(comb(n, r) - 1, m - 2, -1))
+    assert sizes == list(range(comb(n, r) - 1, m - 1, -1))
     assert min_saturation_search(n, r, k, jobs=1) == m
 
 
