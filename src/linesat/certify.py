@@ -8,119 +8,74 @@ family already has, so the span of the family's vectors never grows.  A
 weakly saturated family therefore spans every v_T and has at least
 rank{v_T} members (Frankl 1982; Kalai 1985).
 
-The construction puts one point per vertex on the moment curve, x_i = (1,
-i+1, (i+1)^2, ...) in F_p^(k-r), and sets v_T = sum over i in T of
+A certificate is one point x_i of F_P^(k-r) per vertex, P = 2^31 - 1; the
+vectors are a function of the points, v_T = sum over i in T of
 (-1)^pos(i,T) x_i (x) e_(T-i).  In S the relation's coefficient of T is
 (-1)^(sum of T's positions in S) det(x_(S-T)): Laplace expansion makes the
-sum vanish.  The checker recomputes each coefficient from the points, checks
-it is nonzero and that the relation holds, and only then takes the rank; it
-imports no search engine.
+sum vanish.  The checker builds the vectors from the points, checks that
+every (k-r)-set of points is independent, so that no coefficient is zero,
+and that each relation vanishes mod P, and only then takes the rank; it
+imports nothing from the rest of the package.  `moment_curve` gives the
+points x_i = (1, i+1, (i+1)^2, ...).
 
-Subsets are indexed in `itertools.combinations` order, and column
-j * (k-r) + e of a vector is coordinate e of the block of the j-th
-(r-1)-subset.
+Column j * (k-r) + e of a vector is coordinate e of the block of the j-th
+(r-1)-subset in `itertools.combinations` order.
 """
 
 from itertools import combinations
-from math import comb
 
-from .hypergraph import Record
-
-P = 2**31 - 1
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_BASES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+P = 2**31 - 1  # prime
 
 
-class RankCertificate(Record):
-    """A prime p, one point of F_p^(k-r) per vertex, and each r-set's vector
-    as (column, value) pairs, the r-sets in `combinations` order."""
-
-    __slots__ = ("p", "points", "vectors")
-    p: int
-    points: tuple[tuple[int, ...], ...]
-    vectors: tuple[tuple[tuple[int, int], ...], ...]
+def moment_curve(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """One point of F_P^d per vertex on the moment curve."""
+    return tuple(tuple(pow(i + 1, e, P) for e in range(d)) for i in range(n))
 
 
-def moment_curve(n: int, r: int, k: int) -> RankCertificate:
-    """The moment-curve certificate for weak K_k^r-saturation, 1 <= r < k."""
-    d, p = k - r, P
-    points = tuple(tuple(pow(i + 1, e, p) for e in range(d)) for i in range(n))
-    block = {u: j * d for j, u in enumerate(combinations(range(n), r - 1))}
-    vectors = tuple(
-        tuple(
-            (block[t[:q] + t[q + 1:]] + e, (-1) ** q * x % p)
-            for q, i in enumerate(t)
-            for e, x in enumerate(points[i])
-        )
-        for t in combinations(range(n), r)
-    )
-    return RankCertificate(p, points, vectors)
-
-
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the bases in _BASES: exact below _BASES_EXACT_BELOW,
-    and a p at or above it is refused."""
-    if p < 2 or p >= _BASES_EXACT_BELOW:
-        return False
-    if p in _BASES or any(p % a == 0 for a in _BASES):
-        return p in _BASES
-    odd, twos = p - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for a in _BASES:  # p passes base a if a^odd = 1 or a^(odd 2^j) = -1 for a j < twos
-        x = pow(a, odd, p)
-        if x == 1:
-            continue
-        for _ in range(twos):
-            if x == p - 1:
-                break
-            x = x * x % p
-        else:
-            return False
-    return True
-
-
-def _reduce(rows: list[list[int]], p: int) -> tuple[int, int]:
-    """Row-reduce integer rows mod a prime p, in place.  Returns the rank and
-    the product of the pivots, negated per row swap: for a square matrix of
-    full rank, its determinant."""
+def _reduce(rows: list[list[int]]) -> tuple[int, int]:
+    """Row-reduce integer rows mod P, in place.  Returns the rank and the
+    product of the pivots, negated per row swap: for a square matrix of full
+    rank, its determinant."""
     rank, product = 0, 1
     for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % P), None)
         if pivot is None:
             continue
         top = rows[pivot]
         rows[pivot], rows[rank] = rows[rank], top
-        product = (product if pivot == rank else -product) * top[col] % p
-        inv = pow(top[col], -1, p)
-        top = [a * inv % p for a in top]
+        product = (product if pivot == rank else -product) * top[col] % P
+        inv = pow(top[col], -1, P)
+        top = [a * inv % P for a in top]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][col] % p
+            f = rows[i][col] % P
             if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], top)]
         rank += 1
     return rank, product
 
 
-def check(cert: RankCertificate, n: int, r: int, k: int) -> int | None:
-    """The lower bound rank{v_T} mod p that `cert` proves for every weakly
+def check(points: tuple[tuple[int, ...], ...], n: int, r: int, k: int) -> int | None:
+    """The lower bound rank{v_T} mod P that `points` prove for every weakly
     saturated r-uniform family on n vertices at clique size k, or None when
-    any check fails: p is not prime, a shape is wrong, a column is out of
-    range, some coefficient is zero, or some k-set's relation does not
-    vanish."""
-    p, points, vectors = cert.p, cert.points, cert.vectors
-    if not 1 <= r < k or not _is_prime(p):
+    any check fails: there are not n points of dimension k - r, some k - r
+    of them are dependent, or some k-set's relation does not vanish."""
+    d = k - r
+    if not 1 <= r < k or len(points) != n or any(len(x) != d for x in points):
         return None
-    d, width = k - r, (k - r) * comb(n, r - 1)
-    if len(points) != n or any(len(x) != d for x in points) or len(vectors) != comb(n, r):
-        return None
-    if any(not 0 <= j < width for v in vectors for j, _ in v):
-        return None
-    det = {}  # det(x_U) for each d-set U of vertices, 0 when singular
+    det = {}  # det(x_U) for each d-set U of vertices
     for u in combinations(range(n), d):
-        rank, product = _reduce([list(points[i]) for i in u], p)
-        det[u] = product if rank == d else 0
-    index = {t: i for i, t in enumerate(combinations(range(n), r))}
+        rank, det[u] = _reduce([list(points[i]) for i in u])
+        if rank < d:
+            return None
+    block = {u: j * d for j, u in enumerate(combinations(range(n), r - 1))}
+    vectors = {
+        t: [
+            (block[t[:q] + t[q + 1:]] + e, (-1) ** q * x)
+            for q, i in enumerate(t)
+            for e, x in enumerate(points[i])
+        ]
+        for t in combinations(range(n), r)
+    }
     # each r-set of positions in a k-set, its sign and the positions it leaves
     splits = [
         (q, [j for j in range(k) if j not in q], (-1) ** sum(q))
@@ -130,19 +85,17 @@ def check(cert: RankCertificate, n: int, r: int, k: int) -> int | None:
         total = {}
         for q, rest, sign in splits:
             c = sign * det[tuple(map(s.__getitem__, rest))]
-            if not c:
-                return None
-            for j, a in vectors[index[tuple(map(s.__getitem__, q))]]:
+            for j, a in vectors[tuple(map(s.__getitem__, q))]:
                 total[j] = total.get(j, 0) + c * a
-        if any(a % p for a in total.values()):
+        if any(a % P for a in total.values()):
             return None
-    rows = [[0] * width for _ in vectors]
-    for row, v in zip(rows, vectors):
+    rows = [[0] * (d * len(block)) for _ in vectors]
+    for row, v in zip(rows, vectors.values()):
         for j, a in v:
             row[j] += a
-    return _reduce(rows, p)[0]
+    return _reduce(rows)[0]
 
 
 def lower_bound(n: int, r: int, k: int) -> int | None:
-    """The checked rank bound of the moment-curve certificate, or None."""
-    return check(moment_curve(n, r, k), n, r, k)
+    """The checked rank bound of the moment-curve points, or None."""
+    return check(moment_curve(n, k - r), n, r, k)

@@ -41,10 +41,15 @@ def _load_object(text: str, keys, what: str) -> dict:
     return obj
 
 
-def _ints(value, message: str, length: int | None = None) -> tuple[int, ...]:
-    """A JSON list of integers (booleans are not integers here)."""
+def _is_ints(value, length: int | None = None) -> bool:
+    """Whether `value` is a JSON list of integers (booleans are not integers
+    here), and of `length` integers if that is given."""
     ok = isinstance(value, list) and all(type(x) is int for x in value)
-    if not ok or (length is not None and len(value) != length):
+    return ok and length in (None, len(value))
+
+
+def _ints(value, message: str) -> tuple[int, ...]:
+    if not _is_ints(value):
         raise FormatError(message)
     return tuple(value)
 
@@ -152,9 +157,11 @@ def _hypergraph(n, r, edges) -> UniformHypergraph:
     if not isinstance(edges, list):
         raise FormatError("edges must be a list")
     check_budget(n, r)
-    keys = [_ints(e, f"edge {e!r} must be a list of {r} vertex indices", r) for e in edges]
-    h = UniformHypergraph.from_edges(n, r, keys)  # sorts and checks each edge
-    if h.edge_count != len(keys):
+    for e in edges:  # every edge's shape before any vertex, the message only on failure
+        if not _is_ints(e, r):
+            raise FormatError(f"edge {e!r} must be a list of {r} vertex indices")
+    h = UniformHypergraph.from_edges(n, r, edges)  # sorts and checks each edge
+    if h.edge_count != len(edges):
         raise FormatError("duplicate edges")
     return h
 
@@ -188,8 +195,9 @@ def loads_certificate(text: str) -> ClosureCertificate:
     for step in obj["steps"]:
         if not isinstance(step, dict) or set(step) != {"T", "S"}:
             raise FormatError('each step must have exactly the keys "T" and "S"')
-        message = f"step {step!r} must hold lists of vertex indices"
-        steps.append((_ints(step["T"], message), _ints(step["S"], message)))
+        if not (_is_ints(step["T"]) and _is_ints(step["S"])):
+            raise FormatError(f"step {step!r} must hold lists of vertex indices")
+        steps.append((tuple(step["T"]), tuple(step["S"])))
     return ClosureCertificate(base, k, tuple(steps))
 
 
