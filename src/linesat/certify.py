@@ -11,10 +11,11 @@ rank{v_T} members (Frankl 1982; Kalai 1985).
 A certificate is one point x_i of F_P^(k-r) per vertex, P = 2^31 - 1; the
 vectors are a function of the points, v_T = sum over i in T of
 (-1)^pos(i,T) x_i (x) e_(T-i).  In S the relation's coefficient of T is
-(-1)^(sum of T's positions in S) det(x_(S-T)): Laplace expansion makes the
-sum vanish.  The checker builds the vectors from the points, checks that
-every (k-r)-set of points is independent, so that no coefficient is zero,
-and that each relation vanishes mod P, and only then takes the rank; it
+(-1)^(sum of T's positions in S) det(x_(S-T)), and the relation, a Laplace
+expansion of a matrix with a repeated row, vanishes for any points; the
+tests check that identity.  Only dependence can fail: a coefficient is zero
+when its k-r points are dependent.  So the checker refuses the wrong point
+count or dimension and any dependent (k-r)-set, then takes the rank; it
 imports nothing from the rest of the package.  `moment_curve` gives the
 points x_i = (1, i+1, (i+1)^2, ...).
 
@@ -32,18 +33,15 @@ def moment_curve(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(pow(i + 1, e, P) for e in range(d)) for i in range(n))
 
 
-def _reduce(rows: list[list[int]]) -> tuple[int, int]:
-    """Row-reduce integer rows mod P, in place.  Returns the rank and the
-    product of the pivots, negated per row swap: for a square matrix of full
-    rank, its determinant."""
-    rank, product = 0, 1
+def _rank(rows: list[list[int]]) -> int:
+    """The rank mod P of integer rows, row-reduced in place."""
+    rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % P), None)
         if pivot is None:
             continue
         top = rows[pivot]
         rows[pivot], rows[rank] = rows[rank], top
-        product = (product if pivot == rank else -product) * top[col] % P
         inv = pow(top[col], -1, P)
         top = [a * inv % P for a in top]
         for i in range(rank + 1, len(rows)):
@@ -51,49 +49,34 @@ def _reduce(rows: list[list[int]]) -> tuple[int, int]:
             if f:
                 rows[i] = [(a - f * b) % P for a, b in zip(rows[i], top)]
         rank += 1
-    return rank, product
+    return rank
+
+
+def _rows(points: tuple[tuple[int, ...], ...], n: int, r: int) -> list[list[int]]:
+    """Each r-set T's vector v_T, in `combinations` order."""
+    d = len(points[0]) if points else 0
+    block = {u: j * d for j, u in enumerate(combinations(range(n), r - 1))}
+    rows = []
+    for t in combinations(range(n), r):
+        row = [0] * (d * len(block))
+        for q, i in enumerate(t):
+            j = block[t[:q] + t[q + 1:]]
+            row[j:j + d] = [-a for a in points[i]] if q % 2 else points[i]
+        rows.append(row)
+    return rows
 
 
 def check(points: tuple[tuple[int, ...], ...], n: int, r: int, k: int) -> int | None:
     """The lower bound rank{v_T} mod P that `points` prove for every weakly
     saturated r-uniform family on n vertices at clique size k, or None when
-    any check fails: there are not n points of dimension k - r, some k - r
-    of them are dependent, or some k-set's relation does not vanish."""
+    there are not n points of dimension k - r or some k - r of them are
+    dependent."""
     d = k - r
     if not 1 <= r < k or len(points) != n or any(len(x) != d for x in points):
         return None
-    det = {}  # det(x_U) for each d-set U of vertices
-    for u in combinations(range(n), d):
-        rank, det[u] = _reduce([list(points[i]) for i in u])
-        if rank < d:
-            return None
-    block = {u: j * d for j, u in enumerate(combinations(range(n), r - 1))}
-    vectors = {
-        t: [
-            (block[t[:q] + t[q + 1:]] + e, (-1) ** q * x)
-            for q, i in enumerate(t)
-            for e, x in enumerate(points[i])
-        ]
-        for t in combinations(range(n), r)
-    }
-    # each r-set of positions in a k-set, its sign and the positions it leaves
-    splits = [
-        (q, [j for j in range(k) if j not in q], (-1) ** sum(q))
-        for q in combinations(range(k), r)
-    ]
-    for s in combinations(range(n), k):
-        total = {}
-        for q, rest, sign in splits:
-            c = sign * det[tuple(map(s.__getitem__, rest))]
-            for j, a in vectors[tuple(map(s.__getitem__, q))]:
-                total[j] = total.get(j, 0) + c * a
-        if any(a % P for a in total.values()):
-            return None
-    rows = [[0] * (d * len(block)) for _ in vectors]
-    for row, v in zip(rows, vectors.values()):
-        for j, a in v:
-            row[j] += a
-    return _reduce(rows)[0]
+    if any(_rank([list(points[i]) for i in u]) < d for u in combinations(range(n), d)):
+        return None
+    return _rank(_rows(points, n, r))
 
 
 def lower_bound(n: int, r: int, k: int) -> int | None:

@@ -61,13 +61,24 @@ def unrank(k: int, n: int, r: int) -> tuple[int, ...]:
 
 
 def colex_combinations(n: int, r: int):
-    """Yield all r-subsets of {0..n-1} in colexicographic (rank) order."""
+    """Yield all r-subsets of {0..n-1} in colexicographic (rank) order, without
+    recursion: the lowest entry runs up to the next, then the lowest upper
+    entry with room above it rises and those below it reset."""
     if r == 0:
         yield ()
         return
-    for top in range(r - 1, n):
-        for rest in colex_combinations(top, r - 1):
-            yield rest + (top,)
+    if r > n:
+        return
+    c = [*range(r), n]  # c[r] = n bounds the top entry
+    while True:
+        upper = tuple(c[1:r])
+        for low in range(c[1]):
+            yield (low, *upper)
+        j = next((j for j in range(1, r) if c[j] + 1 < c[j + 1]), r)
+        if j == r:
+            return
+        c[j] += 1
+        c[1:j] = range(1, j)
 
 
 def _bitset(ranks, size: int) -> int:
@@ -86,7 +97,8 @@ def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
     Built up by size: the size-subsets with largest vertex x are the
     (size-1)-subsets below x, a colex prefix, with x added, which keeps the
     ranks of their i-subsets and adds C(x, i) to those that gain x.  Only
-    subsets that leave room for the larger vertices are kept.
+    subsets that leave room for the larger vertices are kept, and only the
+    i-subset masks that can grow into r-subset masks, none over C(n, r) bits.
     """
     check_budget(n, r, k)
     for size, bound, what in (
@@ -104,7 +116,7 @@ def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
         for x in range(size - 1, n - k + size):
             below = comb(x, size - 1)
             grown[0] += masks[0][:below]
-            for i in range(1, r + 1):
+            for i in range(max(1, r - k + size), r + 1):
                 shift = comb(x, i)
                 grown[i] += [a | b << shift for a, b in zip(masks[i][:below], masks[i - 1])]
         masks = grown

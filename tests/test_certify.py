@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
@@ -41,6 +43,67 @@ def test_scan_agrees_with_the_certified_bound_wherever_the_budget_admits():
         assert is_weakly_saturated(UniformHypergraph(n, r, hit), k), (n, r, k)
         scanned += 1
     assert scanned == len(SHAPES) - 4  # (7, 3, 4), (7, 3, 5), (7, 4, 5), (7, 4, 6) are over it
+
+
+def _random_points(n, d, seed, size=10**12):
+    # entries beyond P, negative ones too: the checker reads them mod P
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randint(-size, size) for _ in range(d)) for _ in range(n))
+
+
+@pytest.mark.parametrize("n, r, k", shapes(7))
+def test_random_points_prove_the_closed_form(n, r, k):
+    assert certify.check(_random_points(n, k - r, seed=100 * n + 10 * r + k), n, r, k) == wsat(n, r, k)
+
+
+def _det(rows):
+    # Leibniz's formula: the test's own determinant, not the checker's elimination
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for row, j in zip(rows, perm):
+            term *= row[j]
+        total += term
+    return total
+
+
+def _relations_vanish(points, n, r, k, rows):
+    """Whether in every k-set S the vectors satisfy the sum over r-subsets T
+    of (-1)^(sum of T's positions in S) det(x_(S-T)) v_T = 0 mod P, the
+    relation whose nonzero coefficients make the rank a bound."""
+    vectors = dict(zip(combinations(range(n), r), rows))
+    det = {u: _det([points[i] for i in u]) for u in combinations(range(n), k - r)}
+    for s in combinations(range(n), k):
+        total = [0] * len(rows[0])
+        for q in combinations(range(k), r):
+            t = tuple(s[j] for j in q)
+            c = (-1) ** sum(q) * det[tuple(i for i in s if i not in t)]
+            total = [a + c * b for a, b in zip(total, vectors[t])]
+        if any(a % certify.P for a in total):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["moment-curve", "random"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_relation_vanishes_identically(n, kind):
+    # the checker does not sum the relations, so the vectors it ranks must
+    # satisfy them for any points: a sign slip in `_rows` shows here
+    for k in range(2, n + 1):
+        for r in range(1, k):
+            if kind == "moment-curve":
+                points = certify.moment_curve(n, k - r)
+            else:
+                points = _random_points(n, k - r, seed=1000 + 100 * n + 10 * r + k)
+            assert _relations_vanish(points, n, r, k, certify._rows(points, n, r)), (n, r, k)
+
+
+def test_relation_check_sees_one_negated_vector():
+    points = certify.moment_curve(6, 2)
+    rows = certify._rows(points, 6, 2)
+    assert _relations_vanish(points, 6, 2, 4, rows)
+    rows[5] = [-a for a in rows[5]]
+    assert not _relations_vanish(points, 6, 2, 4, rows)
 
 
 def _equal_points(points):

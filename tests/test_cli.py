@@ -885,6 +885,28 @@ def test_oversized_closure_tables_exit_2_promptly(argv, stdin_text, table):
     assert f"closure-table {table}" in errors[0] and errors[0].endswith(f"budget of {budget}")
 
 
+def test_min_sat_with_r_above_half_n_builds_small_tables():
+    # the final table is one 40-bit mask, but a builder carrying every
+    # i-subset up to r would hold masks of C(40, 20) bits and, under the
+    # 512 MiB cap, fail with a bare MemoryError line
+    import resource
+
+    cap = 512 << 20
+    done = _cli_child(
+        "sweep", "min-sat", "--n", "40", "--r", "39", "--k", "40",
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip("\n").endswith(": 39")
+
+
+def test_verify_cert_walks_1000_vertex_subsets_without_recursion(capsys, monkeypatch):
+    # a colex walk one call deeper per entry would raise RecursionError
+    cert = '{"n":1000,"r":999,"k":1000,"base":[],"steps":[]}'
+    assert run_cli(capsys, monkeypatch, ["verify-cert"], stdin_text=cert) == (0, '{"valid":true}\n', "")
+
+
 @pytest.mark.parametrize("r", [2, 4])
 def test_witness_check_refuses_families_that_are_not_triples(tmp_path, capsys, r):
     # an edgeless family has no edge to fail a per-edge check

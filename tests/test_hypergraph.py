@@ -57,7 +57,8 @@ def test_roundtrip_exhaustive_small():
 
 
 def test_colex_combinations_order_matches_rank():
-    for n, r in ((6, 3), (7, 2), (5, 4)):
+    # (9, 8) and (9, 9) carry up to the top entry; r = 0 gives (), r > n nothing
+    for n, r in ((6, 3), (7, 2), (5, 4), (9, 8), (9, 9), (9, 0), (3, 5)):
         listed = list(colex_combinations(n, r))
         assert listed == [unrank(k, n, r) for k in range(comb(n, r))]
 

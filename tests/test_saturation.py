@@ -108,6 +108,9 @@ def rank_tables(n, r, k):
         (5, 3, 6),  # k > n: no k-subsets
         (6, 0, 0),
         (6, 0, 2),
+        (9, 7, 8),  # r > n / 2: the builder drops i-subset masks too small to grow into r
+        (10, 8, 10),
+        (12, 11, 12),
     ],
 )
 def test_tables_match_rank_oracle(n, r, k):
