@@ -8,77 +8,56 @@ family already has, so the span of the family's vectors never grows.  A
 weakly saturated family therefore spans every v_T and has at least
 rank{v_T} members (Frankl 1982; Kalai 1985).
 
-A certificate is one point x_i of F_P^(k-r) per vertex, P = 2^31 - 1; the
-vectors are a function of the points, v_T = sum over i in T of
+With d = k - r, a point x_i of F_P^d per vertex, P = 2^31 - 1, and one
+block of d columns per (r-1)-set, v_T = sum over i in T of
 (-1)^pos(i,T) x_i (x) e_(T-i).  In S the relation's coefficient of T is
 (-1)^(sum of T's positions in S) det(x_(S-T)), and the relation, a Laplace
 expansion of a matrix with a repeated row, vanishes for any points; the
-tests check that identity.  Only dependence can fail: a coefficient is zero
-when its k-r points are dependent.  So the checker refuses the wrong point
-count or dimension and any dependent (k-r)-set, then takes the rank; it
-imports nothing from the rest of the package.  `moment_curve` gives the
-points x_i = (1, i+1, (i+1)^2, ...).
+tests check that identity.  Let K = {0..d-1} and F_K be the r-sets meeting
+K.  A certificate is n nodes, and the bound it proves is |F_K|:
 
-Column j * (k-r) + e of a vector is coordinate e of the block of the j-th
-(r-1)-subset in `itertools.combinations` order.
+1. Nodes.  Node a_i gives x_i = (1, a_i, ..., a_i^(d-1)).  Any d of these
+   points form a Vandermonde matrix, so they are independent exactly when
+   their nodes are distinct mod P.  Then every coefficient of the
+   relations is nonzero, and the rank of {v_T} bounds every saturated
+   family from below.
+2. F_K's rows are independent.  Give a row v_T its level |T & K|, which is
+   at least 1 in F_K.  Its blocks T-i lie at level j-1 for i in K and at
+   level j otherwise, so the column blocks of level j-1 meet only rows of
+   levels j-1 and j.  Take the levels from 1 up: once the rows below level
+   j are shown to take no part in a dependence, the column blocks of level
+   j-1 see only level-j rows.  There the rows split by W = T - K into
+   block-diagonal copies of one matrix M_j, the rows of the j-subsets of K
+   over the points x_0..x_(d-1); K's labels come first, so a position in T
+   is the position in T & K, and the signs do not depend on W.  By 3, the
+   level-j rows take no part either.
+3. M_j has full row rank whenever x_0..x_(d-1) are independent.  One
+   invertible map on every block sends those points to the unit vectors.
+   After it, column (U, i) meets only row U + {i}, so the nonzero rows
+   have disjoint supports.
+
+So the rank is at least |F_K| = C(n, r) - C(n-d, r), and it is exactly
+|F_K| because F_K saturates (`saturation._star_certificate` replays that
+side).  Nothing but the shape and the nodes can fail, so the checker
+refuses a bad shape or nodes that are not distinct mod P and otherwise
+returns |F_K|; it builds no matrix and imports nothing from the rest of the
+package.  The tests rank the full matrix over n <= 9 as the oracle.
 """
 
-from itertools import combinations
+from math import comb
 
 P = 2**31 - 1  # prime
 
 
-def moment_curve(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """One point of F_P^d per vertex on the moment curve."""
-    return tuple(tuple(pow(i + 1, e, P) for e in range(d)) for i in range(n))
-
-
-def _rank(rows: list[list[int]]) -> int:
-    """The rank mod P of integer rows, row-reduced in place."""
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % P), None)
-        if pivot is None:
-            continue
-        top = rows[pivot]
-        rows[pivot], rows[rank] = rows[rank], top
-        inv = pow(top[col], -1, P)
-        top = [a * inv % P for a in top]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] % P
-            if f:
-                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
-def _rows(points: tuple[tuple[int, ...], ...], n: int, r: int) -> list[list[int]]:
-    """Each r-set T's vector v_T, in `combinations` order."""
-    d = len(points[0]) if points else 0
-    block = {u: j * d for j, u in enumerate(combinations(range(n), r - 1))}
-    rows = []
-    for t in combinations(range(n), r):
-        row = [0] * (d * len(block))
-        for q, i in enumerate(t):
-            j = block[t[:q] + t[q + 1:]]
-            row[j:j + d] = [-a for a in points[i]] if q % 2 else points[i]
-        rows.append(row)
-    return rows
-
-
-def check(points: tuple[tuple[int, ...], ...], n: int, r: int, k: int) -> int | None:
-    """The lower bound rank{v_T} mod P that `points` prove for every weakly
-    saturated r-uniform family on n vertices at clique size k, or None when
-    there are not n points of dimension k - r or some k - r of them are
-    dependent."""
-    d = k - r
-    if not 1 <= r < k or len(points) != n or any(len(x) != d for x in points):
+def check(nodes, n: int, r: int, k: int) -> int | None:
+    """The lower bound |F_K| that `nodes` prove for every weakly saturated
+    r-uniform family on n vertices at clique size k, or None unless
+    1 <= r < k <= n and there are n nodes, distinct mod P."""
+    if not 1 <= r < k <= n or len(nodes) != n or len({a % P for a in nodes}) != n:
         return None
-    if any(_rank([list(points[i]) for i in u]) < d for u in combinations(range(n), d)):
-        return None
-    return _rank(_rows(points, n, r))
+    return comb(n, r) - comb(n - k + r, r)
 
 
 def lower_bound(n: int, r: int, k: int) -> int | None:
-    """The checked rank bound of the moment-curve points, or None."""
-    return check(moment_curve(n, k - r), n, r, k)
+    """The checked bound of the nodes 1..n, or None."""
+    return check(range(1, n + 1), n, r, k)

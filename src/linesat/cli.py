@@ -235,31 +235,31 @@ def _sweep_theorem2(args: argparse.Namespace) -> int:
 
 
 def _sweep_theorem3(args: argparse.Namespace) -> int:
-    """The star family hits the size 3*C(n-2,2)+1 and K6^3-saturates for each n."""
-    from .hypergraph import DEFAULT_BUDGET, star_construction
-    from .saturation import is_weakly_saturated
+    """The star family hits the size 3*C(n-2,2)+1 and K6^3-saturates for each
+    n: its certificate, one step per triple avoiding {0,1,2}, replays to all
+    C(n, 3) triples."""
+    from .hypergraph import DEFAULT_BUDGET
+    from .saturation import _replays_to_complete, _star_certificate
 
     if args.n_min < 5:
         raise OutOfRange(f"--n-min must be at least 5, got {args.n_min}")
     if args.n_max < args.n_min:
         raise OutOfRange(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
-    # each closure tests the C(n, 6) 6-subsets, none at n = 5: sum them first
-    subsets = 0
+    # each step looks up the C(6, 3) triples of its 6-set: sum them first
+    lookups = 0
     for n in range(args.n_min, args.n_max + 1):
-        subsets += comb(n, 6)
-        if subsets > DEFAULT_BUDGET:
-            raise BudgetExceeded(subsets, DEFAULT_BUDGET, f"6-subsets up to n={n}")
+        lookups += 20 * comb(n - 3, 3)
+        if lookups > DEFAULT_BUDGET:
+            raise BudgetExceeded(lookups, DEFAULT_BUDGET, f"replay lookups up to n={n}")
     ok = True
     lines = []
     for n in range(args.n_min, args.n_max + 1):
-        star = star_construction(n)
+        cert = _star_certificate(n, 3, 6)
+        edges = cert.base.edge_count
         expected = 3 * comb(n - 2, 2) + 1
-        saturated = is_weakly_saturated(star, 6)
-        ok = ok and star.edge_count == expected and saturated
-        lines.append(
-            f"n={n}: edges={star.edge_count} expected={expected} "
-            f"saturated={saturated}"
-        )
+        saturated = _replays_to_complete(cert)
+        ok = ok and edges == expected and saturated
+        lines.append(f"n={n}: edges={edges} expected={expected} saturated={saturated}")
     _write(args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_NEGATIVE
 

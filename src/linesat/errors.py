@@ -124,5 +124,5 @@ class FormatError(LinesatError):
 
 
 class InternalConsistencyError(LinesatError):
-    """A state the metric axioms make impossible was reached; indicates a bug
-    or an invalid input that skipped validation."""
+    """A state the metric axioms or a certificate's proof make impossible was
+    reached; indicates a bug or an invalid input that skipped validation."""

@@ -7,7 +7,7 @@ Python ints, one bit per r-subset rank.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from .errors import BudgetExceeded, OutOfRange, TooFewVertices
@@ -99,6 +99,7 @@ def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
     ranks of their i-subsets and adds C(x, i) to those that gain x.  Only
     subsets that leave room for the larger vertices are kept, and only the
     i-subset masks that can grow into r-subset masks, none over C(n, r) bits.
+    A subset has no i-subsets above its size, so those masks are not stored.
     """
     check_budget(n, r, k)
     for size, bound, what in (
@@ -110,15 +111,16 @@ def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
     if k > n:
         return ()  # no k-subsets; building up to size k would cost O(k) passes
     # masks[i][j]: the i-subsets of the j-th subset of the current size
-    masks = [[1]] + [[0] for _ in range(r)]
+    masks = [[1]] + [[] for _ in range(r)]
     for size in range(1, k + 1):
         grown = [[] for _ in range(r + 1)]
         for x in range(size - 1, n - k + size):
             below = comb(x, size - 1)
             grown[0] += masks[0][:below]
-            for i in range(max(1, r - k + size), r + 1):
+            for i in range(max(1, r - k + size), min(r, size) + 1):
                 shift = comb(x, i)
-                grown[i] += [a | b << shift for a, b in zip(masks[i][:below], masks[i - 1])]
+                kept = masks[i][:below] if i < size else repeat(0, below)  # no size-subsets yet
+                grown[i] += [a | b << shift for a, b in zip(kept, masks[i - 1])]
         masks = grown
     return tuple(masks[r])
 

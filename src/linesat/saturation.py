@@ -25,13 +25,18 @@ its prefix family fills, that rank comes straight back, so the leaf closes
 to the prefix family's closure: once one such leaf is decided, the rest
 share its verdict and are not closed.
 
-A scan asks only whether some family of a size saturates (the minimum
-saturated size) or fails (a size check), which relabeling the vertices does
-not change.  Relabel the chosen ranks so that two of them meeting in the
-most points, i, become rank 0 = {0..r-1} and b_i = {0..i-1} + {r..2r-i-1}:
-every r-set before b_i in colex order meets {0..r-1} in more than i points,
-so every other chosen rank lies above b_i, and one class per i is scanned,
-in process, the largest i first.
+A scan asks only whether some family of a size fails (a size check) or
+saturates (the tests' oracle for the minimum saturated size), which
+relabeling the vertices does not change.  Relabel the chosen ranks so that
+two of them meeting in the most points, i, become rank 0 = {0..r-1} and
+b_i = {0..i-1} + {r..2r-i-1}: every r-set before b_i in colex order meets
+{0..r-1} in more than i points, so every other chosen rank lies above b_i,
+and one class per i is scanned, in process, the largest i first.
+
+The minimum saturated size needs no scan.  Two certificates meet at the
+closed form C(n, r) - C(n-k+r, r): the r-sets meeting a fixed (k-r)-set
+saturate, since one step per r-set avoiding it replays, and `certify`
+checks a rank bound that no smaller family passes.
 """
 
 import os
@@ -39,7 +44,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceeded, InvalidK, OutOfRange
+from .errors import BudgetExceeded, InternalConsistencyError, InvalidK, OutOfRange
 from .hypergraph import (
     DEFAULT_BUDGET,
     Record,
@@ -304,50 +309,54 @@ def exhaustive_size_check(
     return None if hit is None else UniformHypergraph(n, r, hit)
 
 
-def _certified_fruitless(n: int, r: int, k: int, m: int, budget: int) -> bool:
-    """Whether the rank certificate proves that no m-edge family saturates.
-    It is asked for only when the budget admits the scan of m and checking
-    it costs less than that scan: a checker term (C(n, k-r) determinants of
-    order k-r, and C(k, r) sums of r(k-r) entries per k-subset) weighs about
-    four scan terms (C(n, k) counts per candidate), timed in CPython with a
-    checker that also summed every relation; it no longer does, so the rule
-    errs toward the scan.  Without the sum term (5,2,3), (18,1,7), (22,1,6)
-    and more would go to the checker: 0.7 s against 0.45 s at (22,1,6)."""
-    n_ranks, d = comb(n, r), k - r
-    c = min(m, n_ranks - m)
-    if comb(n_ranks, c) > budget:
-        return False  # the scan raises BudgetExceeded
-    candidates = sum(comb(n_ranks - 1 - fixed[-1], w) for fixed, w in _classes(n, r, c))
-    if 4 * (comb(n, d) * d**3 + comb(n, k) * comb(k, r) * r * d) > candidates * comb(n, k):
-        return False
-    from .certify import lower_bound  # here: only a walk that reaches m compiles it
+def _star_certificate(n: int, r: int, k: int) -> ClosureCertificate:
+    """F_K, the r-sets meeting K = {0..k-r-1}, with one step (T, K + T) for
+    each r-set T avoiding K.  Every other r-subset of K + T meets K, so the
+    steps replay in any order and bring the family to all C(n, r) r-sets.
+    At (3, 6) the base is `star_construction(n)`.  Needs 1 <= r <= k."""
+    d = k - r
+    meeting = (t for t in combinations(range(n), r) if t[0] < d)  # t is ascending
+    base = UniformHypergraph.from_edges(n, r, meeting)
+    steps = tuple((t, (*range(d), *t)) for t in combinations(range(d, n), r))
+    return ClosureCertificate(base, k, steps)
 
-    return (lower_bound(n, r, k) or 0) > m
+
+def _replays_to_complete(cert: ClosureCertificate) -> bool:
+    """Whether the certificate replays and its base and steps hold every r-set."""
+    h = cert.base
+    return verify_certificate(cert) and h.edge_count + len(cert.steps) == comb(h.n, h.r)
 
 
 def min_saturation_search(
     n: int, r: int, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> int:
-    """Smallest edge count for which some hypergraph is weakly saturated.
+    """Smallest edge count for which some hypergraph is weakly saturated:
+    wsat(n, K_k^r) = C(n, r) - C(n-k+r, r) (Frankl 1982; Kalai 1985).
 
-    Saturation survives adding edges, so the property "some m-edge
-    hypergraph saturates" is monotone in m.  The empty family is closed
-    first; unless it saturates, the search walks m downward from C(n, r) - 1,
-    scanning each size up to relabeling (`_scan_all`), until a scan finds no
-    saturated set, and returns the last size that had one.  The size one
-    below the closed form C(n, r) - C(n-k+r, r) (Frankl 1982; Kalai 1985)
-    is not scanned when the rank certificate proves it fruitless; the
-    closed form only picks that size.  `jobs` must lie in 1..the CPU
+    With no k-set (k > n) nothing closes, so only the complete family
+    saturates.  Where a k-set has one r-subset (r = 0 or r = k) it lacks
+    it, so the empty family saturates.  Otherwise two certificates meet at
+    |F_K|, F_K the r-sets meeting K = {0..k-r-1}: `_star_certificate`
+    replays F_K to every r-set, so F_K saturates, and `certify` checks the
+    nodes of a rank bound that no smaller family passes.  `budget` bounds
+    the replay's subset lookups, C(n-k+r, r) * C(k, r).  Neither side
+    searches, so no family is scanned; `jobs` must lie in 1..the CPU
     count and is otherwise ignored.
     """
     _check_scan(n, r, k, jobs)
-    upper = comb(n, r)  # the complete hypergraph always saturates
-    if not upper or is_weakly_saturated(UniformHypergraph(n, r, 0), k):
-        return 0  # the empty family is complete, or saturates (at k = r, say)
-    fruitless = upper - comb(n - k + r, r) - 1 if k <= n else 0
-    for m in range(upper - 1, 0, -1):
-        if m == fruitless and _certified_fruitless(n, r, k, m, budget):
-            return m + 1
-        if _scan_all(n, r, k, m, budget, want_saturated=True) is None:
-            return m + 1
-    return 1
+    if k > n:
+        return comb(n, r)
+    if comb(k, r) == 1:
+        return 0
+    lookups = comb(n - k + r, r) * comb(k, r)
+    if lookups > budget:
+        raise BudgetExceeded(lookups, budget, "replay lookups")
+    cert, where = _star_certificate(n, r, k), f"at n={n} r={r} k={k}"
+    if not _replays_to_complete(cert):
+        raise InternalConsistencyError(f"the star certificate {where} does not replay")
+    from .certify import lower_bound  # here: `close` and `verify-cert` never compile it
+
+    size = cert.base.edge_count
+    if lower_bound(n, r, k) != size:
+        raise InternalConsistencyError(f"the rank certificate {where} does not give {size}")
+    return size

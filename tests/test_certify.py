@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 
 import linesat
-from linesat import certify, saturation
+from linesat import certify
+from linesat.cli import main
+from linesat.errors import InternalConsistencyError
 from linesat.hypergraph import DEFAULT_BUDGET, UniformHypergraph
 from linesat.saturation import _scan_all, is_weakly_saturated, min_saturation_search
+
+P = certify.P
 
 
 def shapes(n_max):
@@ -26,9 +30,78 @@ def wsat(n, r, k):
     return comb(n, r) - comb(n - k + r, r)
 
 
+# --- the oracle: the rank of the full matrix ----------------------------------------
+
+
+def _rank(rows):
+    """The rank mod P of integer rows, row-reduced in place."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % P), None)
+        if pivot is None:
+            continue
+        top = rows[pivot]
+        rows[pivot], rows[rank] = rows[rank], top
+        inv = pow(top[col], -1, P)
+        top = [a * inv % P for a in top]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] % P
+            if f:
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _rows(points, n, r):
+    """Each r-set T's vector v_T, in `combinations` order: column j * d + e
+    is coordinate e of the block of the j-th (r-1)-subset."""
+    d = len(points[0]) if points else 0
+    block = {u: j * d for j, u in enumerate(combinations(range(n), r - 1))}
+    rows = []
+    for t in combinations(range(n), r):
+        row = [0] * (d * len(block))
+        for q, i in enumerate(t):
+            j = block[t[:q] + t[q + 1:]]
+            row[j:j + d] = [-a for a in points[i]] if q % 2 else points[i]
+        rows.append(row)
+    return rows
+
+
+def _curve(nodes, d):
+    """The points x_i = (1, a_i, ..., a_i^(d-1)) mod P of the nodes."""
+    return tuple(tuple(pow(a, e, P) for e in range(d)) for a in nodes)
+
+
+def _random_nodes(n, seed, size=10**12):
+    # entries beyond P, negative ones too: the checker reads them mod P
+    rng = random.Random(seed)
+    nodes = {}
+    while len(nodes) < n:
+        a = rng.randint(-size, size)
+        nodes.setdefault(a % P, a)
+    return tuple(nodes.values())
+
+
+def _random_points(n, d, seed, size=10**12):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randint(-size, size) for _ in range(d)) for _ in range(n))
+
+
 @pytest.mark.parametrize("n, r, k", shapes(9))
 def test_certified_bound_is_the_closed_form(n, r, k):
     assert certify.lower_bound(n, r, k) == wsat(n, r, k)
+
+
+@pytest.mark.parametrize("kind", ["moment-curve", "random"])
+@pytest.mark.parametrize("n, r, k", shapes(9))
+def test_full_rank_is_the_checked_bound(n, r, k, kind):
+    # the docstring's proof, against elimination: F_K's rows are
+    # independent, and no row adds to their rank, on all 120 shapes n <= 9
+    nodes = range(1, n + 1) if kind == "moment-curve" else _random_nodes(n, 7 * n + 3 * r + k)
+    rows = _rows(_curve(nodes, k - r), n, r)
+    meeting = [row for t, row in zip(combinations(range(n), r), rows) if t[0] < k - r]
+    assert len(meeting) == certify.check(tuple(nodes), n, r, k) == wsat(n, r, k)
+    assert _rank(meeting) == _rank(rows) == len(meeting)
 
 
 def test_scan_agrees_with_the_certified_bound_wherever_the_budget_admits():
@@ -45,15 +118,10 @@ def test_scan_agrees_with_the_certified_bound_wherever_the_budget_admits():
     assert scanned == len(SHAPES) - 4  # (7, 3, 4), (7, 3, 5), (7, 4, 5), (7, 4, 6) are over it
 
 
-def _random_points(n, d, seed, size=10**12):
-    # entries beyond P, negative ones too: the checker reads them mod P
-    rng = random.Random(seed)
-    return tuple(tuple(rng.randint(-size, size) for _ in range(d)) for _ in range(n))
-
-
 @pytest.mark.parametrize("n, r, k", shapes(7))
 def test_random_points_prove_the_closed_form(n, r, k):
-    assert certify.check(_random_points(n, k - r, seed=100 * n + 10 * r + k), n, r, k) == wsat(n, r, k)
+    nodes = _random_nodes(n, seed=100 * n + 10 * r + k)
+    assert certify.check(nodes, n, r, k) == wsat(n, r, k)
 
 
 def _det(rows):
@@ -79,7 +147,7 @@ def _relations_vanish(points, n, r, k, rows):
             t = tuple(s[j] for j in q)
             c = (-1) ** sum(q) * det[tuple(i for i in s if i not in t)]
             total = [a + c * b for a, b in zip(total, vectors[t])]
-        if any(a % certify.P for a in total):
+        if any(a % P for a in total):
             return False
     return True
 
@@ -87,69 +155,57 @@ def _relations_vanish(points, n, r, k, rows):
 @pytest.mark.parametrize("kind", ["moment-curve", "random"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_relation_vanishes_identically(n, kind):
-    # the checker does not sum the relations, so the vectors it ranks must
+    # the checker sums no relation, so the vectors the proof ranks must
     # satisfy them for any points: a sign slip in `_rows` shows here
     for k in range(2, n + 1):
         for r in range(1, k):
             if kind == "moment-curve":
-                points = certify.moment_curve(n, k - r)
+                points = _curve(range(1, n + 1), k - r)
             else:
                 points = _random_points(n, k - r, seed=1000 + 100 * n + 10 * r + k)
-            assert _relations_vanish(points, n, r, k, certify._rows(points, n, r)), (n, r, k)
+            assert _relations_vanish(points, n, r, k, _rows(points, n, r)), (n, r, k)
 
 
 def test_relation_check_sees_one_negated_vector():
-    points = certify.moment_curve(6, 2)
-    rows = certify._rows(points, 6, 2)
+    points = _curve(range(1, 7), 2)
+    rows = _rows(points, 6, 2)
     assert _relations_vanish(points, 6, 2, 4, rows)
     rows[5] = [-a for a in rows[5]]
     assert not _relations_vanish(points, 6, 2, 4, rows)
 
 
-def _equal_points(points):
-    return (points[0], points[0], *points[2:])
-
-
-def _zero_point(points):
-    return (points[0], (0,) * len(points[0]), *points[2:])
-
-
-def _sum_point(points):
-    # x_2 = x_0 + x_1 puts x_0, x_1, x_2 in a plane: the 3-set {0, 1, 2} is singular
-    return (*points[:2], tuple((a + b) % certify.P for a, b in zip(*points[:2])), *points[3:])
-
-
-MUTANTS = {"equal-points": _equal_points, "zero-point": _zero_point, "sum-point": _sum_point}
+MUTANTS = {
+    "repeated-node": lambda nodes: (nodes[0], *nodes[:-1]),
+    "node-plus-P": lambda nodes: (nodes[0], nodes[0] + P, *nodes[2:]),
+    "one-node-short": lambda nodes: nodes[:-1],
+}
 
 
 @pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)
-def test_mutant_certificates_are_refused_and_min_sat_scans(monkeypatch, mutate):
-    mutant = mutate(certify.moment_curve(7, 3))
+def test_mutant_nodes_are_refused_and_min_sat_raises(monkeypatch, capsys, mutate):
+    mutant = mutate(tuple(range(1, 8)))
     assert certify.check(mutant, 7, 3, 6) is None
-    sizes = []
-
-    def counted_scan(*args, **kwargs):
-        sizes.append(args[3])
-        return _scan_all(*args, **kwargs)
-
-    monkeypatch.setattr(certify, "moment_curve", lambda n, d: mutant)
-    monkeypatch.setattr(saturation, "_scan_all", counted_scan)
-    assert min_saturation_search(7, 3, 6) == 31
-    assert sizes == [34, 33, 32, 31, 30]
+    monkeypatch.setattr(certify, "lower_bound", lambda n, r, k: certify.check(mutant, n, r, k))
+    with pytest.raises(InternalConsistencyError):
+        min_saturation_search(7, 3, 6)
+    assert main(["sweep", "min-sat", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the rank certificate at n=7 r=3 k=6 does not give 31\n"
 
 
 def test_checker_refuses_malformed_shapes():
-    points = certify.moment_curve(6, 2)
-    assert certify.check(points, 6, 2, 4) == wsat(6, 2, 4)
-    assert certify.check(points, 7, 2, 4) is None  # one point short
-    assert certify.check(points, 6, 2, 5) is None  # points of the wrong dimension
-    assert certify.check(points, 6, 2, 2) is None  # k = r
+    nodes = tuple(range(1, 7))
+    assert certify.check(nodes, 6, 2, 4) == wsat(6, 2, 4)
+    assert certify.check(nodes, 7, 2, 4) is None  # one node short
+    assert certify.check(nodes, 6, 2, 2) is None  # k = r
+    assert certify.check(nodes, 6, 0, 2) is None  # r = 0
+    assert certify.check(nodes, 6, 2, 7) is None  # k > n: no k-set
 
 
 def test_min_saturation_asks_for_the_certificate_only_where_it_pays(monkeypatch):
-    # once at (7, 3, 6) and (7, 2, 4); never where the fruitless scan is a
-    # few candidates, as at (6, 3, 6), or the checker would take
-    # C(30, 27) determinants of order 27, as at (30, 1, 28)
+    # no scan is left to weigh it against: it is asked once on every shape
+    # with 1 <= r < k <= n, and never at k > n or k = r
     asked = []
     bound = certify.lower_bound
 
@@ -158,9 +214,11 @@ def test_min_saturation_asks_for_the_certificate_only_where_it_pays(monkeypatch)
         return bound(*args)
 
     monkeypatch.setattr(certify, "lower_bound", counted)
-    for shape in [(7, 3, 6), (7, 2, 4), (6, 3, 6), (30, 1, 28)]:
+    shapes = [(7, 3, 6), (7, 2, 4), (6, 3, 6), (30, 1, 28)]
+    for shape in shapes:
         assert min_saturation_search(*shape) == wsat(*shape)
-    assert asked == [(7, 3, 6), (7, 2, 4)]
+    assert min_saturation_search(5, 3, 6) == 10 and min_saturation_search(7, 3, 3) == 0
+    assert asked == shapes
 
 
 def test_certify_loads_with_the_engines_blocked():

@@ -212,6 +212,17 @@ def test_sweep_theorem3(capsys, monkeypatch):
     assert "n=8: edges=46 expected=46 saturated=True" in out
 
 
+def test_sweep_theorem3_replays_up_to_the_budget(capsys, monkeypatch):
+    # no closure runs: each n replays the star family's certificate
+    def no_closure(*_):
+        raise AssertionError("a closure ran")
+
+    monkeypatch.setattr("linesat.saturation.is_weakly_saturated", no_closure)
+    code, out, _ = run_cli(capsys, monkeypatch, ["sweep", "theorem3", "--n-max", "36"])
+    assert code == 0 and len(out.splitlines()) == 32
+    assert out.endswith("n=36: edges=1684 expected=1684 saturated=True\n")
+
+
 def test_sweep_min_sat(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["sweep", "min-sat", "--n", "6"])
     assert code == 0
@@ -219,7 +230,7 @@ def test_sweep_min_sat(capsys, monkeypatch):
 
 
 def test_sweep_min_sat_pairs_at_seven(capsys, monkeypatch):
-    # the rank certificate settles size 10; scanning it took about 0.7 s
+    # the certificates need no scan
     code, out, _ = run_cli(capsys, monkeypatch, ["sweep", "min-sat", "--n", "7", "--r", "2", "--k", "4"])
     assert code == 0 and out == "minimum weakly saturated size at n=7 r=2 k=4: 11\n"
 
@@ -289,21 +300,22 @@ def test_sweep_refuses_oversized_or_negative_shapes_at_once(capsys, monkeypatch,
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--n-max", "27"],
-         "enumeration needs 1184040 6-subsets up to n=27, over the budget of 1000000"),
+        (["--n-max", "37"],
+         "enumeration needs 1047200 replay lookups up to n=37, over the budget of 1000000"),
         (["--n-max", "200"],
-         "enumeration needs 1184040 6-subsets up to n=27, over the budget of 1000000"),
+         "enumeration needs 1047200 replay lookups up to n=37, over the budget of 1000000"),
         (["--n-min", "180", "--n-max", "182"],
-         "enumeration needs 43424719800 6-subsets up to n=180, over the budget of 1000000"),
+         "enumeration needs 18172000 replay lookups up to n=180, over the budget of 1000000"),
     ],
 )
 def test_sweep_theorem3_refuses_before_any_closure(capsys, monkeypatch, argv, message):
-    # the closures test the C(n, k) k-subsets for each n, at most the default
-    # budget in all: 5..26 sums to 888,030 and 5..27 to 1,184,040
-    def no_closure(*_):
-        raise AssertionError("a closure ran")
+    # each replay step looks up the C(6, 3) triples of its 6-set, one step
+    # per triple avoiding {0, 1, 2}: at most the default budget in all,
+    # 5..36 sums to 927,520 and 5..37 to 1,047,200
+    def no_replay(*_):
+        raise AssertionError("a certificate was replayed")
 
-    monkeypatch.setattr("linesat.saturation.is_weakly_saturated", no_closure)
+    monkeypatch.setattr("linesat.saturation.verify_certificate", no_replay)
     code, out, err = run_cli(capsys, monkeypatch, ["sweep", "theorem3", *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -859,7 +871,7 @@ def _one_edge(n, r=3):
         (["close", "--k", "4"], _one_edge(50), "bits for 4-subsets of 50 vertices"),
         (["saturated", "--k", "2"], _one_edge(363, 2), "bits for 2-subsets of 363 vertices"),
         (["close", "--k", "9"], _one_edge(21), "entries for 9-subsets of 21 vertices"),
-        (["sweep", "min-sat", "--n", "140", "--k", "3"], "", "bits for 3-subsets of 140"),
+        (["sweep", "min-sat", "--n", "140", "--k", "3"], "", None),
         (["realize", "--ceiling", "40"], '{"n":32,"r":3,"edges":[]}',
          "bits for 6-subsets of 32 vertices"),
     ],
@@ -869,7 +881,8 @@ def test_oversized_closure_tables_exit_2_promptly(argv, stdin_text, table):
     # Each count is under the budget, but the k-subset masks or the reverse
     # index would not be: the child's address space is capped at 512 MiB,
     # so a table built anyway fails with MemoryError instead of filling the
-    # machine, and its error line names no table budget.
+    # machine, and its error line names no table budget.  min-sat at k = r
+    # builds no table: the empty family saturates, and it answers 0.
     import resource
 
     cap = 512 << 20
@@ -879,6 +892,9 @@ def test_oversized_closure_tables_exit_2_promptly(argv, stdin_text, table):
         timeout=10,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+    if table is None:
+        assert (done.returncode, done.stderr) == (0, "") and done.stdout.endswith(": 0\n")
+        return
     errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
     assert done.returncode == 2 and done.stdout == "" and len(errors) == 1
     budget = 2**32 if "bits" in table else 2 * 10**7
@@ -886,19 +902,25 @@ def test_oversized_closure_tables_exit_2_promptly(argv, stdin_text, table):
 
 
 def test_min_sat_with_r_above_half_n_builds_small_tables():
-    # the final table is one 40-bit mask, but a builder carrying every
-    # i-subset up to r would hold masks of C(40, 20) bits and, under the
-    # 512 MiB cap, fail with a bare MemoryError line
+    # min-sat builds no table; `saturated` does: the final table is one
+    # 40-bit mask, but a builder carrying every i-subset up to r would hold
+    # masks of C(40, 20) bits and, under the 512 MiB cap, fail with a bare
+    # MemoryError line
     import resource
 
     cap = 512 << 20
-    done = _cli_child(
-        "sweep", "min-sat", "--n", "40", "--r", "39", "--k", "40",
-        timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
+
+    def capped(*argv, stdin_text=""):
+        return _cli_child(
+            *argv, stdin_text=stdin_text, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+
+    done = capped("sweep", "min-sat", "--n", "40", "--r", "39", "--k", "40")
     assert done.returncode == 0, done.stderr
     assert done.stdout.rstrip("\n").endswith(": 39")
+    done = capped("saturated", "--k", "40", stdin_text='{"n":40,"r":39,"edges":[]}')
+    assert (done.returncode, done.stdout, done.stderr) == (1, '{"weakly_saturated":false}\n', "")
 
 
 def test_verify_cert_walks_1000_vertex_subsets_without_recursion(capsys, monkeypatch):

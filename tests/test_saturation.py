@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesat.errors import BudgetExceeded, InvalidK, OutOfRange
+from linesat.errors import BudgetExceeded, InternalConsistencyError, InvalidK, OutOfRange
 from linesat.hypergraph import (
     DEFAULT_BUDGET,
     UniformHypergraph,
@@ -28,8 +28,10 @@ from linesat.saturation import (
     _close_mask,
     _containing,
     _kmasks,
+    _replays_to_complete,
     _scan_all,
     _scan_tops,
+    _star_certificate,
     exhaustive_size_check,
     is_weakly_saturated,
     min_saturation_search,
@@ -119,6 +121,15 @@ def test_tables_match_rank_oracle(n, r, k):
     assert _containing.__wrapped__(n, r, k) == containing
     # certificates decode witnesses by unranking the k-subset index
     assert tuple(unrank(j, n, k) for j in range(comb(n, k))) == ksubsets
+
+
+def test_tables_match_rank_oracle_on_every_small_shape():
+    # the builder stores no i-subset masks above a subset's size and reads
+    # the missing ones as zeros: every 0 <= r <= k <= n + 1, n <= 8
+    for n in range(9):
+        for k in range(n + 2):
+            for r in range(k + 1):
+                assert _kmasks.__wrapped__(n, r, k) == rank_tables(n, r, k)[1], (n, r, k)
 
 
 def test_closed_input_never_builds_the_reverse_index():
@@ -690,8 +701,9 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
     # With nothing to find, each class's tops are scanned once, in process,
     # at jobs=2 as at jobs=1: no 30-edge family saturates at (7,3,6), a size
     # min-sat settles by its rank certificate and so is scanned here
-    # directly, and size(8,3,6,53) finds no unsaturated family.  Only the
-    # scans of `size` itself, whose candidates hold c ranks, are compared.
+    # directly, as the tests' oracle, and size(8,3,6,53) finds no
+    # unsaturated family.  Only the scans of `size` itself, whose candidates
+    # hold c ranks, are compared.
     from linesat import saturation
 
     scanned = []
@@ -713,9 +725,7 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
 
 
 def test_min_saturation_at_seven_scans_one_class_per_overlap(monkeypatch):
-    # 324,633 closures at most without relabeling, 261,915 with the leaf
-    # rule; the last size's scan visits 5,456 + 2,925 + 455 = 8,836
-    # candidates, and with the rank certificate settling it, 4 closures run
+    # both sides are certified, so no size is scanned and no closure runs
     from linesat import saturation
 
     calls = []
@@ -726,34 +736,66 @@ def test_min_saturation_at_seven_scans_one_class_per_overlap(monkeypatch):
 
     monkeypatch.setattr(saturation, "_close_mask", counted)
     assert min_saturation_search(7, 3, 6) == 31
-    assert len(calls) == 4
+    assert len(calls) == 0
 
 
 def test_min_saturation_budget_counts_every_candidate():
-    # sizes 55..52 each find a saturated family; size 51 leaves 5 of 56
-    # triples out, over the budget
+    # the budget counts the replay's subset lookups, C(n-3, 3) * C(6, 3):
+    # 958,100 at n = 70 are admitted, 1,002,320 at n = 71 are not
+    assert min_saturation_search(70, 3, 6) == 3 * comb(68, 2) + 1
     with pytest.raises(BudgetExceeded) as err:
-        min_saturation_search(8, 3, 6)
-    assert err.value.required == comb(56, 5)
+        min_saturation_search(71, 3, 6)
+    assert err.value.required == 1_002_320
 
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (6, 2, 4), (6, 3, 5)])
-def test_min_saturation_at_jobs_two_scans_each_size_once(monkeypatch, n, r, k):
-    # each size is scanned once, in process, from C(n, r) - 1 down to the
-    # answer m; the rank certificate settles m - 1 unscanned, and the answer
-    # at jobs=2 is jobs=1's
+def test_min_saturation_at_jobs_two_scans_each_size_once(n, r, k):
+    # `jobs` is accepted and changes nothing
+    assert min_saturation_search(n, r, k, jobs=2) == min_saturation_search(n, r, k, jobs=1)
+
+
+def test_star_certificate_replays_from_the_star_family():
+    for n in range(5, 27):
+        cert = _star_certificate(n, 3, 6)
+        assert cert.base == star_construction(n)
+        assert _replays_to_complete(cert)
+
+
+def _wrong_witness(cert):
+    # the first step's 6-set swaps one vertex of K for one outside K + T
+    (t, s), *rest = cert.steps
+    outside = next(v for v in range(cert.base.n) if v not in s)
+    return ClosureCertificate(cert.base, cert.k, ((t, (*s[1:], outside)), *rest))
+
+
+def _missing_edge(cert):
+    h = cert.base
+    return ClosureCertificate(UniformHypergraph(h.n, h.r, h.edges & ~1), cert.k, cert.steps)
+
+
+def _missing_step(cert):
+    # replays, but leaves the last triple avoiding K out
+    return ClosureCertificate(cert.base, cert.k, cert.steps[:-1])
+
+
+@pytest.mark.parametrize(
+    "mutate", [_wrong_witness, _missing_edge, _missing_step],
+    ids=["wrong-witness", "missing-edge", "missing-step"],
+)
+def test_mutant_star_certificates_make_min_sat_raise(monkeypatch, capsys, mutate):
     from linesat import saturation
+    from linesat.cli import main
 
-    sizes = []
-
-    def counted_scan(*args, **kwargs):
-        sizes.append(args[3])
-        return _scan_all(*args, **kwargs)
-
-    monkeypatch.setattr(saturation, "_scan_all", counted_scan)
-    m = min_saturation_search(n, r, k, jobs=2)
-    assert sizes == list(range(comb(n, r) - 1, m - 1, -1))
-    assert min_saturation_search(n, r, k, jobs=1) == m
+    mutant = mutate(_star_certificate(8, 3, 6))
+    assert verify_certificate(mutant) == (mutate is _missing_step)
+    assert not _replays_to_complete(mutant)
+    monkeypatch.setattr(saturation, "_star_certificate", lambda n, r, k: mutant)
+    with pytest.raises(InternalConsistencyError):
+        min_saturation_search(8, 3, 6)
+    assert main(["sweep", "min-sat", "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the star certificate at n=8 r=3 k=6 does not replay\n"
 
 
 @pytest.mark.parametrize("n, r, k", [(7, 3, 6), (8, 3, 6), (7, 2, 4), (6, 3, 4)])
@@ -803,6 +845,17 @@ def test_min_saturation_at_five_is_complete():
 
 def test_min_saturation_at_seven_is_31():
     assert min_saturation_search(7, 3, 6) == 31
+
+
+def test_min_saturation_is_the_paper_bound_up_to_forty():
+    # 3 * C(n-2, 2) + 1 suitably placed degenerate triangles
+    for n in range(8, 41):
+        assert min_saturation_search(n, 3, 6) == 3 * comb(n - 2, 2) + 1
+
+
+@pytest.mark.parametrize("n, r, k, m", [(53, 2, 53, 1377), (40, 39, 40, 39)])
+def test_min_saturation_answers_past_the_scans(n, r, k, m):
+    assert min_saturation_search(n, r, k) == m == comb(n, r) - comb(n - k + r, r)
 
 
 @pytest.mark.parametrize(
