@@ -8,7 +8,13 @@ import pytest
 from linesat import realizability, simplex
 from linesat.errors import InternalConsistencyError
 from linesat.hypergraph import UniformHypergraph
-from linesat.metric import DistanceMatrix, degenerate_hypergraph
+from linesat.metric import (
+    DistanceMatrix,
+    degenerate_hypergraph,
+    graph_metric,
+    middle_of,
+    theta_graph,
+)
 from linesat.simplex import max_slack, solve_linear_system
 
 
@@ -47,11 +53,12 @@ def recorded_pivots(monkeypatch):
     real_exchange = simplex._exchange
     calls = []
 
-    def recording(tab, z, nonbasic, d, q, leave, prow):
-        # one stored row per structural variable, none per constraint
-        assert len(tab) <= len(z) - 1
+    def recording(cols, z, nonbasic, d, q, leave, prow):
+        # every stored column has one entry per structural variable and
+        # none per constraint
+        assert len(cols) == len(z) and all(len(col) == len(z) - 1 for col in cols)
         calls.append((nonbasic[q], leave))
-        return real_exchange(tab, z, nonbasic, d, q, leave, prow)
+        return real_exchange(cols, z, nonbasic, d, q, leave, prow)
 
     monkeypatch.setattr(simplex, "_exchange", recording)
     return calls
@@ -162,11 +169,11 @@ def test_tableau_holds_only_ints(monkeypatch):
     real_exchange = simplex._exchange
     calls = []
 
-    def checked(tab, z, nonbasic, d, q, leave, prow):
+    def checked(cols, z, nonbasic, d, q, leave, prow):
         assert type(d) is int and d > 0
-        assert all(type(v) is int for row in tab + [z, prow] for v in row)
+        assert all(type(v) is int for col in cols + [z, prow] for v in col)
         calls.append(d)
-        return real_exchange(tab, z, nonbasic, d, q, leave, prow)
+        return real_exchange(cols, z, nonbasic, d, q, leave, prow)
 
     monkeypatch.setattr(simplex, "_exchange", checked)
     rows = [[3, -7, -2], [-5, 11, -2], [-1, -1, -2]]
@@ -241,16 +248,18 @@ def l1_degenerate_sets(rng, count):
     return out
 
 
-def recorded_programs(monkeypatch, hypergraphs):
-    """The (rows, rhs) of every slack program deciding the hypergraphs."""
-    real = realizability.max_slack
+def recorded_programs(monkeypatch, hypergraphs, name="max_slack"):
+    """The (rows, rhs) of every slack program deciding the hypergraphs, or
+    with name "solve_linear_system" the (rows, ncols) of every equality
+    system."""
+    real = getattr(realizability, name)
     programs = []
 
-    def recording(rows, rhs):
-        programs.append(([list(row) for row in rows], list(rhs)))
-        return real(rows, rhs)
+    def recording(rows, arg):
+        programs.append(([list(row) for row in rows], arg))
+        return real(rows, arg)
 
-    monkeypatch.setattr(realizability, "max_slack", recording)
+    monkeypatch.setattr(realizability, name, recording)
     for h in hypergraphs:
         realizability.is_metric_hypergraph(h, 7)
     monkeypatch.undo()
@@ -328,3 +337,103 @@ def test_solve_random_systems():
             # lp_max_slack's y >= 0 rests on this: no other basis vector is
             # nonzero in a free column
             assert all(other[fc] == 0 for other in basis if other is not vec)
+
+
+def row_major_pivot(rows, d, r, c):
+    """Pivot rows on entry (r, c) over denominator d, negating the pivot
+    row first when the pivot is negative; returns the new denominator."""
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-y for y in prow]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i == r or f == 0 and p == d:
+            continue
+        rows[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+    return p
+
+
+def row_major_nullspace(rows, ncols):
+    """The row-major fraction-free Gauss-Jordan elimination that the
+    column-major one replaced, kept as its reference: rows swap into
+    place, and the basis is read off the reduced rows."""
+    a = [list(row) for row in rows]
+    d, pivot_of_col, prow = 1, {}, 0
+    for col in range(ncols):
+        pr = next((i for i in range(prow, len(a)) if a[i][col]), None)
+        if pr is None:
+            continue
+        a[prow], a[pr] = a[pr], a[prow]
+        d = row_major_pivot(a, d, prow, col)
+        pivot_of_col[col] = prow
+        prow += 1
+        if prow == len(a):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_of_col):
+        v = [0] * ncols
+        v[fc] = d
+        for col, row in pivot_of_col.items():
+            v[col] = -a[row][fc]
+        g = gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
+
+
+def theta_equalities(n):
+    """The equality system of theta(n)'s total assignment: one row per
+    degenerate triangle, d(lo, m) + d(m, hi) - d(lo, hi) over the pairs in
+    lexicographic order, m being the metric's middle."""
+    d = graph_metric(theta_graph(n))
+    col = {p: j for j, p in enumerate(combinations(range(n), 2))}
+    rows = []
+    for e in degenerate_hypergraph(d).edge_list():
+        m = middle_of(d, e)
+        lo, hi = (v for v in e if v != m)
+        row = [0] * len(col)
+        row[col[min(lo, m), max(lo, m)]] = row[col[min(m, hi), max(m, hi)]] = 1
+        row[col[lo, hi]] = -1
+        rows.append(row)
+    return rows, len(col)
+
+
+def sparse_dependent_systems(rng, count):
+    """Seeded systems with 1 to 3 entries of +-1 per row and more rows
+    than columns, so more rows than their rank."""
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(n + 1, 3 * n + 2)):
+            row = [0] * n
+            for j in rng.sample(range(n), rng.randint(1, min(3, n))):
+                row[j] = rng.choice((1, -1))
+            rows.append(row)
+        yield rows, n
+
+
+def test_column_elimination_matches_the_row_major_one(monkeypatch):
+    # The same basis as the row-major reference on every equality system
+    # the search asks for the seeded 6-point L1 sets and the frozen n=7
+    # case, on theta(n)'s total assignment for n = 8..16, and on seeded
+    # sparse systems whose rows are dependent.
+    hypergraphs = [UniformHypergraph.from_edges(7, 3, N7_EDGES)]
+    hypergraphs += l1_degenerate_sets(random.Random(1), 60)
+    systems = recorded_programs(monkeypatch, hypergraphs, "solve_linear_system")
+    assert len(systems) == 61
+    systems += [theta_equalities(n) for n in range(8, 17)]
+    sparse = list(sparse_dependent_systems(random.Random(39), 300))
+    assert all(fraction_rank(rows) < len(rows) for rows, _ in sparse)
+    for rows, ncols in systems + sparse:
+        assert solve_linear_system(rows, ncols) == row_major_nullspace(rows, ncols)
+
+
+@pytest.mark.slow
+def test_column_elimination_matches_the_row_major_one_on_theta24():
+    # 2,004 equalities over 276 distances, of rank 254
+    rows, ncols = theta_equalities(24)
+    assert (len(rows), ncols) == (2004, 276)
+    basis = solve_linear_system(rows, ncols)
+    assert len(basis) == 276 - 254
+    assert basis == row_major_nullspace(rows, ncols)
