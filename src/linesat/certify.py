@@ -1,4 +1,5 @@
-"""Rank certificates: a checked lower bound on weakly saturated sizes.
+"""Checkers that import no engine: rank certificates, a checked lower bound
+on weakly saturated sizes, and closed complements, which do not saturate.
 
 Give each r-set T a vector v_T over a prime field so that, in every k-set S,
 the vectors of S's r-subsets satisfy one linear relation whose coefficients
@@ -44,6 +45,7 @@ returns |F_K|; it builds no matrix and imports nothing from the rest of the
 package.  The tests rank the full matrix over n <= 9 as the oracle.
 """
 
+from itertools import combinations
 from math import comb
 
 P = 2**31 - 1  # prime
@@ -61,3 +63,25 @@ def check(nodes, n: int, r: int, k: int) -> int | None:
 def lower_bound(n: int, r: int, k: int) -> int | None:
     """The checked bound of the nodes 1..n, or None."""
     return check(range(1, n + 1), n, r, k)
+
+
+def closed_complement(n: int, r: int, k: int, members) -> bool:
+    """Whether `members` are distinct r-subsets of 0..n-1, at least one, and
+    every k-set holding one holds another: then no closure step adds a
+    member, so the family of the other r-sets does not saturate.  Checks
+    |members| * C(n-r, k-r) k-sets against the members' vertex bitmasks."""
+    masks = []
+    for t in members:
+        if len(t) != r or len(set(t)) != r or not all(0 <= v < n for v in t):
+            return False
+        masks.append(sum(1 << v for v in t))
+    if not masks or len(set(masks)) != len(masks):
+        return False
+    for u in masks:
+        others = [v for v in masks if v != u]
+        outside = [1 << x for x in range(n) if not u >> x & 1]
+        for extra in combinations(outside, k - r):
+            s = u | sum(extra)
+            if not any(v & s == v for v in others):
+                return False
+    return True

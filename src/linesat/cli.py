@@ -335,7 +335,7 @@ def _build_parser(words=()) -> argparse.ArgumentParser:
         "menger": (_sweep_menger, "4-point rule on random metrics", out,
                    *ints(("--count", 1000), ("--n-max", 8), ("--seed", 0))),
         "min-sat": (_sweep_min_sat, "minimum weakly saturated size", *size_args),
-        "theorem2": (_sweep_theorem2, "exhaustive check of the bound C(n,r)-n+k-1", *size_args),
+        "theorem2": (_sweep_theorem2, "proved and checked size bound C(n,r)-n+k-1", *size_args),
         "theorem3": (_sweep_theorem3, "size 3*C(n-2,2)+1 and saturation of the star family",
                      out, *ints(("--n-min", 5), ("--n-max", 10))),
     }

@@ -1,4 +1,4 @@
-"""Weak K^r_k-saturation: closure, certificates, and exhaustive size checks.
+"""Weak K^r_k-saturation: closure, certificates, and size checks.
 
 The closure process: while some k-subset of the vertices contains all but
 one of its r-subsets, add the missing one.  The resulting set is unique
@@ -15,23 +15,28 @@ reverse index (the k-subsets containing each r-subset) is read off those
 masks only when some k-subset lacks exactly one r-subset, so an input that
 is already closed costs one count per k-subset.
 
-An exhaustive scan closes every family of a given size, enumerating the
-chosen ranks (the edges, or the non-edges when fewer) in colex order.  One
-walk fixes them from the largest down, carrying the family's mask; siblings
-at the last level differ in one rank, so their counts are the prefix
-family's, computed once, moved by one on the k-subsets containing that rank.
-When the non-edges are chosen and a leaf's removed rank lies in a k-subset
-its prefix family fills, that rank comes straight back, so the leaf closes
-to the prefix family's closure: once one such leaf is decided, the rest
-share its verdict and are not closed.
+The size bound C(n, r) - n + k - 1 (1 <= r < k <= n) needs no scan.  A
+family fails to saturate exactly when the complement S of its closure is
+nonempty; no k-set meets S in exactly one r-set, or the closure would add
+it.  Call such an S a closed complement.
 
-A scan asks only whether some family of a size fails (a size check) or
-saturates (the tests' oracle for the minimum saturated size), which
-relabeling the vertices does not change.  Relabel the chosen ranks so that
-two of them meeting in the most points, i, become rank 0 = {0..r-1} and
-b_i = {0..i-1} + {r..2r-i-1}: every r-set before b_i in colex order meets
-{0..r-1} in more than i points, so every other chosen rank lies above b_i,
-and one class per i is scanned, in process, the largest i first.
+1. Below the bound, a construction.  Let S be the petals U + {x}, U =
+   {0..r-2}, for the n-k+2 points x outside U and the set D of the top
+   k-r-1 points.  A k-set holding one petal holds k-r further points; if
+   one is another petal's x it holds that petal too, and D has only k-r-1.
+   So S is a closed complement: its complement, C(n, r) - n + k - 2 r-sets,
+   does not saturate, nor, the closure being monotone, does any subfamily.
+2. At the bound, an induction: every nonempty closed complement on n >= k
+   points has at least n-k+2 members.  At n = k the one k-set holds all of
+   S and must not meet it once, so |S| >= 2.  For n > k, S has two members,
+   or a k-set around its one member would meet it once, so some vertex v
+   lies in some member of S but not in all.  The members avoiding v form a
+   nonempty closed complement on the other n-1 points, since every k-set
+   there meets them as it meets S: by induction at least n-k+1 of them, and
+   one more through v.  So a family lacking at most n-k+1 r-sets saturates.
+
+`certify.closed_complement` checks each sunflower used, and the tests check
+both sides against an exhaustive scan for n <= 9.
 
 The minimum saturated size needs no scan.  Two certificates meet at the
 closed form C(n, r) - C(n-k+r, r): the r-sets meeting a fixed (k-r)-set
@@ -49,7 +54,9 @@ from .hypergraph import (
     DEFAULT_BUDGET,
     Record,
     UniformHypergraph,
+    _bitset,
     _kmasks,
+    check_budget,
     full_edge_mask,
     rank,
     unrank,
@@ -79,7 +86,7 @@ class ClosureResult(Record):
 def _containing(n: int, r: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The reverse index: the k-subsets containing each r-subset, ascending.
 
-    Scans always read it; a single closure only once it can take a step.
+    A closure reads it only once it can take a step.
     """
     containing = [[] for _ in range(comb(n, r))]
     for j, m in enumerate(_kmasks(n, r, k)):
@@ -173,116 +180,9 @@ def is_weakly_saturated(h: UniformHypergraph, k: int) -> bool:
     return h.edges == full or _close(h, k) == full
 
 
-def _scan_tops(n, r, k, c, by_complement, tops, want_saturated, fixed):
-    """The mask of the first candidate with the wanted verdict among those
-    whose largest chosen rank is in `tops`; None when there is none.
-    The candidates hold the ranks in `fixed` and c more, all above them;
-    with c = 0 the one candidate is `fixed` itself and `tops` is unused.
-
-    The walk fixes the chosen ranks from the largest down, in colex order,
-    carrying the mask of the family chosen so far.  Under each fixed
-    (c-1)-prefix it counts the prefix family's r-subsets in every k-subset
-    once; each leaf copies those counts and moves the ones containing its
-    own rank.  Recursion depth is c, and c <= log2(count) because
-    C(N, c) >= 2**c for c <= N/2: at most 20 at the default budget.
-
-    A complement leaf L = P - {t} (P the prefix family) whose t lies in a
-    k-subset P fills gets t back at its first step, so cl(L) = cl(P).  The
-    first such leaf is closed; if it misses, either a saturated family is
-    wanted and no subset of P has one, or every later such leaf is skipped.
-    Only proven misses are skipped, so the answer is unchanged.
-    """
-    kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
-    full = full_edge_mask(n, r)
-    base = full if by_complement else 0
-    low = fixed[-1] + 1 if fixed else 0  # the least rank the walk may choose
-    threshold = comb(k, r) - 1
-    step = -1 if by_complement else 1
-
-    def hit(mask, counts=None):
-        closed = _close_mask(mask, kmasks, containing, threshold, counts=counts)
-        return (closed == full) == want_saturated
-
-    def walk(level, members, mask):
-        # `level` ranks are left to choose, the largest of them from `members`
-        if level > 1:
-            for x in members:
-                found = walk(level - 1, range(low + level - 2, x), mask ^ 1 << x)
-                if found is not None:
-                    return found
-            return None
-        prefix = [(mask & km).bit_count() for km in kmasks]
-        back = 0  # the ranks in some k-subset that the prefix family fills
-        if by_complement and threshold + 1 in prefix:
-            for km, count in zip(kmasks, prefix):
-                if count > threshold:
-                    back |= km
-        missed = False  # whether a leaf with its rank in `back` has missed
-        for t in members:
-            comes_back = back >> t & 1
-            if comes_back and missed:
-                continue
-            counts = prefix.copy()
-            for j in containing[t]:
-                counts[j] += step
-            if hit(mask ^ 1 << t, counts):
-                return mask ^ 1 << t
-            if comes_back:
-                if want_saturated:  # no subset of the prefix family saturates
-                    return None
-                missed = True
-        return None
-
-    start = base
-    for t in fixed:
-        start ^= 1 << t
-    if c:
-        return walk(c, tops, start)
-    return start if hit(start) else None
-
-
-def _classes(n, r, c):
-    """(fixed ranks, number of further ranks) of each class a scan visits:
-    c = 0 and c = 1 fix () and (0,); otherwise, for each largest overlap i
-    of two chosen r-sets, rank 0 and the rank of b_i = {0..i-1} +
-    {r..2r-i-1}.  Two distinct r-sets meet in at least 2r - n points."""
-    if c < 2:
-        return [((0,)[:c], 0)]
-    return [
-        ((0, rank([*range(i), *range(r, 2 * r - i)], n)), c - 2)
-        for i in range(r - 1, max(0, 2 * r - n) - 1, -1)
-    ]
-
-
-def _scan_all(n, r, k, size, budget, want_saturated):
-    """The mask of a candidate with the wanted saturation verdict among all
-    `size`-edge hypergraphs; None when there is none.
-
-    Every family relabels into one of the `_classes` and relabeling keeps
-    saturation, so only they are scanned, one after another, each in colex
-    order of its walked ranks.  The hit is the first in that order; the
-    budget still counts every candidate.
-    """
-    n_ranks = comb(n, r)
-    if not 0 <= size <= n_ranks:
-        raise OutOfRange(f"size {size} outside [0, C({n},{r})]")
-    by_complement = n_ranks - size < size
-    c = n_ranks - size if by_complement else size
-    count = comb(n_ranks, c)
-    if count > budget:
-        raise BudgetExceeded(count, budget)
-    for fixed, w in _classes(n, r, c):
-        tops = range(fixed[-1] + w if fixed else 0, n_ranks)  # unused when w = 0
-        hit = _scan_tops(n, r, k, w, by_complement, tops, want_saturated, fixed)
-        if hit is not None:
-            return hit
-    return None
-
-
 def _check_scan(n: int, r: int, k: int, jobs: int) -> None:
     """Refuse k < r, a negative n or r before any C(n, r) is taken, and a
-    job count outside 1..the CPU count.  The scans run in process whatever
-    the job count is."""
+    job count outside 1..the CPU count; nothing runs in parallel."""
     if k < r:
         raise InvalidK(k, r)
     if n < 0 or r < 0:
@@ -292,21 +192,56 @@ def _check_scan(n: int, r: int, k: int, jobs: int) -> None:
         raise OutOfRange(f"jobs {jobs} outside 1..{cpus}, the CPU count")
 
 
+def _sunflower(n: int, r: int, k: int, budget: int, mirrored: bool) -> list[int]:
+    """The ranks of the module docstring's sunflower, x -> n-1-x when
+    `mirrored`, checked in at most `budget` lookups.  Needs 1 <= r < k <= n+1."""
+    lookups = (n - k + 2) * comb(n - r, k - r)
+    if lookups > budget:
+        raise BudgetExceeded(lookups, budget, "closed-complement lookups")
+    petals = [(*range(r - 1), x) for x in range(r - 1, n - k + r + 1)]
+    if mirrored:
+        petals = [[n - 1 - v for v in t] for t in petals]
+    from .certify import closed_complement  # here: `close` and `verify-cert` never compile it
+
+    if not closed_complement(n, r, k, petals):
+        raise InternalConsistencyError(f"the sunflower at n={n} r={r} k={k} is not a closed complement")
+    return [rank(t, n) for t in petals]
+
+
 def exhaustive_size_check(
     n: int, r: int, k: int, size: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> UniformHypergraph | None:
     """A hypergraph of the given size that is not weakly saturated, or None.
 
-    None means every hypergraph with `size` edges on n vertices saturates.
-    The family returned is the first in class order.  Class r-1 fixes ranks
-    0 and 1 and is scanned first, so this is the colex-first counterexample
-    whenever that one holds ranks 0 and 1; it is equal to the colex-first on
-    every shape the tests check, but that is not proven in general.  `jobs`
-    must lie in 1..the CPU count and is otherwise ignored.
+    With no k-set to close (k > n + 1, or k > n at r = 0) only the complete
+    family saturates, and the family returned is the colex-first of the
+    smaller side: edges 0..size-1, or all but non-edges 0..C(n,r)-size-1.
+    Where C(k, r) = 1 every family saturates.  Otherwise the module
+    docstring's induction answers None from C(n,r) - n + k - 1 edges on;
+    below that the family is the sunflower's complement, the sunflower
+    relabeled x -> n-1-x when size <= C(n,r) - size, with its highest ranks
+    dropped down to `size`.  `budget` bounds the sunflower check's lookups,
+    and `check_budget` the C(n, r) bits of a family.  `jobs` must lie in
+    1..the CPU count and is otherwise ignored.
     """
     _check_scan(n, r, k, jobs)
-    hit = _scan_all(n, r, k, size, budget, want_saturated=False)
-    return None if hit is None else UniformHypergraph(n, r, hit)
+    n_ranks = comb(n, r)
+    if not 0 <= size <= n_ranks:
+        raise OutOfRange(f"size {size} outside [0, C({n},{r})]")
+    edges_side = size <= n_ranks - size
+    if k > n + 1 or (k > n and r == 0):  # nothing closes
+        if size == n_ranks:
+            return None
+        absent = range(0 if edges_side else n_ranks - size)
+    elif comb(k, r) == 1 or size >= n_ranks - n + k - 1:
+        return None
+    else:
+        absent = _sunflower(n, r, k, budget, mirrored=edges_side)
+    check_budget(n, r)
+    top = size  # the `size` least ranks outside `absent` are those below `top`
+    for t in sorted(absent):
+        top += t < top
+    return UniformHypergraph(n, r, (1 << top) - 1 & ~_bitset(absent, n_ranks))
 
 
 def _star_certificate(n: int, r: int, k: int) -> ClosureCertificate:

@@ -12,8 +12,15 @@ import linesat
 from linesat import certify
 from linesat.cli import main
 from linesat.errors import InternalConsistencyError
-from linesat.hypergraph import DEFAULT_BUDGET, UniformHypergraph
-from linesat.saturation import _scan_all, is_weakly_saturated, min_saturation_search
+from linesat.hypergraph import DEFAULT_BUDGET, UniformHypergraph, complement
+from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
+from linesat.saturation import (
+    exhaustive_size_check,
+    is_weakly_saturated,
+    min_saturation_search,
+    weak_saturation_closure,
+)
+from scan_oracle import _scan_all
 
 P = certify.P
 
@@ -237,3 +244,102 @@ def test_certify_loads_with_the_engines_blocked():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "31 ['linesat.certify']\n"
+
+
+# --- closed complements ----------------------------------------------------------------
+
+
+def sunflower(n, r, k, mirrored=False):
+    """The petals {0..r-2} + {x}, x outside the core and the top k-r-1
+    points, each vertex v taken to n-1-v when mirrored."""
+    petals = [(*range(r - 1), x) for x in range(r - 1, n - k + r + 1)]
+    return [tuple(n - 1 - v for v in t) if mirrored else t for t in petals]
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["core-low", "core-high"])
+@pytest.mark.parametrize("n, r, k", shapes(9))
+def test_sunflower_is_a_closed_complement(n, r, k, mirrored):
+    petals = sunflower(n, r, k, mirrored)
+    assert len(petals) == n - k + 2
+    assert certify.closed_complement(n, r, k, petals)
+    assert not is_weakly_saturated(complement(UniformHypergraph.from_edges(n, r, petals)), k)
+
+
+def _petal_into_d(n, r, k):
+    # its point joins the left-out set, which then fills a k-set with the core
+    return sunflower(n, r, k)[:-1]
+
+
+def _extra_alone(n, r, k):
+    # the top r points avoid the core, so a k-set of them and petal points
+    # without the core meets this member alone
+    return [*sunflower(n, r, k), tuple(range(n - r, n))]
+
+
+def _duplicate(n, r, k):
+    petals = sunflower(n, r, k)
+    return [*petals, petals[0]]
+
+
+def _out_of_range(n, r, k):
+    return [*sunflower(n, r, k)[:-1], (*range(r - 1), n)]
+
+
+def _empty(n, r, k):
+    return []
+
+
+SUNFLOWER_MUTANTS = {
+    "petal-into-D": _petal_into_d,
+    "extra-member-met-alone": _extra_alone,
+    "duplicate-member": _duplicate,
+    "out-of-range-vertex": _out_of_range,
+    "empty": _empty,
+}
+
+
+@pytest.mark.parametrize("mutate", SUNFLOWER_MUTANTS.values(), ids=SUNFLOWER_MUTANTS)
+@pytest.mark.parametrize("n, r, k", [(9, 3, 6), (8, 2, 4), (7, 3, 5), (10, 4, 6)])
+def test_mutant_sunflowers_are_rejected(n, r, k, mutate):
+    assert not certify.closed_complement(n, r, k, mutate(n, r, k))
+
+
+def _seeded_stuck_families(count=40):
+    """(n, family) of seeded (3, 6) families on 6..12 points that do not saturate."""
+    rng = random.Random(29)
+    found = []
+    while len(found) < count:
+        n = rng.randint(6, 12)
+        ranks = rng.sample(range(comb(n, 3)), rng.randint(comb(n, 3) // 2, comb(n, 3) - 1))
+        h = UniformHypergraph(n, 3, sum(1 << t for t in ranks))
+        if not is_weakly_saturated(h, 6):
+            found.append((n, h))
+    return found
+
+
+def test_closure_complements_are_closed_complements():
+    for n, h in _seeded_stuck_families():
+        rest = complement(weak_saturation_closure(h, 6).closure).edge_list()
+        assert certify.closed_complement(n, 3, 6, rest), (n, h.edges)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_closed_complement_with_a_member_dropped_is_rejected(n):
+    # theta(n)'s n-4 nondegenerate triangles {0, 1, i}, i >= 4, are its
+    # closure's complement, a sunflower leaving out 2 and 3; without
+    # {0, 1, 4}, the 6-set {0..5} meets the rest in {0, 1, 5} alone
+    h = degenerate_hypergraph(graph_metric(theta_graph(n)))
+    rest = complement(weak_saturation_closure(h, 6).closure).edge_list()
+    assert certify.closed_complement(n, 3, 6, rest)
+    assert not certify.closed_complement(n, 3, 6, rest[1:])
+
+
+def test_failed_sunflower_check_makes_the_size_check_raise(monkeypatch, capsys):
+    monkeypatch.setattr(certify, "closed_complement", lambda n, r, k, members: False)
+    with pytest.raises(InternalConsistencyError):
+        exhaustive_size_check(8, 3, 6, 52)
+    assert exhaustive_size_check(8, 3, 6, 53) is None  # the induction checks nothing
+    assert main(["sweep", "theorem2", "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sunflower at n=8 r=3 k=6 is not a closed complement\n"

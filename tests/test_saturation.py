@@ -24,13 +24,10 @@ from linesat.io import dumps_certificate
 from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
 from linesat.saturation import (
     ClosureCertificate,
-    _classes,
     _close_mask,
     _containing,
     _kmasks,
     _replays_to_complete,
-    _scan_all,
-    _scan_tops,
     _star_certificate,
     exhaustive_size_check,
     is_weakly_saturated,
@@ -38,6 +35,7 @@ from linesat.saturation import (
     verify_certificate,
     weak_saturation_closure,
 )
+from scan_oracle import _classes, _scan_all, _scan_tops
 
 
 def nineteen(missing_rank=19):
@@ -405,7 +403,8 @@ def test_all_115_edge_sets_on_ten_saturate():
 
 
 def test_some_114_edge_set_on_ten_fails():
-    # the colex-first of the C(120, 6) families of 6 non-edges that fails
+    # the sunflower's complement, the colex-first of the C(120, 6) families
+    # of 6 non-edges that fails
     found = exhaustive_size_check(10, 3, 6, 114, budget=4 * 10**9)
     non_edges = [t for t in range(120) if not found.edges >> t & 1]
     assert rank(non_edges, 120) == 1_638_878
@@ -425,9 +424,16 @@ def test_pair_bound_r2_k4():
 
 
 def test_budget_exceeded_reports_requirement():
+    # the sunflower check looks up |S| * C(n-3, 3) 6-sets: 50 * C(51, 3) at n = 54
+    bound = comb(54, 3) - 54 + 5
     with pytest.raises(BudgetExceeded) as err:
-        exhaustive_size_check(8, 3, 6, 28, budget=10**4)
-    assert err.value.required == comb(comb(8, 3), 28)
+        exhaustive_size_check(54, 3, 6, bound - 1)
+    assert err.value.required == 1_041_250
+    assert "closed-complement lookups" in str(err.value)
+    assert exhaustive_size_check(54, 3, 6, bound) is None  # the induction looks nothing up
+    with pytest.raises(BudgetExceeded) as err:
+        exhaustive_size_check(8, 3, 6, 28, budget=10)
+    assert err.value.required == 4 * comb(5, 3)
 
 
 def test_parallel_scan_matches_sequential():
@@ -509,15 +515,22 @@ def test_scan_matches_enumeration_oracle(n, r, k, limit):
     "n, r, k", [(4, 2, 3), (5, 2, 3), (6, 2, 4), (6, 3, 5), (6, 3, 4), (7, 2, 5), (6, 3, 6), (7, 3, 6)]
 )
 def test_size_check_matches_enumeration_oracle(n, r, k):
-    # the colex-first unsaturated family, or None, for every size with at
-    # most 20,000 candidates
+    # an unsaturated family of the size exactly when the enumeration has
+    # one, for every size with at most 20,000 candidates, and one edge
+    # below the bound the scan's family wherever the default budget admits
     n_ranks = comb(n, r)
+    below = n_ranks - n + k - 2
     for size in range(n_ranks + 1):
         if comb(n_ranks, min(size, n_ranks - size)) > 20000:
             continue
         expected = enumeration_oracle(n, r, k, size).get(False)
         found = exhaustive_size_check(n, r, k, size)
-        assert (None if found is None else found.edges) == expected, (n, r, k, size)
+        assert (found is None) == (expected is None), (n, r, k, size)
+        if found is not None:
+            assert found.edge_count == size and not is_weakly_saturated(found, k), (n, r, k, size)
+    if comb(n_ranks, min(below, n_ranks - below)) <= DEFAULT_BUDGET:
+        scanned = _scan_all(n, r, k, below, DEFAULT_BUDGET, False)
+        assert exhaustive_size_check(n, r, k, below).edges == scanned, (n, r, k)
 
 
 @pytest.mark.parametrize(
@@ -525,10 +538,10 @@ def test_size_check_matches_enumeration_oracle(n, r, k):
     [pytest.param(8, 20000, 223, id="small"), pytest.param(9, 300000, 400, id="all", marks=pytest.mark.slow)],
 )
 def test_size_check_agrees_with_the_colex_walk(n_max, limit, sizes):
-    # The size check returns the first unsaturated family in class order,
-    # and the colex walk the colex-first; they are the same family on every
-    # shape 4 <= n <= n_max, r in (2, 3), r < k <= n and every size with at
-    # most `limit` candidates.  `sizes` of them have one.
+    # The size check finds an unsaturated family exactly when the colex
+    # walk does, on every shape 4 <= n <= n_max, r in (2, 3), r < k <= n
+    # and every size with at most `limit` candidates; `sizes` of them have
+    # one.  One edge below the bound it is the colex-first.
     hits = 0
     for n in range(4, n_max + 1):
         for r in (2, 3):
@@ -541,9 +554,35 @@ def test_size_check_agrees_with_the_colex_walk(n_max, limit, sizes):
                         continue
                     found = exhaustive_size_check(n, r, k, size, budget=limit)
                     colex = _scan_tops(n, r, k, c, by_complement, range(c - 1, n_ranks), False, ())
-                    assert (None if found is None else found.edges) == colex, (n, r, k, size)
+                    assert (found is None) == (colex is None), (n, r, k, size)
+                    if found is not None:
+                        assert found.edge_count == size and not is_weakly_saturated(found, k)
+                        if size == n_ranks - n + k - 2:
+                            assert found.edges == colex, (n, r, k, size)
                     hits += colex is not None
     assert hits == sizes
+
+
+def test_size_check_gives_the_scans_family_at_both_theorem2_sizes():
+    # At the bound and one edge below, on every shape n <= 9 whose bound
+    # lies in 1..C(n, r) and whose scans the default budget admits, the
+    # answer is the class scan's: None, then the same family.
+    shapes = 0
+    for n in range(10):
+        for r in range(n + 1):
+            n_ranks = comb(n, r)
+            for k in range(r, n + 3):
+                bound = n_ranks - n + k - 1
+                if not 1 <= bound <= n_ranks:
+                    continue
+                if comb(n_ranks, min(bound - 1, n_ranks - bound + 1)) > DEFAULT_BUDGET:
+                    continue
+                for size in (bound, bound - 1):
+                    found = exhaustive_size_check(n, r, k, size)
+                    scanned = _scan_all(n, r, k, size, DEFAULT_BUDGET, False)
+                    assert (None if found is None else found.edges) == scanned, (n, r, k, size)
+                shapes += 1
+    assert shapes == 176
 
 
 def test_scan_of_each_top_matches_enumeration_oracle():
@@ -570,40 +609,48 @@ def test_scan_of_each_top_matches_enumeration_oracle():
                             assert _scan_tops(*args) == first.get((top, want)), (n, r, k, size, top, want)
 
 
+def counting_closures(monkeypatch, module):
+    """The list that each `_close_mask` call through `module` appends to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _close_mask(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_close_mask", counted)
+    return calls
+
+
 def test_closure_bound_scan_skips_leaves_that_close_like_their_prefix(monkeypatch):
     # Every 53-edge family on 8 points saturates.  Closing each of the
     # 27,720 candidates took 27,720 closures; deciding a leaf whose
     # removed triple comes straight back from its prefix family's
-    # closure leaves 1,485.
-    from linesat import saturation
+    # closure leaves 1,485 in the colex walk over every family.
+    import scan_oracle
 
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _close_mask(*args, **kwargs)
-
-    monkeypatch.setattr(saturation, "_close_mask", counted)
-    assert exhaustive_size_check(8, 3, 6, 53) is None
+    calls = counting_closures(monkeypatch, scan_oracle)
+    assert _scan_tops(8, 3, 6, 3, True, range(2, 56), False, ()) is None
     assert len(calls) <= 2000
 
 
 def test_size_bound_closes_only_the_relabeling_classes(monkeypatch):
-    # the full scans ran 1,485 and 91,881 closures
+    # The size check answers from the induction and the sunflower check and
+    # closes nothing.  The class scan closes few: the full scans ran 1,485
+    # and 91,881 closures.
+    import scan_oracle
     from linesat import saturation
 
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _close_mask(*args, **kwargs)
-
-    monkeypatch.setattr(saturation, "_close_mask", counted)
-    assert exhaustive_size_check(8, 3, 6, 53) is None
-    assert len(calls) <= 10
-    calls.clear()
-    assert exhaustive_size_check(9, 3, 6, 80, budget=2_000_000) is None
-    assert len(calls) <= 300
+    closed = counting_closures(monkeypatch, saturation)
+    scanned = counting_closures(monkeypatch, scan_oracle)
+    for size in (53, 52):
+        exhaustive_size_check(8, 3, 6, size)
+    exhaustive_size_check(9, 3, 6, 80, budget=2_000_000)
+    assert closed == []
+    assert _scan_all(8, 3, 6, 53, DEFAULT_BUDGET, False) is None
+    assert len(scanned) <= 10
+    scanned.clear()
+    assert _scan_all(9, 3, 6, 80, 2_000_000, False) is None
+    assert len(scanned) <= 300
 
 
 def test_every_rank_set_relabels_into_a_scanned_class():
@@ -698,12 +745,13 @@ def test_scan_of_each_class_top_matches_enumeration_oracle():
     "n, r, k, size, want, jobs2", [(7, 3, 6, 30, True, True), (8, 3, 6, 53, False, False)]
 )
 def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size, want, jobs2):
-    # With nothing to find, each class's tops are scanned once, in process,
-    # at jobs=2 as at jobs=1: no 30-edge family saturates at (7,3,6), a size
-    # min-sat settles by its rank certificate and so is scanned here
-    # directly, as the tests' oracle, and size(8,3,6,53) finds no
-    # unsaturated family.  Only the scans of `size` itself, whose candidates
-    # hold c ranks, are compared.
+    # With nothing to find, the oracle scans each class's tops once: no
+    # 30-edge family saturates at (7,3,6), a size min-sat settles by its
+    # rank certificate, and no 53-edge family at (8,3,6) fails, a size the
+    # size check settles by its induction, with no closure at jobs=1 or 2.
+    # Only the scans of `size` itself, whose candidates hold c ranks, are
+    # compared.
+    import scan_oracle
     from linesat import saturation
 
     scanned = []
@@ -712,12 +760,12 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
         scanned.append(args)
         return _scan_tops(*args)
 
-    monkeypatch.setattr(saturation, "_scan_tops", spied)
-    jobs = 2 if jobs2 else 1
-    if want:
-        assert _scan_all(n, r, k, size, DEFAULT_BUDGET, True) is None
-    else:
-        assert exhaustive_size_check(n, r, k, size, jobs=jobs) is None
+    monkeypatch.setattr(scan_oracle, "_scan_tops", spied)
+    assert _scan_all(n, r, k, size, DEFAULT_BUDGET, want) is None
+    if not want:
+        closed = counting_closures(monkeypatch, saturation)
+        assert exhaustive_size_check(n, r, k, size, jobs=2 if jobs2 else 1) is None
+        assert closed == []
     n_ranks = comb(n, r)
     c = min(size, n_ranks - size)
     tops = [(args[7], args[3], list(args[5])) for args in scanned if len(args[7]) + args[3] == c]

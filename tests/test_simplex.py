@@ -165,6 +165,18 @@ def test_degenerate_ties_terminate():
     assert max_slack(rows * 3, rhs * 3) == (half, (half, half))
 
 
+def test_ratio_tie_between_structural_rows_keeps_the_least_index(monkeypatch):
+    # 2*y1 + y2 >= 2t - 1, y1 + t <= 1, y0 + y1 + y2 >= t.  At the fourth
+    # pivot y2 enters and the basic y0 and y1 reach 0 together; Bland's rule
+    # takes out y0, the lesser index, as the dense tableau does.  Keeping
+    # the later of the tied rows would take out y1 and end one pivot sooner.
+    rows, rhs = [[0, 2, 1, -2], [0, -1, 0, -1], [1, 1, 1, -1]], [-1, -1, 0]
+    calls = recorded_pivots(monkeypatch)
+    assert max_slack(rows, rhs) == (1, (0, 0, 1, 1))
+    assert calls == [(3, 6), (0, 4), (1, 5), (2, 0), (6, 1)]
+    assert full_tableau_max_slack(rows, rhs) == ((1, (0, 0, 1, 1)), calls)
+
+
 def test_tableau_holds_only_ints(monkeypatch):
     real_exchange = simplex._exchange
     calls = []
