@@ -69,7 +69,10 @@ def closed_complement(n: int, r: int, k: int, members) -> bool:
     """Whether `members` are distinct r-subsets of 0..n-1, at least one, and
     every k-set holding one holds another: then no closure step adds a
     member, so the family of the other r-sets does not saturate.  Checks
-    |members| * C(n-r, k-r) k-sets against the members' vertex bitmasks."""
+    |members| * C(n-r, k-r) k-sets, u plus extra vertices E for each member
+    u: another member v lies inside exactly when its remainder v - u does
+    in E.  One-vertex remainders are ORed into one mask that E meets, and
+    only the larger ones are tested one by one, all as vertex bitmasks."""
     masks = []
     for t in members:
         if len(t) != r or len(set(t)) != r or not all(0 <= v < n for v in t):
@@ -78,10 +81,16 @@ def closed_complement(n: int, r: int, k: int, members) -> bool:
     if not masks or len(set(masks)) != len(masks):
         return False
     for u in masks:
-        others = [v for v in masks if v != u]
+        single, larger = 0, set()  # u's own remainder is empty and adds nothing
+        for v in masks:
+            rest = v & ~u
+            if rest & (rest - 1):
+                larger.add(rest)
+            else:
+                single |= rest
         outside = [1 << x for x in range(n) if not u >> x & 1]
         for extra in combinations(outside, k - r):
-            s = u | sum(extra)
-            if not any(v & s == v for v in others):
+            e = sum(extra)
+            if not e & single and not any(rest & e == rest for rest in larger):
                 return False
     return True

@@ -14,7 +14,7 @@ from .errors import BudgetExceeded, OutOfRange, TooFewVertices
 
 DEFAULT_BUDGET = 10**6
 TABLE_BITS = 2**32  # closure tables: C(n, k) k-subset masks of C(n, r) bits
-TABLE_ENTRIES = 2 * 10**7  # and C(n, k) * C(k, r) reverse-index entries
+TABLE_ENTRIES = 2 * 10**7  # and C(n, k) * C(k, r) entries: the builder's masks, the tests' reverse index
 DEFAULT_CEILING = 6  # vertex limit of a realizability search unless raised
 
 

@@ -6,14 +6,13 @@ regardless of processing order.  The certificate records the order of
 additions one run took; it is deterministic (the same input gives the same
 steps) and a verifier can replay it step by step.
 
-One loop computes every closure.  It keeps a per-k-subset count of present
-r-subsets and updates the C(n-r, k-r) affected counts on every insertion,
-so closures on desk-scale inputs (n around 12) run in milliseconds instead
-of rescanning all k-subsets after each step.  Its tables are built without
-ranking: `hypergraph._kmasks` gives each k-subset's r-subset mask, and the
-reverse index (the k-subsets containing each r-subset) is read off those
-masks only when some k-subset lacks exactly one r-subset, so an input that
-is already closed costs one count per k-subset.
+One loop computes every closure.  It passes over the k-subsets in colex
+order, counting each one's present r-subsets in its mask from
+`hypergraph._kmasks`, and adds the missing r-subset of each k-subset that
+lacks exactly one, at once, so later k-subsets in the pass see it.  It
+repeats until a pass adds nothing; an input that is already closed costs
+one pass, one count per k-subset.  The certificate's steps come in pass
+order, and within a pass in colex order of their witnesses.
 
 The size bound C(n, r) - n + k - 1 (1 <= r < k <= n) needs no scan.  A
 family fails to saturate exactly when the complement S of its closure is
@@ -45,7 +44,6 @@ checks a rank bound that no smaller family passes.
 """
 
 import os
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -82,59 +80,20 @@ class ClosureResult(Record):
     certificate: ClosureCertificate
 
 
-@lru_cache(maxsize=8)
-def _containing(n: int, r: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The reverse index: the k-subsets containing each r-subset, ascending.
-
-    A closure reads it only once it can take a step.
-    """
-    containing = [[] for _ in range(comb(n, r))]
-    for j, m in enumerate(_kmasks(n, r, k)):
-        while m:
-            low = m & -m
-            containing[low.bit_length() - 1].append(j)
-            m ^= low
-    return tuple(map(tuple, containing))
-
-
-def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None, counts=None) -> int:
-    """Closure of a bitset.  When `steps` is a list, each addition is
-    appended to it as (rank of the added r-subset, witness k-subset index).
-    `counts`, when given, holds each k-subset's number of r-subsets in
-    `mask` and is updated in place.
-    """
-    if counts is None:
-        counts = [(mask & km).bit_count() for km in kmasks]
-    if threshold not in counts:  # nothing can be added
-        return mask
-    # Counts only grow, so each k-subset reaches the threshold at most once
-    # and is pushed at most once; an entry that has since filled is skipped.
-    stack = [j for j, c in enumerate(counts) if c == threshold]
-    while stack:
-        j = stack.pop()
-        if counts[j] != threshold:
-            continue
-        t_bit = kmasks[j] & ~mask
-        mask |= t_bit
-        t_rank = t_bit.bit_length() - 1
-        if steps is not None:
-            steps.append((t_rank, j))
-        for j2 in containing[t_rank]:
-            counts[j2] += 1
-            if counts[j2] == threshold:
-                stack.append(j2)
-    return mask
-
-
 def _close(h: UniformHypergraph, k: int, steps=None) -> int:
-    """Closure mask of h.  An input where no k-subset lacks exactly one
-    r-subset is returned at once, without building the reverse index."""
-    n, r = h.n, h.r
-    kmasks, threshold = _kmasks(n, r, k), comb(k, r) - 1
-    counts = [(h.edges & km).bit_count() for km in kmasks]
-    if threshold not in counts:
-        return h.edges
-    return _close_mask(h.edges, kmasks, _containing(n, r, k), threshold, steps, counts)
+    """Closure mask of h.  When `steps` is a list, each addition is appended
+    to it as (rank of the added r-subset, witness k-subset index)."""
+    kmasks, threshold = _kmasks(h.n, h.r, k), comb(k, h.r) - 1
+    mask, before = h.edges, None
+    while mask != before:  # each pass but the last adds an r-subset
+        before = mask
+        for j, km in enumerate(kmasks):
+            if (mask & km).bit_count() == threshold:
+                t_bit = km & ~mask
+                mask |= t_bit
+                if steps is not None:
+                    steps.append((t_bit.bit_length() - 1, j))
+    return mask
 
 
 def weak_saturation_closure(h: UniformHypergraph, k: int) -> ClosureResult:

@@ -21,13 +21,62 @@ two of them meeting in the most points, i, become rank 0 = {0..r-1} and
 b_i = {0..i-1} + {r..2r-i-1}: every r-set before b_i in colex order meets
 {0..r-1} in more than i points, so every other chosen rank lies above b_i,
 and one class per i is scanned, the largest i first.
+
+The walk closes with carried counts: `_close_mask` keeps each k-subset's
+count of present r-subsets and moves the counts of the k-subsets that
+`_containing`, the reverse index, lists for each rank it adds or removes.
+`linesat` closes by passes over the k-subset masks and builds no such index.
 """
 
+from functools import lru_cache
 from math import comb
 
 from linesat.errors import BudgetExceeded, OutOfRange
 from linesat.hypergraph import _kmasks, full_edge_mask, rank
-from linesat.saturation import _close_mask, _containing
+
+
+@lru_cache(maxsize=8)
+def _containing(n: int, r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The reverse index: the k-subsets containing each r-subset, ascending.
+
+    A closure reads it only once it can take a step.
+    """
+    containing = [[] for _ in range(comb(n, r))]
+    for j, m in enumerate(_kmasks(n, r, k)):
+        while m:
+            low = m & -m
+            containing[low.bit_length() - 1].append(j)
+            m ^= low
+    return tuple(map(tuple, containing))
+
+
+def _close_mask(mask: int, kmasks, containing, threshold: int, steps=None, counts=None) -> int:
+    """Closure of a bitset.  When `steps` is a list, each addition is
+    appended to it as (rank of the added r-subset, witness k-subset index).
+    `counts`, when given, holds each k-subset's number of r-subsets in
+    `mask` and is updated in place.
+    """
+    if counts is None:
+        counts = [(mask & km).bit_count() for km in kmasks]
+    if threshold not in counts:  # nothing can be added
+        return mask
+    # Counts only grow, so each k-subset reaches the threshold at most once
+    # and is pushed at most once; an entry that has since filled is skipped.
+    stack = [j for j, c in enumerate(counts) if c == threshold]
+    while stack:
+        j = stack.pop()
+        if counts[j] != threshold:
+            continue
+        t_bit = kmasks[j] & ~mask
+        mask |= t_bit
+        t_rank = t_bit.bit_length() - 1
+        if steps is not None:
+            steps.append((t_rank, j))
+        for j2 in containing[t_rank]:
+            counts[j2] += 1
+            if counts[j2] == threshold:
+                stack.append(j2)
+    return mask
 
 
 def _scan_tops(n, r, k, c, by_complement, tops, want_saturated, fixed):

@@ -323,6 +323,51 @@ def test_closure_complements_are_closed_complements():
         assert certify.closed_complement(n, 3, 6, rest), (n, h.edges)
 
 
+def all_members_loop(n, r, k, members):
+    """The closed-complement check tested member by member: every k-set
+    around each member against every other member in turn."""
+    masks = [sum(1 << v for v in t) for t in members]
+    for u in masks:
+        others = [v for v in masks if v != u]
+        outside = [1 << x for x in range(n) if not u >> x & 1]
+        for extra in combinations(outside, k - r):
+            s = u | sum(extra)
+            if not any(v & s == v for v in others):
+                return False
+    return True
+
+
+def test_closed_complement_matches_the_all_members_loop():
+    # Seeded member sets at n <= 9 and r = 1..3: closure complements, which
+    # are closed, and random sets, mostly not.  The sets must include ones
+    # where two members leave the same one vertex outside a third and ones
+    # where a member leaves more than one.
+    rng = random.Random(41)
+    seen = set()
+    for i in range(400):
+        n = rng.randint(3, 9)
+        r = rng.randint(1, min(3, n - 1))
+        k = rng.randint(r + 1, n)
+        everything = list(combinations(range(n), r))
+        if i % 2:
+            h = UniformHypergraph.from_edges(n, r, rng.sample(everything, rng.randint(0, len(everything))))
+            members = complement(weak_saturation_closure(h, k).closure).edge_list()
+            if not members:
+                continue
+        else:
+            members = rng.sample(everything, rng.randint(1, min(len(everything), 2 * n)))
+        verdict = certify.closed_complement(n, r, k, members)
+        assert verdict == all_members_loop(n, r, k, members), (n, r, k, members)
+        seen.add(verdict)
+        for u in map(set, members):
+            rests = [frozenset(v) - u for v in members if set(v) != u]
+            if any(len(rest) > 1 for rest in rests):
+                seen.add("larger remainder")
+            if any(rests.count(rest) > 1 for rest in rests if len(rest) == 1):
+                seen.add("repeated remainder")
+    assert seen == {True, False, "larger remainder", "repeated remainder"}
+
+
 @pytest.mark.parametrize("n", [8, 10, 12])
 def test_closed_complement_with_a_member_dropped_is_rejected(n):
     # theta(n)'s n-4 nondegenerate triangles {0, 1, i}, i >= 4, are its

@@ -871,18 +871,21 @@ def _one_edge(n, r=3):
         (["close", "--k", "4"], _one_edge(50), "bits for 4-subsets of 50 vertices"),
         (["saturated", "--k", "2"], _one_edge(363, 2), "bits for 2-subsets of 363 vertices"),
         (["close", "--k", "9"], _one_edge(21), "entries for 9-subsets of 21 vertices"),
+        (["saturated", "--k", "12"], _one_edge(19, 8), "entries for 12-subsets of 19 vertices"),
         (["sweep", "min-sat", "--n", "140", "--k", "3"], "", None),
         (["realize", "--ceiling", "40"], '{"n":32,"r":3,"edges":[]}',
          "bits for 6-subsets of 32 vertices"),
     ],
-    ids=["k3-n140", "k3-n75", "k4-n50", "r2-k2-n363", "k9-n21", "min-sat-n140", "realize-n32"],
+    ids=["k3-n140", "k3-n75", "k4-n50", "r2-k2-n363", "k9-n21", "r8-k12-n19", "min-sat-n140", "realize-n32"],
 )
 def test_oversized_closure_tables_exit_2_promptly(argv, stdin_text, table):
-    # Each count is under the budget, but the k-subset masks or the reverse
-    # index would not be: the child's address space is capped at 512 MiB,
-    # so a table built anyway fails with MemoryError instead of filling the
-    # machine, and its error line names no table budget.  min-sat at k = r
-    # builds no table: the empty family saturates, and it answers 0.
+    # Each count is under the budget, but the k-subset masks or their
+    # C(n,k)*C(k,r) entries would not be: the entries bound caps the mask
+    # builder's intermediate masks, which at r=8, k=12, n=19 would not fit
+    # under the child's 512 MiB address space although the final masks'
+    # bits are under their bound.  A table built anyway fails with a bare
+    # MemoryError line naming no table budget.  min-sat at k = r builds no
+    # table: the empty family saturates, and it answers 0.
     import resource
 
     cap = 512 << 20

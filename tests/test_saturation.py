@@ -24,8 +24,6 @@ from linesat.io import dumps_certificate
 from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
 from linesat.saturation import (
     ClosureCertificate,
-    _close_mask,
-    _containing,
     _kmasks,
     _replays_to_complete,
     _star_certificate,
@@ -35,7 +33,7 @@ from linesat.saturation import (
     verify_certificate,
     weak_saturation_closure,
 )
-from scan_oracle import _classes, _scan_all, _scan_tops
+from scan_oracle import _classes, _close_mask, _containing, _scan_all, _scan_tops
 
 
 def nineteen(missing_rank=19):
@@ -131,13 +129,12 @@ def test_tables_match_rank_oracle_on_every_small_shape():
 
 
 def test_closed_input_never_builds_the_reverse_index():
+    # the closure passes over the k-subset masks alone: a closed input
+    # takes no step, and the star takes steps from the same tables
     theta = degenerate_hypergraph(graph_metric(theta_graph(16)))
-    _containing.cache_clear()
     assert weak_saturation_closure(theta, 6).certificate.steps == ()
     assert not is_weakly_saturated(theta, 6)
-    assert _containing.cache_info().currsize == 0
     assert weak_saturation_closure(star_construction(16), 6).certificate.steps
-    assert _containing.cache_info().currsize == 1
 
 
 def test_deep_tables_need_no_recursion():
@@ -157,13 +154,14 @@ def test_deep_tables_need_no_recursion():
         (
             star_construction(16),
             286,
-            "22d2ab6779867649a8285763cb215e7d7b55fd2bc6883a538dcd9c1fd42d22a3",
+            "e6683aa9be41f66a877f66424718335e8fba9335958e6640235302f0cf83213c",
         ),
     ],
     ids=["theta16", "star16"],
 )
 def test_certificates_are_pinned(h, steps, digest):
-    # The step order follows the tables' order, so these bytes pin both.
+    # The steps come in the closure's colex passes over the k-subsets,
+    # so these bytes pin the tables' order and the pass order both.
     cert = weak_saturation_closure(h, 6).certificate
     assert len(cert.steps) == steps
     assert hashlib.sha256(dumps_certificate(cert).encode()).hexdigest() == digest
@@ -309,17 +307,45 @@ def test_relabeled_certificates_still_replay():
         assert result.closure.edges == relabel(closure, perm).edges
 
 
+def adding_passes(cert):
+    """How many closure passes added r-sets: a pass takes its steps in
+    ascending order of their witness k-sets' ranks, so each later pass
+    starts where that rank falls."""
+    ranks = [rank(s, cert.base.n) for _, s in cert.steps]
+    return len(ranks) and 1 + sum(b < a for a, b in zip(ranks, ranks[1:]))
+
+
 def test_closure_matches_rescan_oracle():
+    # against a rescan to a fixpoint and the scan oracle's carried-count
+    # closure: the same closure, one step per added r-set, and a replay.
+    # r = 1, r = 0, k = r, k > n and (3, 6) up to n = 12; then a relabeled
+    # 20-vertex path, which the passes close only in three that add.
     rng = random.Random(5)
-    for n, r, k in ((7, 3, 6), (8, 3, 6), (7, 3, 5), (7, 2, 4)):
+    shapes = [(7, 3, 6), (8, 3, 6), (7, 3, 5), (7, 2, 4), (8, 1, 3), (6, 1, 1), (6, 0, 2)]
+    shapes += [(6, 0, 0), (7, 2, 2), (6, 3, 3), (5, 3, 6), (4, 2, 6), *((n, 3, 6) for n in range(6, 13))]
+
+    def check(h, k):
+        result = weak_saturation_closure(h, k)
+        assert set(result.closure.edge_list()) == rescan_closure(h, k)
+        added = result.closure.edge_count - h.edge_count
+        assert len(result.certificate.steps) == added
+        assert verify_certificate(result.certificate)
+        n, r, oracle_steps = h.n, h.r, []
+        kmasks, containing = _kmasks(n, r, k), _containing(n, r, k)
+        closed = _close_mask(h.edges, kmasks, containing, comb(k, r) - 1, oracle_steps)
+        assert closed == result.closure.edges and len(oracle_steps) == added
+        return result
+
+    for n, r, k in shapes:
         for _ in range(10):
             size = comb(n, r)
-            h = random_hypergraph(n, r, rng.randint(size // 2, size - 1), rng)
-            result = weak_saturation_closure(h, k)
-            assert set(result.closure.edge_list()) == rescan_closure(h, k)
-            added = result.closure.edge_count - h.edge_count
-            assert len(result.certificate.steps) == added
-            assert verify_certificate(result.certificate)
+            check(random_hypergraph(n, r, rng.randint(size // 2, size - 1), rng), k)
+    perm = list(range(20))
+    random.Random(0).shuffle(perm)
+    path = UniformHypergraph.from_edges(20, 2, ((perm[v], perm[v + 1]) for v in range(19)))
+    result = check(path, 3)
+    assert result.closure.is_complete()
+    assert adding_passes(result.certificate) == 3
 
 
 @given(st.integers(0, 2**35 - 1), st.integers(0, 2**35 - 1))
@@ -609,15 +635,15 @@ def test_scan_of_each_top_matches_enumeration_oracle():
                             assert _scan_tops(*args) == first.get((top, want)), (n, r, k, size, top, want)
 
 
-def counting_closures(monkeypatch, module):
-    """The list that each `_close_mask` call through `module` appends to."""
-    calls = []
+def counting_closures(monkeypatch, module, name="_close_mask"):
+    """The list that each call of `module`'s closure `name` appends to."""
+    calls, closure = [], getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return _close_mask(*args, **kwargs)
+        return closure(*args, **kwargs)
 
-    monkeypatch.setattr(module, "_close_mask", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -640,7 +666,7 @@ def test_size_bound_closes_only_the_relabeling_classes(monkeypatch):
     import scan_oracle
     from linesat import saturation
 
-    closed = counting_closures(monkeypatch, saturation)
+    closed = counting_closures(monkeypatch, saturation, "_close")
     scanned = counting_closures(monkeypatch, scan_oracle)
     for size in (53, 52):
         exhaustive_size_check(8, 3, 6, size)
@@ -763,7 +789,7 @@ def test_fruitless_parallel_scan_takes_each_top_once(monkeypatch, n, r, k, size,
     monkeypatch.setattr(scan_oracle, "_scan_tops", spied)
     assert _scan_all(n, r, k, size, DEFAULT_BUDGET, want) is None
     if not want:
-        closed = counting_closures(monkeypatch, saturation)
+        closed = counting_closures(monkeypatch, saturation, "_close")
         assert exhaustive_size_check(n, r, k, size, jobs=2 if jobs2 else 1) is None
         assert closed == []
     n_ranks = comb(n, r)
@@ -776,13 +802,7 @@ def test_min_saturation_at_seven_scans_one_class_per_overlap(monkeypatch):
     # both sides are certified, so no size is scanned and no closure runs
     from linesat import saturation
 
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _close_mask(*args, **kwargs)
-
-    monkeypatch.setattr(saturation, "_close_mask", counted)
+    calls = counting_closures(monkeypatch, saturation, "_close")
     assert min_saturation_search(7, 3, 6) == 31
     assert len(calls) == 0
 
