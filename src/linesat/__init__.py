@@ -18,9 +18,8 @@ _HOME = {
         "hypergraph": "UniformHypergraph complement complete_hypergraph delete_vertex rank "
         "star_construction unrank",
         "lines": "anchor_via_closure check_order reconstruct_line verify_non_anchor_witness",
-        "metric": "DistanceMatrix Graph betweenness check_menger degenerate_hypergraph "
-        "four_cycle_metric graph_metric line_metric middle_of random_rational_metric "
-        "theta_graph validate_metric",
+        "metric": "DistanceMatrix Graph betweenness degenerate_hypergraph four_cycle_metric "
+        "graph_metric line_metric middle_of random_rational_metric theta_graph validate_metric",
         "realizability": "MiddleAssignment RealizabilityVerdict is_metric_hypergraph "
         "lp_max_slack minimal_nonmetric_audit nineteen_edge_hypergraph propagate",
         "saturation": "ClosureCertificate ClosureResult exhaustive_size_check "

@@ -272,30 +272,6 @@ def _sweep_min_sat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_menger(args: argparse.Namespace) -> int:
-    import random
-
-    from .hypergraph import DEFAULT_BUDGET
-    from .metric import check_menger, random_rational_metric
-
-    if args.count < 1:
-        raise OutOfRange(f"--count must be at least 1, got {args.count}")
-    if args.n_max < 3:
-        raise OutOfRange(f"--n-max must be at least 3, got {args.n_max}")
-    triangles = args.count * comb(args.n_max, 3)  # the most the sweep may decide
-    if triangles > DEFAULT_BUDGET:
-        raise BudgetExceeded(triangles, DEFAULT_BUDGET, "triangles")
-    rng = random.Random(args.seed)
-    bad = 0
-    for _ in range(args.count):
-        n = rng.randint(3, args.n_max)
-        d = random_rational_metric(n, rng.randrange(2**32))
-        if check_menger(d):
-            bad += 1
-    _write(args, f"checked {args.count} random metrics: {bad} propagation violations")
-    return EXIT_OK if bad == 0 else EXIT_NEGATIVE
-
-
 def _sweep_audit(args: argparse.Namespace) -> int:
     from . import io as formats
     from .realizability import minimal_nonmetric_audit
@@ -332,8 +308,6 @@ def _build_parser(words=()) -> argparse.ArgumentParser:
     kinds = " | ".join(_GEN_USAGE.values()) + "; write -- before KIND if a coordinate is -p/q"
     sweeps = {  # sweep -> its handler, help line and arguments, in listing order
         "audit": (_sweep_audit, "minimality audit of the 19-edge non-metric family", out),
-        "menger": (_sweep_menger, "4-point rule on random metrics", out,
-                   *ints(("--count", 1000), ("--n-max", 8), ("--seed", 0))),
         "min-sat": (_sweep_min_sat, "minimum weakly saturated size", *size_args),
         "theorem2": (_sweep_theorem2, "proved and checked size bound C(n,r)-n+k-1", *size_args),
         "theorem3": (_sweep_theorem3, "size 3*C(n-2,2)+1 and saturation of the star family",
@@ -379,7 +353,7 @@ def _add_subparsers(parser, dest: str, table: dict, words: list, **options) -> N
     for name in names:
         handler, help_text, *arguments = table[name]
         p = sub.add_parser(name, help=help_text, **options)
-        if isinstance(handler, dict):  # no abbreviations, or menger would read --n as --n-max
+        if isinstance(handler, dict):  # no abbreviations, or theorem3 would read --n-ma as --n-max
             _add_subparsers(p, "name", handler, rest, allow_abbrev=False)
             continue
         p.set_defaults(handler=handler)

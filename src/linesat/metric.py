@@ -9,7 +9,7 @@ destroy.  Points are 0-based integer indices.
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, compress, count
+from itertools import compress, count
 from math import comb
 
 from .errors import (
@@ -147,9 +147,10 @@ def middle_of(d: DistanceMatrix, triple) -> int | None:
     return mids[0] if mids else None
 
 
-def _between_test(d: DistanceMatrix):
-    """The equation of :func:`betweenness` on integer numerators and
-    denominators instead of `Fraction` sums, with no checks on the points."""
+def _degeneracy_test(d: DistanceMatrix):
+    """A test of whether the triple a < b < c is degenerate in d: the three
+    placements of :func:`middle_of`, with its error where two of them hold,
+    on integer numerators and denominators instead of `Fraction` sums."""
     num = [[x.numerator for x in row] for row in d.d]
     den = [[x.denominator for x in row] for row in d.d]
 
@@ -158,14 +159,6 @@ def _between_test(d: DistanceMatrix):
         return (num[r][s] * den[s][t] + num[s][t] * den[r][s]) * den[r][t] == (
             num[r][t] * den[r][s] * den[s][t]
         )
-
-    return between
-
-
-def _degeneracy_test(d: DistanceMatrix):
-    """A test of whether the triple a < b < c is degenerate in d: the three
-    placements of :func:`middle_of`, with its error where two of them hold."""
-    between = _between_test(d)
 
     def degenerate(a, b, c):
         mids = between(b, a, c) + between(a, b, c) + between(a, c, b)
@@ -285,25 +278,3 @@ def random_rational_metric(n: int, seed: int) -> DistanceMatrix:
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = Fraction(abs(x - pts[j][0]) + abs(y - pts[j][1]), 12)
     return DistanceMatrix(n, tuple(map(tuple, rows)))
-
-
-def check_menger(d: DistanceMatrix) -> list[tuple[int, int, int, int]]:
-    """All 4-tuples violating the betweenness propagation rule.
-
-    The rule: [a b c] and [a c d] together force [a b d] and [b c d].  It
-    holds in every metric space, so on validated input the returned list is
-    empty; a nonempty result witnesses a broken betweenness implementation
-    or an invalid matrix.
-    """
-    between = _between_test(d)
-    facts = set()
-    for a, b, c in combinations(range(d.n), 3):
-        for lo, mid, hi in ((a, b, c), (b, a, c), (a, c, b)):
-            if between(lo, mid, hi):
-                facts.update(((lo, mid, hi), (hi, mid, lo)))
-    return [
-        (a, b, c, e)
-        for a, b, c in sorted(facts)
-        for e in range(d.n)
-        if e != b and (a, c, e) in facts and not ((a, b, e) in facts and (b, c, e) in facts)
-    ]

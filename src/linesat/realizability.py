@@ -4,7 +4,7 @@ of some metric space.
 A realizing metric assigns every hyperedge exactly one middle point, so the
 search branches over middle assignments.  After each choice the betweenness
 state is closed by unit propagation over clauses that hold in every metric:
-the propagation rule ([abc] and [acd] force [abd] and [bcd]) read as
+the propagation rule ([abc] and [ace] force [abe] and [bce]) read as
 "not both premises, or the conclusion", exclusivity, and "every edge has a
 middle".  Each event visits only clauses that can fire: a placement set
 true walks the rule instances it is a premise of, and one set false only
@@ -14,6 +14,14 @@ gets two middles, or an edge loses all three.  Surviving total assignments
 go to an exact LP that maximizes a uniform slack: distances are feasible
 with positive slack exactly when a metric with the required degeneracy
 pattern exists, because the pattern is scale-invariant.
+
+The first two clauses hold for distinct points a, b, c, e of any metric d,
+where [xyz] says d(x,y) + d(y,z) = d(x,z); the third is what an edge is.
+- The propagation rule (Menger's 4-point rule).  Given [abc] and [ace],
+  d(a,e) = d(a,b) + d(b,c) + d(c,e) >= d(a,b) + d(b,e) >= d(a,e) by the
+  triangle inequality twice, so both are equalities: [bce] and [abe].
+- Exclusivity.  [abc] and [bac] add up to 2 d(a,b) = 0, which distinct
+  points rule out; the other pairs of placements are relabelings of it.
 
 A metric realizing h restricts to one realizing h's triples inside any
 6-set, and no 6-point metric has exactly 19 degenerate triangles (each

@@ -10,9 +10,10 @@ One loop computes every closure.  It passes over the k-subsets in colex
 order, counting each one's present r-subsets in its mask from
 `hypergraph._kmasks`, and adds the missing r-subset of each k-subset that
 lacks exactly one, at once, so later k-subsets in the pass see it.  It
-repeats until a pass adds nothing; an input that is already closed costs
-one pass, one count per k-subset.  The certificate's steps come in pass
-order, and within a pass in colex order of their witnesses.
+repeats until a pass adds nothing or the family is complete: an input that
+is already closed costs one pass, one count per k-subset, and a complete
+one none.  The certificate's steps come in pass order, and within a pass
+in colex order of their witnesses.
 
 The size bound C(n, r) - n + k - 1 (1 <= r < k <= n) needs no scan.  A
 family fails to saturate exactly when the complement S of its closure is
@@ -84,8 +85,8 @@ def _close(h: UniformHypergraph, k: int, steps=None) -> int:
     """Closure mask of h.  When `steps` is a list, each addition is appended
     to it as (rank of the added r-subset, witness k-subset index)."""
     kmasks, threshold = _kmasks(h.n, h.r, k), comb(k, h.r) - 1
-    mask, before = h.edges, None
-    while mask != before:  # each pass but the last adds an r-subset
+    mask, before, full = h.edges, None, full_edge_mask(h.n, h.r)
+    while mask != before and mask != full:
         before = mask
         for j, km in enumerate(kmasks):
             if (mask & km).bit_count() == threshold:

@@ -8,7 +8,7 @@ The long n=7 minimum-size scan is gated behind `--slow`.
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -22,16 +22,16 @@ from linesat.hypergraph import (
 )
 from linesat.lines import check_order, reconstruct_line, verify_non_anchor_witness
 from linesat.metric import (
-    check_menger,
     degenerate_hypergraph,
     four_cycle_metric,
     graph_metric,
     line_metric,
+    middle_of,
     random_rational_metric,
     theta_graph,
     validate_metric,
 )
-from linesat.realizability import minimal_nonmetric_audit, nineteen_edge_hypergraph
+from linesat.realizability import _tables, minimal_nonmetric_audit, nineteen_edge_hypergraph
 from linesat.saturation import (
     ClosureCertificate,
     exhaustive_size_check,
@@ -147,14 +147,34 @@ def test_06_line_reconstruction_at_desk_scale():
 
 
 def test_07_betweenness_propagation_rule_holds():
+    # realize propagates over the 4-point rule and exclusivity, proved in
+    # the realizability docstring.  On 1000 random metrics, a line and a
+    # theta graph: `middle_of` raises on a triple with two middles, every
+    # 4-point instance of the rule holds, and so does every rule clause of
+    # `_tables(n)`, whose slot is 3 * colex rank + the middle's position.
     start = time.perf_counter()
     rng = random.Random(99)
-    ok = True
-    for _ in range(1000):
-        n = rng.randint(3, 8)
-        d = random_rational_metric(n, rng.randrange(2**32))
-        ok = ok and check_menger(d) == []
-    report(7, "propagation rule empty on 1000 random metrics", ok, time.perf_counter() - start, 30)
+    metrics = [random_rational_metric(rng.randint(4, 8), rng.randrange(2**32)) for _ in range(1000)]
+    metrics += [line_metric([3, 0, 6, 1, 7, 4, 2, 5]), graph_metric(theta_graph(8))]
+    ok, fired = True, 0  # 4,766 instances fire
+    for d in metrics:
+        triples = sorted(combinations(range(d.n), 3), key=lambda t: t[::-1])
+        middle = {t: middle_of(d, t) for t in triples}
+
+        def between(x, y, z):
+            return middle[tuple(sorted((x, y, z)))] == y
+
+        for a, b, c, e in permutations(range(d.n), 4):
+            if between(a, b, c) and between(a, c, e):
+                fired += 1
+                ok = ok and between(a, b, e) and between(b, c, e)
+        true = {3 * i + t.index(middle[t]) for i, t in enumerate(triples) if middle[t] is not None}
+        rules = _tables(d.n)[1]
+        for s in true:
+            for partner, c1, c2 in rules[s]:
+                ok = ok and (partner not in true or {c1, c2} <= true)
+    ok = ok and fired > 4000
+    report(7, "propagation rule holds on 1002 metrics", ok, time.perf_counter() - start, 30)
 
 
 def test_08_minimal_nonmetric_audit():

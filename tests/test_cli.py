@@ -264,9 +264,6 @@ def test_sweep_min_sat_where_the_empty_family_saturates(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["menger", "--count", "-5"], "--count must be at least 1, got -5"),
-        (["menger", "--count", "0"], "--count must be at least 1, got 0"),
-        (["menger", "--n-max", "2"], "--n-max must be at least 3, got 2"),
         (["theorem3", "--n-min", "11"], "--n-max must be at least --n-min (11), got 10"),
     ],
 )
@@ -278,21 +275,22 @@ def test_sweep_with_nothing_to_do_exits_2(capsys, monkeypatch, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["menger", "--count", "1", "--n-max", "100000"],
-         "enumeration needs 166661666700000 triangles, over the budget of 1000000"),
-        (["menger", "--count", "1", "--n-max", "183"],
-         "enumeration needs 1004731 triangles, over the budget of 1000000"),
-        (["menger", "--count", "17858"],
-         "enumeration needs 1000048 triangles, over the budget of 1000000"),
+        (["min-sat", "--n", "71"],
+         "enumeration needs 1002320 replay lookups, over the budget of 1000000"),
+        (["theorem2", "--n", "54"],
+         "enumeration needs 1041250 closed-complement lookups, over the budget of 1000000"),
+        (["theorem2", "--n", "100000"],
+         "enumeration needs 16664000158329200040 closed-complement lookups,"
+         " over the budget of 1000000"),
         (["theorem2", "--n", "6", "--r", "-1"], "n=6 and r=-1 must be non-negative"),
         (["min-sat", "--n", "-1"], "n=-1 and r=3 must be non-negative"),
         (["theorem3", "--n-min", "3"], "--n-min must be at least 5, got 3"),
     ],
 )
 def test_sweep_refuses_oversized_or_negative_shapes_at_once(capsys, monkeypatch, argv, message):
-    # menger may decide count * C(n_max, 3) triangles, at most the default
-    # budget; a negative n or r is refused before C(n, r) is taken, and a
-    # star family below 5 vertices by its flag
+    # min-sat's replay and theorem2's closed-complement lookups stay within
+    # the default budget, a negative n or r is refused before C(n, r) is
+    # taken, and a star family below 5 vertices by its flag
     code, out, err = run_cli(capsys, monkeypatch, ["sweep", *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -336,14 +334,6 @@ def test_sweep_theorem2_names_the_flags_of_an_unreachable_bound(
 ):
     code, out, err = run_cli(capsys, monkeypatch, ["sweep", "theorem2", *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_sweep_menger(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        capsys, monkeypatch, ["sweep", "menger", "--count", "30", "--n-max", "6"]
-    )
-    assert code == 0
-    assert "0 propagation violations" in out
 
 
 def test_sweep_audit(capsys, monkeypatch):
@@ -454,7 +444,6 @@ _REQUIRED = {"witness-check": ["h.json", "m.json"], "gen": ["star", "6"], "sweep
 # each sweep and the flags it reads; `sweep` took all ten for every sweep
 _SWEEP_FLAGS = {
     "audit": ["-o"],
-    "menger": ["-o", "--count", "--n-max", "--seed"],
     "min-sat": ["-o", "--n", "--r", "--k", "--budget"],
     "theorem2": ["-o", "--n", "--r", "--k", "--budget"],
     "theorem3": ["-o", "--n-min", "--n-max"],
@@ -481,7 +470,7 @@ def test_a_named_subcommand_builds_only_its_subparser(capsys):
         _build_parser(["close"]).parse_args(["gen", "star", "6"])
     assert "(choose from 'close')" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        _build_parser(["sweep", "audit"]).parse_args(["sweep", "menger"])
+        _build_parser(["sweep", "audit"]).parse_args(["sweep", "theorem3"])
     assert "(choose from 'audit')" in capsys.readouterr().err
 
 
@@ -502,7 +491,6 @@ def test_each_sweep_takes_only_the_flags_it_reads(capsys):
 def test_sweep_defaults_live_in_the_parser():
     parse = _build_parser().parse_args
     assert parse(["sweep", "theorem3"]).n_max == 10
-    assert parse(["sweep", "menger"]).n_max == 8
     assert vars(parse(["sweep", "min-sat"])).items() >= {"n": 6, "r": 3, "k": 6}.items()
 
 
@@ -511,7 +499,7 @@ def test_sweep_help_lists_each_sweep_with_one_line(capsys, monkeypatch):
     code, out, _ = _ended_by_argparse(capsys, main, ["sweep", "--help"])
     listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
     assert code == 0 and listed == list(_SWEEP_FLAGS)
-    usage = "usage: linesat sweep [-h] {audit,menger,min-sat,theorem2,theorem3} ...\n"
+    usage = "usage: linesat sweep [-h] {audit,min-sat,theorem2,theorem3} ...\n"
     assert out.startswith(usage)
 
 
@@ -725,7 +713,7 @@ def test_star_import_binds_every_public_name():
         " and ns[name].__module__.startswith('linesat.') for name in linesat.__all__))"
     )
     done = _fresh_python(code)
-    assert done.returncode == 0 and done.stdout == "38 True\n"
+    assert done.returncode == 0 and done.stdout == "37 True\n"
 
 
 def _cli_child(*argv, stdin_text="", timeout=30, **options):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from linesat.errors import (
@@ -23,7 +23,6 @@ from linesat.metric import (
     DistanceMatrix,
     Graph,
     betweenness,
-    check_menger,
     degenerate_hypergraph,
     four_cycle_metric,
     graph_metric,
@@ -408,31 +407,3 @@ def test_random_metric_matches_fraction_oracle(n, seed):
 def test_random_metrics_are_valid():
     for seed in range(1000):
         validate_metric(random_rational_metric(8, seed))
-
-
-# --- the 4-point propagation rule ------------------------------------------------
-
-
-def test_menger_on_line_metric():
-    d = line_metric([0, 1, 2, 3])
-    assert check_menger(d) == []
-    assert betweenness(d, 0, 1, 2) and betweenness(d, 0, 2, 3)
-    assert betweenness(d, 0, 1, 3) and betweenness(d, 1, 2, 3)
-
-
-def test_menger_on_random_metrics():
-    for seed in range(200):
-        assert check_menger(random_rational_metric(7, seed)) == []
-
-
-@given(st.integers(4, 8), st.integers(0, 10**6))
-@settings(max_examples=60)
-def test_menger_empty_on_valid_metrics(n, seed):
-    assert check_menger(random_rational_metric(n, seed)) == []
-
-
-def test_menger_on_an_invalid_asymmetric_matrix():
-    # zero distances, a nonzero diagonal and d[0][1] != d[1][0]: the rule
-    # fails, listed in (a, b, c, e) order with four distinct points each
-    d = DistanceMatrix.from_rows([[0, 2, 2, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 2]])
-    assert check_menger(d) == [(0, 3, 1, 2), (1, 2, 3, 0), (1, 3, 2, 0), (2, 3, 1, 0)]

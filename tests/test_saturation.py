@@ -208,6 +208,29 @@ def test_closure_with_k_above_n_is_identity():
     assert result.certificate.steps == ()
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_a_closure_stops_once_complete(monkeypatch, n):
+    # The star family completes in its first pass over the 6-subsets, and
+    # no second pass confirms that nothing is missing.  A fixed point short
+    # of complete still takes the pass that adds nothing.
+    from linesat import saturation
+
+    passes = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    kmasks = saturation._kmasks
+    monkeypatch.setattr(saturation, "_kmasks", lambda *shape: Counted(kmasks(*shape)))
+    assert weak_saturation_closure(star_construction(n), 6).closure.is_complete()
+    assert is_weakly_saturated(star_construction(n), 6)
+    assert len(passes) == 2
+    assert not is_weakly_saturated(degenerate_hypergraph(graph_metric(theta_graph(n))), 6)
+    assert len(passes) == 3
+
+
 # --- certificates ---------------------------------------------------------------
 
 
