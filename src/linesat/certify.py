@@ -68,11 +68,14 @@ def lower_bound(n: int, r: int, k: int) -> int | None:
 def closed_complement(n: int, r: int, k: int, members) -> bool:
     """Whether `members` are distinct r-subsets of 0..n-1, at least one, and
     every k-set holding one holds another: then no closure step adds a
-    member, so the family of the other r-sets does not saturate.  Checks
-    |members| * C(n-r, k-r) k-sets, u plus extra vertices E for each member
-    u: another member v lies inside exactly when its remainder v - u does
-    in E.  One-vertex remainders are ORed into one mask that E meets, and
-    only the larger ones are tested one by one, all as vertex bitmasks."""
+    member, so the family of the other r-sets does not saturate.  The
+    k-sets around a member u are u plus k - r extra vertices E, and another
+    member v lies inside exactly when its remainder v - u does in E.  An E
+    that meets a one-vertex remainder holds that member, so only the E of
+    free vertices, outside u and every one-vertex remainder, are checked,
+    each against the larger remainders, all as vertex bitmasks.  A member
+    with fewer than k - r free vertices costs its |members| remainders and
+    no k-set, as every sunflower petal does."""
     masks = []
     for t in members:
         if len(t) != r or len(set(t)) != r or not all(0 <= v < n for v in t):
@@ -88,9 +91,9 @@ def closed_complement(n: int, r: int, k: int, members) -> bool:
                 larger.add(rest)
             else:
                 single |= rest
-        outside = [1 << x for x in range(n) if not u >> x & 1]
-        for extra in combinations(outside, k - r):
+        free = [1 << x for x in range(n) if not (u | single) >> x & 1]
+        for extra in combinations(free, k - r):
             e = sum(extra)
-            if not e & single and not any(rest & e == rest for rest in larger):
+            if not any(rest & e == rest for rest in larger):
                 return False
     return True

@@ -7,7 +7,7 @@ Python ints, one bit per r-subset rank.
 """
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import repeat
 from math import comb
 
 from .errors import BudgetExceeded, OutOfRange, TooFewVertices
@@ -123,6 +123,23 @@ def _kmasks(n: int, r: int, k: int) -> tuple[int, ...]:
                 grown[i] += [a | b << shift for a, b in zip(kept, masks[i - 1])]
         masks = grown
     return tuple(masks[r])
+
+
+def _meeting_mask(n: int, r: int, d: int) -> int:
+    """The mask of the r-subsets of {0..n-1} that meet {0..d-1}.
+
+    Built vertex by vertex as `_kmasks` builds its masks: the i-subsets
+    holding vertex m follow those below m, from rank C(m, i) on, and meet
+    {0..d-1} when m < d or when their (i-1)-subset below m does.  At m only
+    the levels i >= r - (n-1-m), which can still grow into r-subsets, are
+    kept, so no mask is wider than C(n, r) bits.
+    """
+    masks = [0] * (r + 1)  # masks[i]: the i-subsets below m meeting {0..d-1}
+    for m in range(n):
+        for i in range(min(r, m + 1), max(0, r - n + m), -1):  # down: masks[i-1] is still below m
+            gained = (1 << comb(m, i - 1)) - 1 if m < d else masks[i - 1]
+            masks[i] |= gained << comb(m, i)
+    return masks[r]
 
 
 class Record:
@@ -243,13 +260,11 @@ def star_construction(n: int) -> UniformHypergraph:
     """All triples meeting the fixed 3-set {0,1,2}: 3*C(n-2,2)+1 edges.
 
     The smallest known weakly saturated family at clique size 6, and an
-    anchor for line reconstruction on n >= 5 points.
+    anchor for line reconstruction on n >= 5 points.  Its mask comes from
+    `_meeting_mask`, with no triple listed or ranked.
     """
     if n < 5:
         raise TooFewVertices(n, 5)
     check_budget(n, 3)
-    core = {0, 1, 2}
-    return UniformHypergraph.from_edges(
-        n, 3, (t for t in combinations(range(n), 3) if core.intersection(t))
-    )
+    return UniformHypergraph(n, 3, _meeting_mask(n, 3, 3))
 

@@ -55,11 +55,15 @@ from .hypergraph import (
     UniformHypergraph,
     _bitset,
     _kmasks,
+    _meeting_mask,
     check_budget,
     full_edge_mask,
     rank,
     unrank,
 )
+
+
+_CPUS = os.cpu_count() or 1  # read once: the call costs more than a size check's answer
 
 
 class ClosureCertificate(Record):
@@ -118,7 +122,7 @@ def verify_certificate(cert: ClosureCertificate) -> bool:
     for t, s in cert.steps:
         t = tuple(sorted(t))
         s = tuple(sorted(s))
-        if len(s) != k or len(set(s)) != k or not all(0 <= v < n for v in s):
+        if len(s) != k or len(set(s)) != k or (s and not (0 <= s[0] and s[-1] < n)):
             return False
         if len(t) != r:
             return False
@@ -147,14 +151,14 @@ def _check_scan(n: int, r: int, k: int, jobs: int) -> None:
         raise InvalidK(k, r)
     if n < 0 or r < 0:
         raise OutOfRange(f"n={n} and r={r} must be non-negative")
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise OutOfRange(f"jobs {jobs} outside 1..{cpus}, the CPU count")
+    if not 1 <= jobs <= _CPUS:
+        raise OutOfRange(f"jobs {jobs} outside 1..{_CPUS}, the CPU count")
 
 
 def _sunflower(n: int, r: int, k: int, budget: int, mirrored: bool) -> list[int]:
     """The ranks of the module docstring's sunflower, x -> n-1-x when
-    `mirrored`, checked in at most `budget` lookups.  Needs 1 <= r < k <= n+1."""
+    `mirrored`, checked unless the check's worst case, |S| * C(n-r, k-r)
+    k-set lookups, exceeds `budget`.  Needs 1 <= r < k <= n+1."""
     lookups = (n - k + 2) * comb(n - r, k - r)
     if lookups > budget:
         raise BudgetExceeded(lookups, budget, "closed-complement lookups")
@@ -208,10 +212,10 @@ def _star_certificate(n: int, r: int, k: int) -> ClosureCertificate:
     """F_K, the r-sets meeting K = {0..k-r-1}, with one step (T, K + T) for
     each r-set T avoiding K.  Every other r-subset of K + T meets K, so the
     steps replay in any order and bring the family to all C(n, r) r-sets.
-    At (3, 6) the base is `star_construction(n)`.  Needs 1 <= r <= k."""
+    The base's mask comes from `_meeting_mask`, as `star_construction(n)`'s
+    does, which it equals at (3, 6).  Needs 1 <= r <= k."""
     d = k - r
-    meeting = (t for t in combinations(range(n), r) if t[0] < d)  # t is ascending
-    base = UniformHypergraph.from_edges(n, r, meeting)
+    base = UniformHypergraph(n, r, _meeting_mask(n, r, d))
     steps = tuple((t, (*range(d), *t)) for t in combinations(range(d, n), r))
     return ClosureCertificate(base, k, steps)
 

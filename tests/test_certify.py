@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
@@ -12,7 +13,7 @@ import linesat
 from linesat import certify
 from linesat.cli import main
 from linesat.errors import InternalConsistencyError
-from linesat.hypergraph import DEFAULT_BUDGET, UniformHypergraph, complement
+from linesat.hypergraph import DEFAULT_BUDGET, UniformHypergraph, complement, rank
 from linesat.metric import degenerate_hypergraph, graph_metric, theta_graph
 from linesat.saturation import (
     exhaustive_size_check,
@@ -340,8 +341,11 @@ def all_members_loop(n, r, k, members):
 def test_closed_complement_matches_the_all_members_loop():
     # Seeded member sets at n <= 9 and r = 1..3: closure complements, which
     # are closed, and random sets, mostly not.  The sets must include ones
-    # where two members leave the same one vertex outside a third and ones
-    # where a member leaves more than one.
+    # where two members leave the same one vertex outside a third, ones
+    # where a member leaves more than one, ones where a member has fewer
+    # than k - r free vertices (outside it and every one-vertex remainder),
+    # so no k-set around it is tried, and ones where a member's k-sets of
+    # free vertices are tested against a larger remainder.
     rng = random.Random(41)
     seen = set()
     for i in range(400):
@@ -365,7 +369,15 @@ def test_closed_complement_matches_the_all_members_loop():
                 seen.add("larger remainder")
             if any(rests.count(rest) > 1 for rest in rests if len(rest) == 1):
                 seen.add("repeated remainder")
-    assert seen == {True, False, "larger remainder", "repeated remainder"}
+            free = n - r - len({v for rest in rests if len(rest) == 1 for v in rest})
+            if free < k - r:
+                seen.add("too few free vertices")
+            elif any(len(rest) > 1 for rest in rests):
+                seen.add("free vertices beside a larger remainder")
+    assert seen == {
+        True, False, "larger remainder", "repeated remainder",
+        "too few free vertices", "free vertices beside a larger remainder",
+    }
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -377,6 +389,20 @@ def test_closed_complement_with_a_member_dropped_is_rejected(n):
     rest = complement(weak_saturation_closure(h, 6).closure).edge_list()
     assert certify.closed_complement(n, 3, 6, rest)
     assert not certify.closed_complement(n, 3, 6, rest[1:])
+
+
+def test_size_check_at_53_points_tries_no_k_set_around_a_petal():
+    # Each petal's other petals leave one vertex apiece, so its free
+    # vertices are the k - r - 1 left-out points and no 6-set is tried:
+    # 49 * 49 remainders, not 49 * C(50, 3) = 960,400 6-sets.  The family is
+    # the sunflower's complement with its highest ranks dropped to the size.
+    n, size = 53, comb(53, 3) - 53 + 5 - 1
+    start = time.perf_counter()
+    h = exhaustive_size_check(n, 3, 6, size)
+    assert time.perf_counter() - start < 0.05
+    petals = {rank(t, n) for t in sunflower(n, 3, 6)}
+    kept = [t for t in range(comb(n, 3)) if t not in petals][:size]
+    assert h.edges == sum(1 << t for t in kept)
 
 
 def test_failed_sunflower_check_makes_the_size_check_raise(monkeypatch, capsys):

@@ -1,15 +1,21 @@
+import os
 import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import linesat
 from linesat.errors import OutOfRange, TooFewVertices
 from linesat.hypergraph import (
     UniformHypergraph,
+    _meeting_mask,
     colex_combinations,
     complement,
     complete_hypergraph,
@@ -263,6 +269,51 @@ def test_star_edges_all_meet_core():
 def test_star_needs_five_vertices():
     with pytest.raises(TooFewVertices):
         star_construction(4)
+
+
+def _meeting_by_listing(n, r, d):
+    """F_K for K = {0..d-1} from every r-set listed and ranked."""
+    return UniformHypergraph.from_edges(n, r, (t for t in combinations(range(n), r) if t[0] < d)).edges
+
+
+def test_star_edges_match_the_listed_triples():
+    for n in range(5, 61):
+        assert star_construction(n).edges == _meeting_by_listing(n, 3, 3), n
+
+
+# --- the F_K builder ----------------------------------------------------------------
+
+
+def test_meeting_mask_matches_the_listed_r_sets():
+    shapes = [(n, r, k) for n in range(1, 11) for k in range(1, n + 1) for r in range(1, k + 1)]
+    assert len(shapes) == 220
+    for n, r, k in shapes:
+        assert _meeting_mask(n, r, k - r) == _meeting_by_listing(n, r, k - r), (n, r, k)
+
+
+@pytest.mark.parametrize("n, r, k", [(40, 39, 40), (53, 2, 53), (60, 58, 59), (1000, 999, 1000)])
+def test_meeting_mask_keeps_only_the_levels_that_reach_r(n, r, k):
+    # A builder carrying every level up to r would hold masks of C(40, 20)
+    # bits at (40, 39, 40); in a child capped at 512 MiB it fails instead
+    # of filling the memory, and with the bound each shape takes about 1 ms
+    import resource
+
+    cap = 512 << 20
+    code = (
+        "import time\nfrom linesat.hypergraph import _meeting_mask\n"
+        f"start = time.perf_counter()\nmask = _meeting_mask({n}, {r}, {k - r})\n"
+        "print(time.perf_counter() - start, hex(mask))"
+    )
+    src = str(Path(linesat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.returncode == 0, done.stderr
+    seconds, mask = done.stdout.split()
+    assert float(seconds) < 0.05
+    assert int(mask, 16) == _meeting_by_listing(n, r, k - r)
 
 
 # --- theta family -------------------------------------------------------------------

@@ -284,6 +284,16 @@ def test_wrong_witness_set_invalidates():
     assert not verify_certificate(ClosureCertificate(cert.base, cert.k, tuple(steps)))
 
 
+@pytest.mark.parametrize(
+    "witness, valid", [((-1, 0, 1), False), ((2, 3, 5), False), ((0, 1, 4), True), ((0, 2, 4), True)]
+)
+def test_witness_outside_the_vertices_invalidates(witness, valid):
+    # At k = r the witness is its own missing r-subset, so only the range
+    # test, on the sorted witness's two ends, refuses a vertex outside 0..4
+    cert = ClosureCertificate(UniformHypergraph(5, 3, 0), 3, ((witness, witness),))
+    assert verify_certificate(cert) is valid
+
+
 # --- saturation predicate -------------------------------------------------------
 
 
